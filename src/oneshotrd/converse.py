@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .dtilde import dtilde, dtilde_for_prior, fill_thresholds
 from .model import Channel, Code, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
-
-LP_SIZE_LIMIT = 2000  # skip the exact refinement above this many W variables
 
 
 class ConverseEquality(NamedTuple):
@@ -32,21 +31,21 @@ class ConverseEquality(NamedTuple):
 class SandwichBounds(NamedTuple):
     lower: float
     upper: float
+    q_star: np.ndarray
 
 
 @dataclass(eq=False)
 class PriorOptResult:
     """Outcome of minimizing dtilde(w, .) over the simplex.
 
-    certificate_gap: for y_size <= 3, returned value minus the best value on
-    a step-0.01 simplex grid (negative means the optimizer beat the grid);
-    otherwise the gap between the multiplicative-weights best and the
-    returned value (0 when no refinement improved on it).
+    value is dtilde(w, q_star), attained by q_star; dual_bound is a
+    certified lower bound on the minimum; certificate_gap = value -
+    dual_bound, so the minimum lies within certificate_gap below value.
     """
 
     q_star: np.ndarray
     value: float
-    iterations: int
+    dual_bound: float
     certificate_gap: float
 
 
@@ -114,111 +113,67 @@ def dtilde_subgradient(problem: Problem, w: float, prior=None) -> np.ndarray:
     return -np.sum(problem.p_x[:, None] * gain, axis=0) / w
 
 
-def _prior_lp(problem: Problem, w: float) -> np.ndarray | None:
-    """Exact minimizer of dtilde(w, .) via the joint channel/prior LP."""
-    nx, ny = problem.x_size, problem.y_size
-    nw = nx * ny
-    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel(),
-                           np.zeros(ny)])
-    a_eq = np.zeros((nx + 1, nw + ny))
-    for x in range(nx):
-        a_eq[x, x * ny:(x + 1) * ny] = 1.0
-    a_eq[nx, nw:] = 1.0
-    b_eq = np.ones(nx + 1)
-    a_ub = np.hstack([np.eye(nw), np.tile(-np.eye(ny) / w, (nx, 1))])
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nw), A_eq=a_eq, b_eq=b_eq,
-                  method="highs-ds")
-    if not res.success:
-        return None
-    q = np.clip(res.x[nw:], 0.0, None)
-    total = q.sum()
-    return q / total if total > 0 else None
+def _lp_size(problem: Problem, rate: float) -> float:
+    """t = e^rate, clamped to y_size: beyond it every letter can be opened."""
+    ny = problem.y_size
+    return float(ny) if rate >= math.log(ny) else math.exp(rate)
 
 
-def _simplex_grid(ny: int, step: float):
-    n = round(1.0 / step)
-    if ny == 1:
-        yield np.ones(1)
-        return
-    if ny == 2:
-        for i in range(n + 1):
-            yield np.array([i, n - i]) / n
-        return
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            yield np.array([i, j, n - i - j]) / n
+def _dual_bound(problem: Problem, t: float, alpha: np.ndarray) -> float:
+    """Jain-Vazirani dual of the k-median LP at size t, valid for any alpha.
+
+    L(alpha) = sum_x alpha_x - t * max_y sum_x (alpha_x - p_x d_xy)^+
+    lower-bounds every feasible (z, r), hence dtilde(1/t, q) for every q.
+    """
+    excess = np.maximum(alpha[:, None] - problem.p_x[:, None] * problem.d, 0.0)
+    return float(np.sum(alpha) - t * np.max(np.sum(excess, axis=0)))
 
 
-def optimize_prior(
-    problem: Problem,
-    rate: float,
-    *,
-    iterations: int = 400,
-    random_starts: int = 8,
-    seed: int = 0,
-    extra_starts=(),
-    lp_refine: bool | None = None,
-    grid_step: float = 0.01,
-) -> PriorOptResult:
-    """Minimize prior -> dtilde(exp(-rate), prior) over the simplex.
+def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
+    """Minimize prior -> dtilde(exp(-rate), prior) over the simplex exactly.
 
-    Runs multiplicative-weights descent (step eta0/sqrt(t), iterates kept
-    strictly interior) from the uniform prior, `random_starts` Dirichlet
-    draws and any `extra_starts`, then refines with an exact LP solve when
-    the instance is small enough. For y_size <= 3 a step-`grid_step`
-    simplex grid provides an independent certificate.
+    The minimum is the k-median LP relaxation at t = e^rate (repeated
+    centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
+    sum_y r_y = t and z_xy <= r_y, solved by HiGHS with sparse
+    constraints; q_star = r / t. For t >= y_size the minimum is the floor
+    sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
+    recomputed in numpy from the equality duals alpha, without trusting
+    the solver's objective.
     """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    w = math.exp(-rate)
-    ny = problem.y_size
-    rng = np.random.default_rng(seed)
-    starts = [np.full(ny, 1.0 / ny)]
-    starts += [rng.dirichlet(np.ones(ny)) for _ in range(random_starts)]
-    for q0 in extra_starts:
-        q0 = np.asarray(q0, dtype=float)
-        starts.append(q0 / q0.sum())
-
-    eta0 = 1.0 / (1.0 + problem.d_max / w)
-    best_val, best_q = math.inf, starts[0]
-    mw_best = math.inf
-    total = 0
-    for q0 in starts:
-        q = np.clip(q0, 1e-300, None)
-        q = q / q.sum()
-        for t in range(1, iterations + 1):
-            val = dtilde_for_prior(problem, w, q)
-            if not math.isfinite(val):
-                raise RuntimeError("prior optimization diverged to a non-finite value")
-            if val < best_val:
-                best_val, best_q = val, q.copy()
-            g = dtilde_subgradient(problem, w, q)
-            q = q * np.exp(-(eta0 / math.sqrt(t)) * (g - g.min()))
-            q = q / q.sum()
-            total += 1
-    mw_best = best_val
-
-    if lp_refine is None:
-        lp_refine = problem.x_size * ny <= LP_SIZE_LIMIT
-    if lp_refine:
-        q_lp = _prior_lp(problem, w)
-        if q_lp is not None:
-            val = dtilde_for_prior(problem, w, q_lp)
-            if val < best_val:
-                best_val, best_q = val, q_lp
-
-    if ny <= 3 and grid_step:
-        grid_best = min(dtilde_for_prior(problem, w, q)
-                        for q in _simplex_grid(ny, grid_step))
-        certificate = best_val - grid_best
-    else:
-        certificate = mw_best - best_val
-
+    t = _lp_size(problem, rate)
+    nx, ny = problem.x_size, problem.y_size
+    nz = nx * ny
+    k = np.arange(nz)
+    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel(), np.zeros(ny)])
+    # rows 0..nx-1: sum_y z_xy = 1; row nx: sum_y r_y = t
+    a_eq = sparse.csr_array(
+        (np.ones(nz + ny),
+         (np.concatenate([k // ny, np.full(ny, nx)]), np.arange(nz + ny))),
+        shape=(nx + 1, nz + ny))
+    # row (x, y): z_xy - r_y <= 0
+    a_ub = sparse.csr_array(
+        (np.concatenate([np.ones(nz), -np.ones(nz)]),
+         (np.concatenate([k, k]), np.concatenate([k, nz + k % ny]))),
+        shape=(nz, nz + ny))
+    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
+    # go unoptimized; 1e-10 is the tightest it accepts
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nz), A_eq=a_eq,
+                  b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"k-median LP failed: {res.message}")
+    q = np.clip(res.x[nz:], 0.0, None)
+    q = q / q.sum()
+    value = dtilde_for_prior(problem, 1.0 / t, q)
+    bound = _dual_bound(problem, t, res.eqlin.marginals[:nx])
     return PriorOptResult(
-        q_star=_readonly(best_q),
-        value=float(best_val),
-        iterations=total,
-        certificate_gap=float(certificate),
+        q_star=_readonly(q),
+        value=value,
+        dual_bound=bound,
+        certificate_gap=value - bound,
     )
 
 
@@ -227,10 +182,10 @@ def dhat_sandwich(
     rate: float,
     lam_grid=None,
     tol: float = 1e-9,
-    **opt_kwargs,
 ) -> SandwichBounds:
-    """Prior-optimized lower bound vs the matching achievability upper bound.
+    """Certified lower bound vs the matching achievability upper bound.
 
+    lower = optimize_prior(rate).dual_bound, with q_star its prior;
     upper = min over lam in lam_grid of
             optimize_prior(rate - lam).value + d_max * f(lam).
     """
@@ -239,14 +194,15 @@ def dhat_sandwich(
     lam_grid = [lam for lam in lam_grid if lam < rate]
     if not lam_grid:
         raise ValueError("lam_grid must contain at least one value below the rate")
-    lower = optimize_prior(problem, rate, **opt_kwargs).value
+    at_rate = optimize_prior(problem, rate)
+    lower = at_rate.dual_bound
     upper = math.inf
     for lam in lam_grid:
-        cand = (optimize_prior(problem, rate - lam, **opt_kwargs).value
+        cand = (optimize_prior(problem, rate - lam).value
                 + problem.d_max * f_of(lam))
         upper = min(upper, cand)
     if lower > upper + tol:
         raise EqualityCheckError(
             f"sandwich violated: lower={lower!r} > upper={upper!r}"
         )
-    return SandwichBounds(lower, upper)
+    return SandwichBounds(lower, upper, at_rate.q_star)

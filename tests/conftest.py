@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from oneshotrd import Problem
 
@@ -40,6 +41,43 @@ def nonbreakpoint_w(problem, rng, lo=0.02, hi=0.999, margin=1e-6):
         if np.min(np.abs(bps - w)) > margin:
             return w
     raise RuntimeError("could not find a non-breakpoint quantile")
+
+
+def dense_prior_lp(problem, w):
+    """Oracle: min over priors of dtilde(w, .) as a dense joint channel/prior LP.
+
+    Variables W (nx*ny channel entries) and q (ny prior masses):
+    min sum p_x d_xy W_xy  s.t.  sum_y W_xy = 1, sum_y q_y = 1,
+    W_xy <= q_y / w. Returns the LP minimum.
+    """
+    nx, ny = problem.x_size, problem.y_size
+    nw = nx * ny
+    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel(),
+                           np.zeros(ny)])
+    a_eq = np.zeros((nx + 1, nw + ny))
+    for x in range(nx):
+        a_eq[x, x * ny:(x + 1) * ny] = 1.0
+    a_eq[nx, nw:] = 1.0
+    a_ub = np.hstack([np.eye(nw), np.tile(-np.eye(ny) / w, (nx, 1))])
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nw), A_eq=a_eq,
+                  b_eq=np.ones(nx + 1), method="highs-ds")
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def simplex_grid(ny, step):
+    """Oracle for ny <= 3: every prior on the simplex grid of the given step."""
+    n = round(1.0 / step)
+    if ny == 1:
+        yield np.ones(1)
+        return
+    if ny == 2:
+        for i in range(n + 1):
+            yield np.array([i, n - i]) / n
+        return
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            yield np.array([i, j, n - i - j]) / n
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ def test_criterion_03_converse_equality():
 def test_criterion_04_converse_dominance():
     start = time.time()
     rng = np.random.default_rng(4)
-    worst = -math.inf
+    worst = worst_gap = -math.inf
     for _ in range(20):
         p = make_random_problem(rng, nx=int(rng.integers(2, 6)),
                                 ny=int(rng.integers(2, 6)))
@@ -106,12 +106,14 @@ def test_criterion_04_converse_dominance():
                 code_distortion(p, Code(combo))
                 for combo in itertools.product(range(p.y_size), repeat=m)
             )
-            opt = optimize_prior(p, math.log(m), iterations=200, random_starts=4)
+            opt = optimize_prior(p, math.log(m))
             worst = max(worst, opt.value - best_code)
+            worst_gap = max(worst_gap, opt.certificate_gap)
     elapsed = time.time() - start
     report(4, "exhaustive code minimum dominates the prior optimum",
-           worst <= 1e-9 and elapsed < 120.0,
-           f"worst (opt - code) {worst:.2e}, {elapsed:.1f}s")
+           worst <= 1e-9 and worst_gap <= 1e-9 and elapsed < 120.0,
+           f"worst (opt - code) {worst:.2e}, worst dual gap {worst_gap:.2e}, "
+           f"{elapsed:.1f}s")
 
 
 def test_criterion_05_variational_equalities():
@@ -260,9 +262,12 @@ def test_criterion_12_sandwich():
         p = make_random_problem(rng, nx=int(rng.integers(2, 6)),
                                 ny=int(rng.integers(2, 6)))
         for rate in (0.5, 1.0, 2.0):
-            bounds = dhat_sandwich(p, rate, iterations=120, random_starts=3)
+            bounds = dhat_sandwich(p, rate)
+            opt = optimize_prior(p, rate)
             worst = max(worst, bounds.lower - bounds.upper)
-            ok = ok and bounds.lower <= bounds.upper + 1e-9
+            ok = (ok and bounds.lower <= bounds.upper + 1e-9
+                  and bounds.lower == opt.dual_bound
+                  and opt.certificate_gap <= 1e-9)
     elapsed = time.time() - start
     report(12, "prior-optimized lower bound below the achievable upper bound",
            ok, f"worst (lower - upper) {worst:.2e}, {elapsed:.1f}s")

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_problem
-from oneshotrd import EqualityCheckError, dtilde, exact_expected_distortion, save_problem
+import oneshotrd.converse as converse_mod
+from conftest import dense_prior_lp, make_random_problem
+from oneshotrd import (
+    EqualityCheckError,
+    dtilde,
+    exact_expected_distortion,
+    optimize_prior,
+    save_problem,
+)
 from oneshotrd.cli import product_prior_experiment, product_problem, run
 
 
@@ -69,11 +76,43 @@ def test_achieve_subcommands(binary_path, capsys):
 
 def test_optimize_prior_subcommand(binary_path, capsys):
     assert run(["optimize-prior", "--problem", binary_path,
-                "--rate", str(math.log(2.0)), "--iterations", "100",
-                "--json"]) == 0
+                "--rate", str(math.log(2.0)), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     names = {r["quantity"]: r["value"] for r in doc["records"]}
     assert names["value"] <= 1e-8
+    assert names["dual_bound"] <= names["value"]
+    assert names["certificate_gap"] == names["value"] - names["dual_bound"]
+    assert names["certificate_gap"] <= 1e-9
+    methods = {r["quantity"]: r["method"] for r in doc["records"]}
+    assert methods["value"] == "k-median LP, HiGHS"
+
+
+def test_large_rates_exit_zero(binary_path, capsys):
+    for rate in ("60", "1000"):
+        assert run(["optimize-prior", "--problem", binary_path,
+                    "--rate", rate, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = {r["quantity"]: r["value"] for r in doc["records"]}
+        assert names["value"] == 0.0 and names["certificate_gap"] <= 1e-12
+        assert run(["converse", "--problem", binary_path, "--rate", rate]) == 0
+        capsys.readouterr()
+
+
+def test_converse_rate_solves_seven_lps(rng, tmp_path, monkeypatch, capsys):
+    # one LP at the rate, one per default slack; the CSV prior reuses the first
+    path = tmp_path / "rand.json"
+    save_problem(make_random_problem(rng, nx=4, ny=4), path)
+    calls = []
+    real = converse_mod.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(converse_mod, "linprog", counting)
+    assert run(["converse", "--problem", str(path), "--rate", "1", "--csv"]) == 0
+    assert len(calls) == 7
+    capsys.readouterr()
 
 
 def test_excess_subcommands(binary_path, capsys):
@@ -100,11 +139,13 @@ def test_simulate_subcommand(binary_path, capsys):
 
 def test_converse_sandwich_csv(binary_path, capsys):
     assert run(["converse", "--problem", binary_path, "--rate", "0.6931471805599453",
-                "--iterations", "120", "--csv"]) == 0
+                "--csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "R,dhat_lower,dhat_upper,q_star_0,q_star_1"
-    row = lines[1].split(",")
-    assert float(row[1]) <= float(row[2])
+    row = [float(v) for v in lines[1].split(",")]
+    assert row[1] <= row[2]
+    assert abs(row[1]) <= 1e-9
+    np.testing.assert_allclose(row[3:], [0.5, 0.5], atol=1e-6)
 
 
 def test_cli_reports_validation_errors(tmp_path, capsys):
@@ -140,22 +181,25 @@ def test_product_problem_structure(binary_hamming):
 
 
 def test_product_prior_experiment_n1_gap_zero(binary_hamming):
-    rep = product_prior_experiment(binary_hamming, 1, math.log(2.0), iterations=100)
+    rep = product_prior_experiment(binary_hamming, 1, math.log(2.0))
     assert rep.gap == 0.0
     assert rep.product_value == rep.full_value
+    assert rep.full_value == optimize_prior(binary_hamming, math.log(2.0)).value
 
 
 def test_product_prior_experiment_binary(binary_hamming):
-    rep = product_prior_experiment(binary_hamming, 2, math.log(2.0),
-                                   iterations=150, random_starts=2)
+    rep = product_prior_experiment(binary_hamming, 2, math.log(2.0))
     assert rep.full_value <= rep.product_value + 1e-9
+    assert rep.full_value <= 1e-9
     assert rep.product_value <= 1e-6  # uniform product prior is ideal here
 
 
 def test_product_prior_experiment_random_base(rng):
     base = make_random_problem(rng, nx=2, ny=3, zero_mass_prob=0.0)
-    rep = product_prior_experiment(base, 2, 0.7, iterations=120, random_starts=2)
+    rep = product_prior_experiment(base, 2, 0.7)
     assert rep.full_value <= rep.product_value + 1e-9
+    oracle = dense_prior_lp(product_problem(base, 2), math.exp(-1.4))
+    assert abs(rep.full_value - oracle) <= 1e-9
     assert rep.n == 2
 
 

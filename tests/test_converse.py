@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_problem, nonbreakpoint_w
+from conftest import dense_prior_lp, make_random_problem, nonbreakpoint_w, simplex_grid
 from oneshotrd import (
     Code,
     Problem,
@@ -14,11 +16,12 @@ from oneshotrd import (
     dhat_sandwich,
     dtilde_for_prior,
     dtilde_subgradient,
+    exact_expected_distortion,
     optimal_encoder,
     optimize_prior,
     test_channel as packing_channel,
 )
-from oneshotrd.converse import _simplex_grid
+from oneshotrd.converse import _dual_bound, _lp_size
 
 
 def random_code(rng, problem, max_m=6):
@@ -122,39 +125,47 @@ def test_subgradient_is_nonpositive(rng):
 
 
 def test_optimize_prior_binary_hamming(binary_hamming):
-    res = optimize_prior(binary_hamming, math.log(2.0), iterations=150)
+    res = optimize_prior(binary_hamming, math.log(2.0))
     assert res.value <= 1e-9
     np.testing.assert_allclose(res.q_star, [0.5, 0.5], atol=1e-6)
-    assert res.iterations > 0
+    assert res.dual_bound <= res.value
+    assert res.certificate_gap <= 1e-9
 
 
 def test_optimize_prior_zero_rate_picks_best_column(rng):
     for _ in range(5):
         p = make_random_problem(rng)
-        res = optimize_prior(p, 0.0, iterations=100, random_starts=2)
+        res = optimize_prior(p, 0.0)
         best_col = float(np.min(p.p_x @ p.d))
         assert res.value == pytest.approx(best_col, abs=1e-8)
+        assert res.dual_bound == pytest.approx(best_col, abs=1e-8)
+        assert res.certificate_gap <= 1e-9
 
 
 def test_optimize_prior_beats_grid(rng):
     for _ in range(8):
         p = make_random_problem(rng, ny=3)
         rate = float(rng.uniform(0.2, 2.0))
-        res = optimize_prior(p, rate, iterations=200, random_starts=4)
+        res = optimize_prior(p, rate)
         grid_best = min(
-            dtilde_for_prior(p, math.exp(-rate), q) for q in _simplex_grid(3, 0.01)
+            dtilde_for_prior(p, math.exp(-rate), q) for q in simplex_grid(3, 0.01)
         )
-        assert res.value <= grid_best + 1e-3
-        assert res.certificate_gap <= 1e-3
+        assert res.value <= grid_best + 1e-9
+        assert res.dual_bound <= grid_best + 1e-12
+        assert res.certificate_gap == res.value - res.dual_bound
+        assert res.certificate_gap <= 1e-9
 
 
-def test_optimize_prior_without_lp_still_reasonable(rng):
-    p = make_random_problem(rng, ny=3)
-    rate = 1.0
-    res = optimize_prior(p, rate, iterations=400, lp_refine=False)
-    ref = optimize_prior(p, rate, iterations=400)
-    assert res.value >= ref.value - 1e-12
-    assert res.value <= ref.value + 0.05 * max(p.d_max, 1.0)
+def test_optimize_prior_large_rate_is_the_floor(rng):
+    # e^60 and e^1000 exceed every alphabet (the latter overflows a float)
+    for _ in range(5):
+        p = make_random_problem(rng)
+        floor = float(np.sum(p.p_x * p.d.min(axis=1)))
+        for rate in (60.0, 1000.0):
+            res = optimize_prior(p, rate)
+            assert res.value == pytest.approx(floor, abs=1e-12)
+            assert res.dual_bound == pytest.approx(floor, abs=1e-12)
+            assert res.certificate_gap <= 1e-12
 
 
 def test_optimize_prior_rejects_negative_rate(binary_hamming):
@@ -170,20 +181,20 @@ def test_converse_dominance_exhaustive(rng):
                 code_distortion(p, Code(c))
                 for c in itertools.product(range(p.y_size), repeat=m)
             )
-            res = optimize_prior(p, math.log(m), iterations=200, random_starts=4)
+            res = optimize_prior(p, math.log(m))
             assert best >= res.value - 1e-9
+            assert best >= res.dual_bound - 1e-12
+            assert res.certificate_gap <= 1e-9
 
 
 def test_dhat_sandwich_binary(binary_hamming):
-    bounds = dhat_sandwich(binary_hamming, math.log(2.0), iterations=150)
+    bounds = dhat_sandwich(binary_hamming, math.log(2.0))
     assert bounds.lower == pytest.approx(0.0, abs=1e-8)
     assert bounds.lower <= bounds.upper
 
 
 def test_dhat_sandwich_zero_rate(binary_hamming):
-    bounds = dhat_sandwich(
-        binary_hamming, 0.0, lam_grid=[-0.5, -1.0, -2.0], iterations=100
-    )
+    bounds = dhat_sandwich(binary_hamming, 0.0, lam_grid=[-0.5, -1.0, -2.0])
     assert bounds.lower <= bounds.upper + 1e-9
 
 
@@ -191,5 +202,47 @@ def test_dhat_sandwich_random(rng):
     for _ in range(4):
         p = make_random_problem(rng, nx=3, ny=3)
         for rate in (0.5, 1.0, 2.0):
-            bounds = dhat_sandwich(p, rate, iterations=120, random_starts=3)
+            bounds = dhat_sandwich(p, rate)
             assert bounds.lower <= bounds.upper + 1e-9
+            oracle = dense_prior_lp(p, math.exp(-rate))
+            assert abs(bounds.lower - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("seed, expected", [(0, 0.216), (1, 0.245), (2, 0.273)])
+def test_dhat_sandwich_lower_is_the_lp_minimum_45x50(seed, expected):
+    # above 2000 channel entries the lower bound once came from a heuristic
+    # alone and overstated the minimum by about 0.1
+    rng = np.random.default_rng(seed)
+    p = Problem(rng.dirichlet(np.ones(45)), rng.dirichlet(np.ones(50)),
+                rng.integers(0, 5, (45, 50)).astype(float))
+    oracle = dense_prior_lp(p, math.exp(-1.0))
+    lower = dhat_sandwich(p, 1.0).lower
+    assert lower <= oracle + 1e-9
+    assert abs(lower - oracle) <= 1e-9
+    assert oracle == pytest.approx(expected, abs=5e-4)
+    assert optimize_prior(p, 1.0).certificate_gap <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dual_bound_below_every_code(data):
+    nx, ny, m = (data.draw(st.integers(1, hi)) for hi in (4, 4, 3))
+
+    def vec(n, lo, hi):
+        return np.array(data.draw(st.lists(
+            st.floats(lo, hi, allow_nan=False), min_size=n, max_size=n)))
+
+    p, q = vec(nx, 0.0, 1.0), vec(ny, 0.0, 1.0)
+    assume(p.sum() > 0.01 and q.sum() > 0.01)
+    d = vec(nx * ny, 0.0, 4.0).reshape(nx, ny)
+    problem = Problem(p / p.sum(), q / q.sum(), d)
+    best = min(code_distortion(problem, Code(c))
+               for c in itertools.product(range(ny), repeat=m))
+    rate = math.log(m)
+    alpha = vec(nx, -4.0, 4.0)
+    assert _dual_bound(problem, _lp_size(problem, rate), alpha) <= best + 1e-12
+    res = optimize_prior(problem, rate)
+    assert res.dual_bound <= best + 1e-12
+    assert res.value <= best + 1e-9
+    assert res.certificate_gap <= 1e-9
+    assert best <= exact_expected_distortion(problem, m).exact_distortion + 1e-12
