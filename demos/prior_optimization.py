@@ -13,7 +13,7 @@ prior match an unrestricted one?
 import numpy as np
 
 from oneshotrd import Problem, dhat_sandwich, optimize_prior
-from oneshotrd.cli import product_prior_experiment
+from oneshotrd.converse import product_prior_experiment
 
 rng = np.random.default_rng(26)  # rows prefer different columns; the curve bends
 problem = Problem(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)),

@@ -12,7 +12,7 @@ Modules:
 - ``pairwise``: pairwise-correct probabilities and distortion profiles.
 - ``dtilde``: the piecewise-linear quantile functional, inverse, channel.
 - ``random_coding``: exact codebook averages and achievability bounds.
-- ``converse``: code equality, prior optimization, the bound sandwich.
+- ``converse``: code equality, prior optimization, sandwich, product priors.
 - ``variational``: Neyman-Pearson and max-divergence forms.
 - ``excess``: indicator-distortion specialization and reference comparisons.
 - ``montecarlo``: reproducible sampling oracles.

@@ -13,29 +13,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .converse import (
     converse_equality_check,
     dhat_sandwich,
-    dtilde_subgradient,
     optimize_prior,
+    product_prior_experiment,
 )
-from .dtilde import build_dtilde1, dtilde, dtilde1, dtilde_for_prior, test_channel
-from .excess import bound_gap_comparison, excess_problem, excess_rate, lemma4_check
-from .model import (
-    Code,
-    EqualityCheckError,
-    InvariantViolation,
-    Problem,
-    ProblemFormatError,
-    load_problem,
-)
+from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde, test_channel
+from .excess import bound_gap_comparison, excess_problem, lemma4_check
+from .model import Code, EqualityCheckError, load_problem
 from .montecarlo import simulate_random_code
 from .random_coding import (
     achievability_bound,
@@ -78,15 +68,6 @@ class BoundReport:
                 print(f"{r.quantity} = {FMT % r.value}  [{r.method}]{tol}")
 
 
-class ProductPriorReport(NamedTuple):
-    n: int
-    rate: float
-    product_value: float
-    product_prior: np.ndarray
-    full_value: float
-    gap: float
-
-
 def _write_csv(rows, header, out: str | None) -> None:
     handle = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
@@ -99,125 +80,6 @@ def _write_csv(rows, header, out: str | None) -> None:
             handle.close()
 
 
-def _product_power(vec: np.ndarray, n: int) -> np.ndarray:
-    return reduce(np.kron, [vec] * n)
-
-
-
-def _single_letter_grid(ny: int, step: float):
-    """Compositions of 1.0 at resolution `step` over ny letters."""
-    n = round(1.0 / step)
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield np.array(prefix + [remaining]) / n
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    yield from rec([], n, ny)
-
-
-def product_problem(base: Problem, n: int) -> Problem:
-    """n-fold memoryless extension with per-letter averaged distortion."""
-    nx, ny = base.x_size, base.y_size
-    d = np.zeros((nx ** n, ny ** n))
-    for i in range(n):
-        left = np.ones((nx ** i, ny ** i))
-        right = np.ones((nx ** (n - 1 - i), ny ** (n - 1 - i)))
-        d += np.kron(np.kron(left, base.d), right)
-    return Problem(_product_power(base.p_x, n), _product_power(base.q_y, n), d / n)
-
-
-def product_prior_experiment(
-    base: Problem,
-    n: int,
-    rate: float,
-    *,
-    cap: int = 4096,
-    iterations: int = 300,
-    random_starts: int = 4,
-    seed: int = 0,
-) -> ProductPriorReport:
-    """Best memoryless prior vs the unrestricted prior on the n-fold source.
-
-    Optimizes the single-letter prior through the product map by
-    multiplicative weights, then solves the full-simplex LP exactly, so
-    full_value <= product_value holds up to solver tolerance. Exploratory:
-    the sign and size of the remaining gap are reported, not asserted.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    ny_n = base.y_size ** n
-    if ny_n > cap:
-        raise ValueError(f"|Y|^n = {ny_n} exceeds the cap {cap}")
-    if base.x_size ** n * ny_n > 1 << 22:
-        raise ValueError("product instance too large")
-    prod = product_problem(base, n)
-    total_rate = n * rate
-    if n == 1:
-        # identical search spaces; one optimization answers both questions
-        res = optimize_prior(base, total_rate)
-        return ProductPriorReport(1, rate, res.value, res.q_star, res.value, 0.0)
-
-    w = math.exp(-total_rate)
-    ny = base.y_size
-    digits = (np.arange(ny_n)[:, None] // ny ** np.arange(n)[None, :]) % ny
-    counts = np.stack([(digits == y).sum(axis=1) for y in range(ny)]).astype(float)
-
-    def single_objective(q: np.ndarray) -> tuple[float, np.ndarray]:
-        qn = _product_power(q, n)
-        val = dtilde_for_prior(prod, w, qn)
-        g_full = dtilde_subgradient(prod, w, qn)
-        g = counts @ (g_full * qn) / np.maximum(q, 1e-300)
-        return val, g
-
-    rng = np.random.default_rng(seed)
-    starts = [np.full(ny, 1.0 / ny)]
-    starts += [rng.dirichlet(np.ones(ny)) for _ in range(random_starts)]
-    eta0 = 1.0 / (1.0 + prod.d_max / w)
-    best_val, best_q = math.inf, starts[0]
-    for q0 in starts:
-        q = np.clip(q0, 1e-300, None)
-        q = q / q.sum()
-        for t in range(1, iterations + 1):
-            val, g = single_objective(q)
-            if val < best_val:
-                best_val, best_q = val, q.copy()
-            q = q * np.exp(-(eta0 / math.sqrt(t)) * (g - g.min()))
-            q = q / q.sum()
-
-    # descent through the product map stalls on kinks; sweep a coarse
-    # single-letter grid and polish before trusting the memoryless value
-    if ny <= 4:
-        step = 0.02 if ny <= 3 else 0.05
-        for q in _single_letter_grid(ny, step):
-            val = dtilde_for_prior(prod, w, _product_power(q, n))
-            if val < best_val:
-                best_val, best_q = val, q
-
-    def softmax_objective(theta: np.ndarray) -> float:
-        e = np.exp(theta - theta.max())
-        return dtilde_for_prior(prod, w, _product_power(e / e.sum(), n))
-
-    theta0 = np.log(np.clip(best_q, 1e-12, None))
-    nm = minimize(softmax_objective, theta0, method="Nelder-Mead",
-                  options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
-    e = np.exp(nm.x - nm.x.max())
-    q_nm = e / e.sum()
-    val_nm = dtilde_for_prior(prod, w, _product_power(q_nm, n))
-    if val_nm < best_val:
-        best_val, best_q = val_nm, q_nm
-
-    full = optimize_prior(prod, total_rate)
-    gap = full.value - best_val
-    if gap > 1e-9:
-        raise EqualityCheckError(
-            "full-simplex optimum exceeded the product-prior value"
-        )
-    return ProductPriorReport(n, rate, float(best_val), best_q, full.value, float(gap))
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -226,10 +88,10 @@ def _cmd_dtilde(args) -> int:
     problem = load_problem(args.problem)
     pwl = build_dtilde1(problem)
     grid = np.union1d(np.linspace(0.0, 1.0, args.grid), pwl.breakpoints)
-    rows = [
-        (float(w), dtilde1(problem, float(w)), dtilde(problem, float(w)))
-        for w in grid
-    ]
+    vals = pwl.value(grid)
+    # dtilde at w = 0 is its right limit, the first slope
+    ratios = np.divide(vals, grid, out=np.full_like(vals, pwl.slopes[0]), where=grid > 0)
+    rows = zip(grid.tolist(), vals.tolist(), ratios.tolist())
     _write_csv(rows, ["w", "dtilde1", "dtilde"], args.out)
     return 0
 
@@ -241,15 +103,11 @@ def _cmd_exact(args) -> int:
     for m in ms:
         res = exact_expected_distortion(problem, m)
         mc = simulate_random_code(problem, m, args.trials, args.seed)
-        if m >= 2:
-            rate = math.log(m - 1) if m > 1 else 0.0
-            lams = np.linspace(rate - 4.0, rate - 1e-3, 40)
-            bound = min(
-                achievability_bound(problem, rate, lam).value
-                for lam in lams
-            ) if rate > 0 else res.exact_distortion
-        else:
-            bound = res.exact_distortion
+        bound = res.exact_distortion
+        if m > 2:
+            rate = math.log(m - 1)
+            bound = min(achievability_bound(problem, rate, lam).value
+                        for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))
         rows.append((m, res.exact_distortion, bound, mc.mean, mc.stderr))
     if args.out or args.csv:
         _write_csv(rows, ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"],
@@ -373,10 +231,8 @@ def _cmd_excess(args) -> int:
         report.emit(args.json)
         return 0
     ep = excess_problem(problem, args.dth)
-    ceil = dtilde(ep, 1.0)
-    deltas = np.linspace(0.0, ceil, args.delta_grid)
-    rows = [(float(dl), excess_rate(problem, float(dl), args.dth))
-            for dl in deltas]
+    deltas = np.linspace(0.0, dtilde(ep, 1.0), args.delta_grid)
+    rows = [(dl, rtilde(ep, dl)) for dl in deltas.tolist()]
     _write_csv(rows, ["delta", "excess_rate"], args.out)
     return 0
 
@@ -393,9 +249,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_product_prior(args) -> int:
     problem = load_problem(args.problem)
-    rep = product_prior_experiment(
-        problem, args.n, args.rate, cap=args.cap, seed=args.seed,
-    )
+    rep = product_prior_experiment(problem, args.n, args.rate, seed=args.seed)
     report = BoundReport("product-prior-experiment")
     report.add("product_value", rep.product_value, "best memoryless prior")
     report.add("full_value", rep.full_value, "unrestricted prior")
@@ -477,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--cap", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_product_prior)
 
@@ -492,7 +345,7 @@ def run(argv=None) -> int:
     except EqualityCheckError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
-    except (ProblemFormatError, InvariantViolation, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

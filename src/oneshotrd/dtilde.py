@@ -126,7 +126,12 @@ def dtilde_inverse(problem: Problem, z: float) -> float:
 
 
 def rtilde(problem: Problem, z: float) -> float:
-    """Rate needed for distortion level z under this prior: -log of the inverse."""
+    """Rate needed for distortion level z under this prior: -log of the inverse.
+
+    Below dtilde(0) no rate reaches z, and the result is +inf.
+    """
+    if z < dtilde(problem, 0.0):
+        return math.inf
     w = dtilde_inverse(problem, z)
     if w <= 0.0:
         return math.inf

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtilde import dtilde, dtilde1, dtilde_inverse
+from .dtilde import dtilde, dtilde1, rtilde
 from .model import EqualityCheckError, Problem
 from .random_coding import g_of
 from .variational import d_inf
@@ -43,19 +43,11 @@ def excess_problem(problem: Problem, d_th: float) -> Problem:
     )
 
 
-def excess_dtilde(
-    problem: Problem, rate: float, d_th: float, normalized: bool = False
-) -> float:
-    """Probability-weighted excess mass at quantile exp(-rate).
-
-    The default is the unnormalized form dtilde1(exp(-rate)) of the
-    thresholded instance; pass normalized=True to divide by the quantile.
-    """
+def excess_dtilde(problem: Problem, rate: float, d_th: float) -> float:
+    """Excess mass at quantile exp(-rate): dtilde1 of the thresholded instance."""
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    ep = excess_problem(problem, d_th)
-    w = math.exp(-rate)
-    return dtilde(ep, w) if normalized else dtilde1(ep, w)
+    return dtilde1(excess_problem(problem, d_th), math.exp(-rate))
 
 
 def excess_rate(problem: Problem, delta: float, d_th: float) -> float:
@@ -65,18 +57,12 @@ def excess_rate(problem: Problem, delta: float, d_th: float) -> float:
     prior-supported channel can achieve (the feasible set is empty).
     """
     ep = excess_problem(problem, d_th)
-    floor = dtilde(ep, 0.0)
     ceil = dtilde(ep, 1.0)
     if delta < 0 or delta > ceil + 1e-12:
         raise ValueError(
             f"delta must be in [0, {ceil:.12g}], got {delta}"
         )
-    if delta < floor:
-        return math.inf
-    w = dtilde_inverse(ep, delta)
-    if w <= 0.0:
-        return math.inf
-    return max(0.0, -math.log(w))
+    return rtilde(ep, delta)
 
 
 def m_functional(joint) -> float:
@@ -95,13 +81,11 @@ def m_functional(joint) -> float:
     return float(np.sum(cond.max(axis=0)))
 
 
-def lemma4_check(
-    joint, tol: float = 1e-10, n_random: int = 20, seed: int = 0
-) -> Lemma4Result:
+def lemma4_check(joint, tol: float = 1e-10) -> Lemma4Result:
     """Verify that the minimal max-divergence to a product measure is log M.
 
-    Evaluates the explicit minimizer q*(y) = column-max / M, checks
-    n_random random priors are no better, and raises beyond tol.
+    Evaluates the explicit minimizer q*(y) = column-max / M and raises
+    beyond tol.
     """
     j = np.asarray(joint, dtype=float)
     m = m_functional(j)
@@ -112,11 +96,6 @@ def lemma4_check(
     colmax = np.where(j > 0, cond, 0.0).max(axis=0)
     q_star = colmax / m
     lhs = d_inf(j, p_x[:, None] * q_star[None, :])
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        q = rng.dirichlet(np.ones(j.shape[1]))
-        if d_inf(j, p_x[:, None] * q[None, :]) < rhs - 1e-12:
-            raise EqualityCheckError("a random prior beat the claimed minimum")
     gap = abs(lhs - rhs)
     if gap > tol:
         raise EqualityCheckError(

@@ -148,22 +148,21 @@ def validate_channel(channel: Channel, atol: float = PROB_ATOL) -> None:
 _ALLOWED_KEYS = {"p_x", "q_y", "d", "x_labels", "y_labels"}
 
 
-def _vector(raw, name: str) -> np.ndarray:
+def _array(raw, name: str, ndim: int) -> np.ndarray:
     try:
-        v = np.asarray(raw, dtype=float)
+        a = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{name} is not a numeric array") from exc
-    if v.ndim != 1 or v.size == 0:
-        raise ProblemFormatError(f"{name} must be a nonempty array of numbers")
-    if not np.all(np.isfinite(v)):
-        raise ProblemFormatError(f"{name} has non-finite entries")
-    if np.any(v < 0):
-        raise ProblemFormatError(f"{name} has negative entries")
+    if a.ndim != ndim:
+        raise ProblemFormatError(f"{name} must be a {ndim}-dimensional array")
+    return a
+
+
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    # sums within RESCALE_ATOL are rescaled; sums already within PROB_ATOL
+    # are kept bit-identical, and anything else is left for validate()
     s = float(np.sum(v))
-    if abs(s - 1.0) > RESCALE_ATOL:
-        raise ProblemFormatError(f"{name} sums to {s:.12g}, expected 1")
-    # vectors already valid at the PROB_ATOL level are kept bit-identical
-    return v / s if abs(s - 1.0) > PROB_ATOL else v
+    return v / s if PROB_ATOL < abs(s - 1.0) <= RESCALE_ATOL else v
 
 
 def load_problem(path: str | Path) -> Problem:
@@ -171,7 +170,8 @@ def load_problem(path: str | Path) -> Problem:
 
     Keys: "p_x", "q_y", "d" (rows indexed by the source letter), optional
     "x_labels"/"y_labels". Any other key is rejected. Probability vectors
-    whose sums deviate from 1 by at most 1e-9 are rescaled exactly.
+    whose sums deviate from 1 by at most 1e-9 are rescaled exactly. Every
+    failure, including a violated Problem invariant, is a ProblemFormatError.
     """
     path = Path(path)
     try:
@@ -187,22 +187,9 @@ def load_problem(path: str | Path) -> Problem:
         if key not in raw:
             raise ProblemFormatError(f"{path}: missing key {key!r}")
 
-    p_x = _vector(raw["p_x"], "p_x")
-    q_y = _vector(raw["q_y"], "q_y")
-    try:
-        d = np.asarray(raw["d"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError("d is not a numeric matrix") from exc
-    if d.ndim != 2:
-        raise ProblemFormatError("d must be an array of arrays")
-    if d.shape != (p_x.size, q_y.size):
-        raise ProblemFormatError(
-            f"d has shape {d.shape}, expected {(p_x.size, q_y.size)}"
-        )
-    if np.any(np.isnan(d)) or np.any(np.isinf(d)):
-        raise ProblemFormatError("non-finite distortion")
-    if np.any(d < 0):
-        raise ProblemFormatError("negative distortion")
+    p_x = _rescaled(_array(raw["p_x"], "p_x", 1))
+    q_y = _rescaled(_array(raw["q_y"], "q_y", 1))
+    d = _array(raw["d"], "d", 2)
 
     labels = {}
     for key, size in (("x_labels", p_x.size), ("y_labels", q_y.size)):
@@ -217,7 +204,10 @@ def load_problem(path: str | Path) -> Problem:
             labels[key] = list(lab)
 
     problem = Problem(p_x, q_y, d, **labels)
-    validate(problem)
+    try:
+        validate(problem)
+    except InvariantViolation as exc:
+        raise ProblemFormatError(str(exc)) from exc
     return problem
 
 

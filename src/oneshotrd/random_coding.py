@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtilde import build_dtilde1, dtilde, dtilde_inverse, rtilde
+from .dtilde import build_dtilde1, dtilde, rtilde
 from .model import Problem
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -178,23 +178,19 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
         raise ValueError(f"d_req must be inside ({lo}, {hi}), got {d_req}")
 
     pwl = build_dtilde1(problem)
-    bp_vals = [dtilde(problem, w) for w in pwl.breakpoints[1:]]
+    bp_vals = pwl.value(pwl.breakpoints[1:]) / pwl.breakpoints[1:]
     grid = np.unique(np.concatenate([
-        np.asarray([v for v in bp_vals if lo < v < d_req]),
+        bp_vals[(lo < bp_vals) & (bp_vals < d_req)],
         np.linspace(lo, d_req, 258)[1:-1],
     ]))
 
     def minimand(z: float, use_g: bool) -> float:
         if not lo < z < d_req:
             return math.inf
-        w = dtilde_inverse(problem, z)
-        if w <= 0.0:
-            return math.inf
-        r = -math.log(w)
         y = (d_req - z) / (hi - z)
         if not 0.0 < y < 1.0:
             return math.inf
-        return r + (g_of(1.0 / y) if use_g else f_inverse(y))
+        return rtilde(problem, z) + (g_of(1.0 / y) if use_g else f_inverse(y))
 
     results = []
     for use_g in (False, True):

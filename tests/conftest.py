@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from oneshotrd import Problem
+from oneshotrd import Problem, d_inf
 
 
 def make_random_problem(rng, nx=None, ny=None, tie_prob=0.5, zero_mass_prob=0.3,
@@ -78,6 +78,16 @@ def simplex_grid(ny, step):
     for i in range(n + 1):
         for j in range(n + 1 - i):
             yield np.array([i, j, n - i - j]) / n
+
+
+def priors_beating_log_m(joint, log_m, seed):
+    """Oracle for the minimal-divergence identity: how many of 20 Dirichlet
+    priors q bring the product p_x q closer than log M to the joint."""
+    j = np.asarray(joint, dtype=float)
+    p_x = j.sum(axis=1)
+    rng = np.random.default_rng(seed)
+    priors = [rng.dirichlet(np.ones(j.shape[1])) for _ in range(20)]
+    return sum(d_inf(j, p_x[:, None] * q[None, :]) < log_m - 1e-12 for q in priors)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import make_random_problem, nonbreakpoint_w
+from conftest import make_random_problem, nonbreakpoint_w, priors_beating_log_m
 from oneshotrd import (
     Channel,
     Code,
@@ -235,6 +235,7 @@ def test_criterion_10_information_spectrum_relation():
 def test_criterion_11_minimal_divergence_identity_and_gap_sweep():
     rng = np.random.default_rng(11)
     worst = 0.0
+    beaten = 0
     for i in range(50):
         nx = int(rng.integers(2, 6))
         ny = int(rng.integers(2, 6))
@@ -243,14 +244,17 @@ def test_criterion_11_minimal_divergence_identity_and_gap_sweep():
         if j.sum() == 0:
             j[0, 0] = 1.0
         j = j / j.sum()
-        worst = max(worst, lemma4_check(j, seed=i).gap)
+        res = lemma4_check(j)
+        worst = max(worst, res.gap)
+        beaten += priors_beating_log_m(j, res.rhs, seed=i)
     sweep_ok = all(
         0.0 < bound_gap_comparison(float(x)).diff < 1.0
         for x in np.geomspace(2.0, 1e6, 400)
     )
     report(11, "divergence identity and sub-nat bound gap",
-           worst <= 1e-10 and sweep_ok,
-           f"worst identity gap {worst:.2e}, sweep in (0,1) {sweep_ok}")
+           worst <= 1e-10 and beaten == 0 and sweep_ok,
+           f"worst identity gap {worst:.2e}, {beaten} random priors below log M, "
+           f"sweep in (0,1) {sweep_ok}")
 
 
 def test_criterion_12_sandwich():

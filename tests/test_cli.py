@@ -13,7 +13,8 @@ from oneshotrd import (
     optimize_prior,
     save_problem,
 )
-from oneshotrd.cli import product_prior_experiment, product_problem, run
+from oneshotrd.cli import run
+from oneshotrd.converse import product_prior_experiment, product_problem
 
 
 @pytest.fixture
@@ -205,7 +206,14 @@ def test_product_prior_experiment_random_base(rng):
 
 def test_product_prior_experiment_cap(binary_hamming):
     with pytest.raises(ValueError):
-        product_prior_experiment(binary_hamming, 13, 0.5, cap=4096)
+        product_prior_experiment(binary_hamming, 13, 0.5)
+
+
+def test_product_prior_experiment_rejects_4x4_at_n5(rng):
+    # 4^5 * 4^5 channel entries, beyond the 2^16 limit
+    base = make_random_problem(rng, nx=4, ny=4)
+    with pytest.raises(ValueError, match="channel entries"):
+        product_prior_experiment(base, 5, 0.5)
 
 
 def test_cli_exact_matches_library_on_random_problem(rng, tmp_path, capsys):

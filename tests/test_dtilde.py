@@ -179,6 +179,15 @@ def test_rtilde_values(binary_hamming):
     assert rtilde(binary_hamming, 0.0) == np.inf
 
 
+def test_rtilde_infinite_below_dtilde_zero():
+    # every source letter pays at least 0.5 on the support: dtilde(0) = 0.5
+    p = Problem([0.5, 0.5], [0.5, 0.5], [[0.5, 1.0], [1.0, 0.5]])
+    assert dtilde(p, 0.0) == 0.5
+    assert rtilde(p, 0.2) == np.inf
+    assert rtilde(p, 0.5 - 1e-9) == np.inf
+    assert np.isfinite(rtilde(p, 0.6))
+
+
 def test_test_channel_hand_case(binary_hamming):
     ch = packing_channel(binary_hamming, 0.75)
     np.testing.assert_allclose(ch.w, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)

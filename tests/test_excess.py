@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_problem
+from conftest import make_random_problem, priors_beating_log_m
 from oneshotrd import (
     EqualityCheckError,
     Problem,
     bound_gap_comparison,
+    dtilde,
     dtilde1,
     excess_dtilde,
     excess_problem,
@@ -60,9 +61,7 @@ def test_excess_dtilde_compositional_identity(rng):
         ep = excess_problem(p, d_th)
         assert excess_dtilde(p, rate, d_th) == dtilde1(ep, math.exp(-rate))
         w = math.exp(-rate)
-        assert excess_dtilde(p, rate, d_th, normalized=True) == pytest.approx(
-            excess_dtilde(p, rate, d_th) / w, abs=1e-15
-        )
+        assert dtilde(ep, w) == pytest.approx(excess_dtilde(p, rate, d_th) / w, abs=1e-15)
 
 
 def test_excess_rate_hand_values(binary_hamming):
@@ -130,18 +129,23 @@ def test_m_functional_one_iff_product(rng):
 
 
 def test_lemma4_hand_cases():
-    res = lemma4_check(np.eye(2) * 0.5)
+    j = np.eye(2) * 0.5
+    res = lemma4_check(j)
     assert res.lhs == pytest.approx(math.log(2.0), abs=1e-15)
     assert res.gap <= 1e-15
-    res = lemma4_check(np.outer([0.4, 0.6], [0.5, 0.5]))
+    assert priors_beating_log_m(j, res.rhs, seed=0) == 0
+    j = np.outer([0.4, 0.6], [0.5, 0.5])
+    res = lemma4_check(j)
     assert res.rhs == pytest.approx(0.0, abs=1e-12)
+    assert priors_beating_log_m(j, res.rhs, seed=0) == 0
 
 
 def test_lemma4_random_stress(rng):
     for i in range(50):
         j = random_joint(rng)
-        res = lemma4_check(j, seed=i)
+        res = lemma4_check(j)
         assert res.gap <= 1e-10
+        assert priors_beating_log_m(j, res.rhs, seed=i) == 0
 
 
 def test_gap_comparison_values():

@@ -63,6 +63,26 @@ def test_load_rejects_shape_mismatch(tmp_path):
         load_problem(write_json(tmp_path, doc))
 
 
+@pytest.mark.parametrize("change", [{"p_x": 1.0}, {"q_y": [[0.5, 0.5]]},
+                                    {"d": [0, 1, 1, 0]}, {"d": [[0, "x"], [1, 0]]}])
+def test_load_rejects_wrong_dimensions_and_types(tmp_path, change):
+    # Problem() would promote a scalar p_x or a 1-D d, so load_problem must
+    # reject them before constructing it
+    with pytest.raises(ProblemFormatError):
+        load_problem(write_json(tmp_path, dict(BINARY, **change)))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"p_x": [0.5, float("nan")]}, "non-finite"),
+    ({"q_y": [1.5, -0.5]}, "negative entries"),
+    ({"p_x": []}, "nonempty"),
+    ({"d": [[0, 1], [1, float("inf")]]}, "non-finite distortion"),
+])
+def test_load_reports_invariant_violations_as_format_errors(tmp_path, change, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        load_problem(write_json(tmp_path, dict(BINARY, **change)))
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
