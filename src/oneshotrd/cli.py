@@ -116,7 +116,8 @@ def _cmd_exact(args) -> int:
         report = BoundReport("exact-random-coding")
         for m, exact, bound, mean, stderr in rows:
             report.add(f"exact[M={m}]", exact, "closed-form segment integral")
-            report.add(f"bound[M={m}]", bound, "split-quantile upper bound")
+            report.add(f"bound[M={m}]", bound, "split-quantile upper bound" if m > 2
+                       else "exact value (split-quantile bound needs M > 2)")
             report.add(f"mc[M={m}]", mean, f"monte carlo ({args.trials} trials)")
             report.add(f"mc_stderr[M={m}]", stderr, "sample standard error")
         report.emit(args.json)

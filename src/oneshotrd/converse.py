@@ -61,21 +61,24 @@ class PriorOptResult:
     certificate_gap: float
 
 
-def code_prior(problem: Problem, code: Code) -> np.ndarray:
-    """Empirical distribution of the codewords, weighted by multiplicity."""
+def _members(problem: Problem, code: Code) -> np.ndarray:
+    """The code's members as indices; raises unless nonempty and in [0, y_size)."""
     if code.M == 0:
         raise ValueError("code must be nonempty")
     members = np.asarray(code.members, dtype=int)
     if members.min() < 0 or members.max() >= problem.y_size:
         raise ValueError("code member out of range")
-    return np.bincount(members, minlength=problem.y_size) / code.M
+    return members
+
+
+def code_prior(problem: Problem, code: Code) -> np.ndarray:
+    """Empirical distribution of the codewords, weighted by multiplicity."""
+    return np.bincount(_members(problem, code), minlength=problem.y_size) / code.M
 
 
 def code_distortion(problem: Problem, code: Code) -> float:
     """Average distortion of the code under optimal (minimum-distortion) encoding."""
-    if code.M == 0:
-        raise ValueError("code must be nonempty")
-    members = np.asarray(code.members, dtype=int)
+    members = _members(problem, code)
     return float(np.sum(problem.p_x * problem.d[:, members].min(axis=1)))
 
 
@@ -85,9 +88,7 @@ def optimal_encoder(problem: Problem, code: Code) -> Channel:
     Codeword multiplicity counts: a repeated codeword receives a share per
     copy, which matches the packing channel at w = 1/M under the code prior.
     """
-    if code.M == 0:
-        raise ValueError("code must be nonempty")
-    members = np.asarray(code.members, dtype=int)
+    members = _members(problem, code)
     rows = np.zeros((problem.x_size, problem.y_size))
     for x in range(problem.x_size):
         dc = problem.d[x, members]

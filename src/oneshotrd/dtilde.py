@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .model import Channel, Problem
-from .pairwise import _profiles, accept_probability
+from .pairwise import accept_probability, profile
 
 BREAKPOINT_MERGE_TOL = 1e-14
 
@@ -48,9 +47,14 @@ class PiecewiseLinear:
         return self.intercepts[i] + self.slopes[i] * np.asarray(w, dtype=float)
 
 
-@lru_cache(maxsize=512)
-def _pwl(problem: Problem) -> PiecewiseLinear:
-    profs = _profiles(problem)
+def build_dtilde1(problem: Problem) -> PiecewiseLinear:
+    """Exact piecewise-linear representation of w -> dtilde1(w).
+
+    Built on first use and kept on the instance.
+    """
+    if problem._dtilde1 is not None:
+        return problem._dtilde1
+    profs = [profile(problem, x) for x in range(problem.x_size)]
     pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
     pts = np.sort(pts)
     keep = np.concatenate(([True], np.diff(pts) > BREAKPOINT_MERGE_TOL))
@@ -71,19 +75,15 @@ def _pwl(problem: Problem) -> PiecewiseLinear:
     intercepts = values[:-1] - slopes * bp[:-1]
     for a in (bp, intercepts, slopes):
         a.setflags(write=False)
-    return PiecewiseLinear(bp, intercepts, slopes)
-
-
-def build_dtilde1(problem: Problem) -> PiecewiseLinear:
-    """Exact piecewise-linear representation of w -> dtilde1(w)."""
-    return _pwl(problem)
+    problem._dtilde1 = PiecewiseLinear(bp, intercepts, slopes)
+    return problem._dtilde1
 
 
 def dtilde1(problem: Problem, w: float) -> float:
     """Unnormalized functional: w * dtilde(w)."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
-    return float(_pwl(problem).value(w))
+    return float(build_dtilde1(problem).value(w))
 
 
 def dtilde(problem: Problem, w: float) -> float:
@@ -94,7 +94,7 @@ def dtilde(problem: Problem, w: float) -> float:
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
-    pw = _pwl(problem)
+    pw = build_dtilde1(problem)
     if w == 0.0:
         return float(pw.slopes[0])
     return float(pw.value(w)) / w
@@ -106,14 +106,13 @@ def dtilde_inverse(problem: Problem, z: float) -> float:
     z must lie in the closed range [dtilde(0), dtilde(1)]. Flat level sets
     resolve to their left endpoint, so z <= dtilde(0) returns 0.
     """
-    lo = dtilde(problem, 0.0)
-    hi = dtilde(problem, 1.0)
+    pw = build_dtilde1(problem)
+    lo, hi = float(pw.slopes[0]), float(pw.value(1.0))
     if z < lo - 1e-12 or z > hi + 1e-12:
         raise ValueError(f"z={z} outside the achievable range [{lo}, {hi}]")
     z = min(max(z, lo), hi)
     if z <= lo:
         return 0.0
-    pw = _pwl(problem)
     right = pw.breakpoints[1:]
     rvals = (pw.intercepts + pw.slopes * right) / right
     i = int(np.argmax(rvals >= z))
@@ -130,12 +129,11 @@ def rtilde(problem: Problem, z: float) -> float:
 
     Below dtilde(0) no rate reaches z, and the result is +inf.
     """
-    if z < dtilde(problem, 0.0):
-        return math.inf
-    w = dtilde_inverse(problem, z)
-    if w <= 0.0:
-        return math.inf
-    return max(0.0, -math.log(w))
+    # dtilde_inverse gives w = 0 for z <= dtilde(0) and also for a z one
+    # rounding step above it, where (s * w) / w exceeds s on the flat first
+    # segment; both are +inf here
+    w = dtilde_inverse(problem, max(z, float(build_dtilde1(problem).slopes[0])))
+    return max(0.0, -math.log(w)) if w > 0.0 else math.inf
 
 
 def test_channel(problem: Problem, w: float) -> Channel:
@@ -153,15 +151,8 @@ def test_channel(problem: Problem, w: float) -> Channel:
 # used inside prior optimization and the second, profile-free route used to
 # cross-check the piecewise representation.
 
-@lru_cache(maxsize=512)
-def _row_order(problem: Problem) -> np.ndarray:
-    order = np.argsort(problem.d, axis=1, kind="stable")
-    order.setflags(write=False)
-    return order
-
-
 def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
-    order = _row_order(problem)
+    order = problem.row_order
     ds = np.take_along_axis(problem.d, order, axis=1)
     qs = np.asarray(prior, dtype=float)[order]
     cum = np.cumsum(qs, axis=1)

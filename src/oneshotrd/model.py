@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +41,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Problem:
     """Finite instance: source p_x, reproduction prior q_y, distortion d.
 
-    Instances are immutable after construction (arrays are read-only) and
-    hash by identity, so derived objects can be cached against them. No
-    validation happens here; see :func:`validate` and :func:`load_problem`.
+    Instances are immutable after construction (arrays are read-only), so
+    the two derived objects worth keeping live on the instance, are built on
+    first use and are freed with it: the per-row sort order of d and the
+    dtilde1 representation stored by :func:`oneshotrd.dtilde.build_dtilde1`.
+    No validation happens here; see :func:`validate` and :func:`load_problem`.
     """
 
     p_x: np.ndarray
@@ -50,6 +53,7 @@ class Problem:
     d: np.ndarray
     x_labels: list[str] | None = None
     y_labels: list[str] | None = None
+    _dtilde1: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.p_x = _readonly(np.atleast_1d(self.p_x))
@@ -74,6 +78,13 @@ class Problem:
         """Largest distortion over the supports of p_x and q_y."""
         sub = self.d[np.ix_(self.p_x > 0, self.q_y > 0)]
         return float(sub.max()) if sub.size else 0.0
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        """Stable argsort of each row of d, ascending distortion."""
+        order = np.argsort(self.d, axis=1, kind="stable")
+        order.setflags(write=False)
+        return order
 
 
 @dataclass(eq=False)

@@ -15,10 +15,11 @@ import numpy as np
 from scipy import stats
 
 from .model import Problem
-from .pairwise import _level_stats
+from .pairwise import _level_masses
 
 _MASK64 = (1 << 64) - 1
 KS_SIGNIFICANCE = 1e-3
+BUDGET = 1 << 22  # elements of simulate_random_code's (nx, trials, M) temporary
 
 
 @dataclass(eq=False)
@@ -77,7 +78,9 @@ def simulate_random_code(
     """Sample codebooks of M prior draws; average the exact per-source minimum.
 
     The expectation over the source is a finite sum and is computed exactly
-    per trial, so the only sampling noise comes from the codewords.
+    per trial, so the only sampling noise comes from the codewords. Trials
+    run in blocks of at most chunk, fewer when M is large, so that the
+    distortion temporary stays near BUDGET elements.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -85,8 +88,9 @@ def simulate_random_code(
         raise ValueError("trials must be at least 1")
     cum_q = np.cumsum(problem.q_y)
     values = np.empty(trials)
-    for t0 in range(0, trials, chunk):
-        t1 = min(t0 + chunk, trials)
+    block = min(chunk, max(1, BUDGET // (problem.x_size * M)))
+    for t0 in range(0, trials, block):
+        t1 = min(t0 + block, trials)
         u = _trial_uniforms(seed, 0, M, t0, t1)
         codes = _inverse_cdf(cum_q, u)
         best = problem.d[:, codes].min(axis=2)
@@ -133,12 +137,12 @@ def sample_pc_uniformity(
     """Sampled pairwise-correct values for letter x against the uniform CDF."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    below, tie = _level_stats(problem)
+    below, tie = _level_masses(problem, x)
     cum_q = np.cumsum(problem.q_y)
     pc = np.empty(trials)
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         u = _trial_uniforms(seed, 2, 2, t0, t1)
         y = _inverse_cdf(cum_q, u[:, 0])
-        pc[t0:t1] = below[x, y] + u[:, 1] * tie[x, y]
+        pc[t0:t1] = below[y] + u[:, 1] * tie[y]
     return _ks_summary(pc, "uniform", seed)

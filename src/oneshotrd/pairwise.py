@@ -13,7 +13,6 @@ on [0, 1], which is what makes exact random-coding analysis possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,53 +32,34 @@ class DistortionProfile:
     cumulative: np.ndarray
 
 
-@lru_cache(maxsize=512)
-def _profiles(problem: Problem) -> tuple[DistortionProfile, ...]:
+def profile(problem: Problem, x: int) -> DistortionProfile:
+    """Distinct-distortion decomposition of row x under the prior."""
     sup = problem.q_y > 0
     if not sup.any():
         raise InvariantViolation("q_y has empty support")
-    qs = problem.q_y[sup]
-    out = []
-    for x in range(problem.x_size):
-        levels, inv = np.unique(problem.d[x, sup], return_inverse=True)
-        masses = np.bincount(inv, weights=qs, minlength=levels.size)
-        cumulative = np.concatenate(([0.0], np.cumsum(masses)))
-        for a in (levels, masses, cumulative):
-            a.setflags(write=False)
-        out.append(DistortionProfile(levels, masses, cumulative))
-    return tuple(out)
+    levels, inv = np.unique(problem.d[x, sup], return_inverse=True)
+    masses = np.bincount(inv, weights=problem.q_y[sup], minlength=levels.size)
+    cumulative = np.concatenate(([0.0], np.cumsum(masses)))
+    for a in (levels, masses, cumulative):
+        a.setflags(write=False)
+    return DistortionProfile(levels, masses, cumulative)
 
 
-def profile(problem: Problem, x: int) -> DistortionProfile:
-    """Distinct-distortion decomposition of row x under the prior."""
-    return _profiles(problem)[x]
-
-
-@lru_cache(maxsize=512)
-def _level_stats(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry strict-below mass and tie mass: Q{d < d(x,y)}, Q{d = d(x,y)}."""
-    nx, ny = problem.x_size, problem.y_size
-    below = np.zeros((nx, ny))
-    tie = np.zeros((nx, ny))
-    for x in range(nx):
-        prof = profile(problem, x)
-        k = prof.levels.size
-        idx = np.searchsorted(prof.levels, problem.d[x], side="left")
-        below[x] = prof.cumulative[idx]
-        safe = np.minimum(idx, k - 1)
-        hit = (idx < k) & (prof.levels[safe] == problem.d[x])
-        tie[x] = np.where(hit, prof.masses[safe], 0.0)
-    below.setflags(write=False)
-    tie.setflags(write=False)
-    return below, tie
+def _level_masses(problem: Problem, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row x's strict-below and tie masses Q{d < d(x,y)}, Q{d = d(x,y)} for every y."""
+    row, order = problem.d[x], problem.row_order[x]
+    ds = row[order]
+    cum = np.concatenate(([0.0], np.cumsum(problem.q_y[order])))
+    below = cum[np.searchsorted(ds, row, side="left")]
+    return below, cum[np.searchsorted(ds, row, side="right")] - below
 
 
 def pairwise_correct(problem: Problem, x: int, y: int, u: float) -> float:
     """p_c(x, y, u): prior mass strictly better than y plus u times the tie mass."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must be in [0, 1], got {u}")
-    below, tie = _level_stats(problem)
-    return float(below[x, y] + u * tie[x, y])
+    below, tie = _level_masses(problem, x)
+    return float(below[y] + u * tie[y])
 
 
 def find_level(problem: Problem, x: int, w: float) -> tuple[int, float]:
@@ -125,7 +105,8 @@ def accept_probability(problem: Problem, w: float) -> np.ndarray:
     Entries whose tie mass vanishes (only possible off the prior support)
     degenerate to the step indicator of the strict-below mass.
     """
-    below, tie = _level_stats(problem)
+    below, tie = np.stack([_level_masses(problem, x)
+                           for x in range(problem.x_size)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.clip((w - below) / tie, 0.0, 1.0)
     return np.where(tie > 0, frac, (below <= w).astype(float))

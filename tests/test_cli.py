@@ -157,6 +157,11 @@ def test_cli_reports_validation_errors(tmp_path, capsys):
     assert "negative distortion" in capsys.readouterr().err
 
 
+def test_cli_rejects_out_of_range_code(binary_path, capsys):
+    assert run(["converse", "--problem", binary_path, "--code", "5"]) == 1
+    assert "error: code member out of range" in capsys.readouterr().err
+
+
 def test_cli_reports_missing_file(capsys):
     assert run(["exact", "--problem", "/nonexistent.json", "--M", "2"]) == 1
 

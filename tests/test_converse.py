@@ -44,6 +44,14 @@ def test_code_prior_rejects_bad_codes(binary_hamming):
         code_prior(binary_hamming, Code((2,)))
 
 
+@pytest.mark.parametrize("fn", [code_prior, code_distortion, optimal_encoder])
+@pytest.mark.parametrize("members", [(), (-1,), (2,), (0, 2)])
+def test_code_members_checked_by_every_code_function(binary_hamming, fn, members):
+    # a negative index would otherwise wrap to the last column
+    with pytest.raises(ValueError):
+        fn(binary_hamming, Code(members))
+
+
 def test_optimal_encoder_unique_minimizer(binary_hamming):
     enc = optimal_encoder(binary_hamming, Code((0, 1)))
     np.testing.assert_array_equal(enc.w, [[1.0, 0.0], [0.0, 1.0]])

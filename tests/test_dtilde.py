@@ -188,6 +188,17 @@ def test_rtilde_infinite_below_dtilde_zero():
     assert np.isfinite(rtilde(p, 0.6))
 
 
+def test_rtilde_infinite_where_inverse_is_zero():
+    # the first segment is flat at dtilde(0) = 0.1 up to w = 0.1, where
+    # dtilde1(w) / w rounds one step above 0.1; rtilde must not take log(0)
+    p = Problem([0.1, 0.9], [0.1, 0.9], [[0.1, 1.3], [1.3, 0.1]])
+    pw = build_dtilde1(p)
+    z = float(pw.value(pw.breakpoints[1]) / pw.breakpoints[1])
+    assert z > dtilde(p, 0.0)
+    assert dtilde_inverse(p, z) == 0.0
+    assert rtilde(p, z) == np.inf
+
+
 def test_test_channel_hand_case(binary_hamming):
     ch = packing_channel(binary_hamming, 0.75)
     np.testing.assert_allclose(ch.w, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)

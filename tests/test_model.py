@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,16 @@ from oneshotrd import (
     InvariantViolation,
     Problem,
     ProblemFormatError,
+    dtilde,
+    dtilde_for_prior,
+    dtilde_inverse,
+    exact_expected_distortion,
+    find_level,
     load_problem,
+    profile,
     save_problem,
+    simulate_random_code,
+    test_channel as packing_channel,
     validate,
     validate_channel,
 )
@@ -156,3 +166,19 @@ def test_channel_validation():
         validate_channel(Channel([[0.5, 0.5], [0.9, 0.0]]))
     with pytest.raises(InvariantViolation, match="negative"):
         validate_channel(Channel([[1.5, -0.5]]))
+
+
+def test_problem_is_freed_with_its_last_reference(rng):
+    problem = make_random_problem(rng, nx=5, ny=4)
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    dtilde_inverse(problem, 0.5 * (lo + hi))
+    packing_channel(problem, 0.5)
+    profile(problem, 0)
+    find_level(problem, 0, 0.5)
+    dtilde_for_prior(problem, 0.5)
+    exact_expected_distortion(problem, 7)
+    simulate_random_code(problem, 3, 10, seed=0)
+    ref = weakref.ref(problem)
+    del problem
+    gc.collect()
+    assert ref() is None

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oneshotrd.montecarlo as montecarlo_mod
 from conftest import make_random_problem
 from oneshotrd import (
     Problem,
@@ -35,6 +38,23 @@ def test_simulate_deterministic_and_chunk_invariant(binary_hamming):
     assert a.stderr == b.stderr == c.stderr
     d = simulate_random_code(binary_hamming, 3, 5000, seed=8)
     assert d.mean != a.mean
+
+
+def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
+    # a small element budget keeps the test light; the blocks then hold
+    # 2^16 / (4 * 256) = 64 trials
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    peaks, means = [], []
+    for trials in (256, 4096):
+        tracemalloc.start()
+        means.append(simulate_random_code(p, 256, trials, seed=3).mean)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
+    monkeypatch.undo()
+    assert simulate_random_code(p, 256, 4096, seed=3).mean == means[1]
 
 
 def test_simulate_binary_hamming_matches_exact(binary_hamming):
