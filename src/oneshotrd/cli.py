@@ -18,13 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .converse import (
+    EQUALITY_TOL,
     converse_equality_check,
     dhat_sandwich,
     optimize_prior,
     product_prior_experiment,
 )
 from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde, test_channel
-from .excess import bound_gap_comparison, excess_problem, lemma4_check
+from .excess import LEMMA4_TOL, bound_gap_comparison, excess_problem, lemma4_check
 from .model import Code, EqualityCheckError, load_problem
 from .montecarlo import simulate_random_code
 from .random_coding import (
@@ -78,10 +79,6 @@ def _write_csv(rows, header, out: str | None) -> None:
     finally:
         if out:
             handle.close()
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _cmd_dtilde(args) -> int:
@@ -147,17 +144,16 @@ def _cmd_converse(args) -> int:
     problem = load_problem(args.problem)
     if args.code is not None:
         code = Code(tuple(int(i) for i in args.code.split(",")))
-        check = converse_equality_check(problem, code, tol=args.tol)
+        check = converse_equality_check(problem, code)
         report = BoundReport("converse-equality")
         report.add("lhs", check.lhs, "optimal-encoding distortion")
         report.add("rhs", check.rhs, "dtilde at 1/M under the code prior")
-        report.add("gap", check.gap, "absolute difference", tolerance=args.tol)
+        report.add("gap", check.gap, "absolute difference", tolerance=EQUALITY_TOL)
         report.emit(args.json)
         return 0
     if args.rate is None:
         raise ValueError("provide --code or --rate")
-    lam_grid = _parse_floats(args.lambdas) if args.lambdas else None
-    bounds = dhat_sandwich(problem, args.rate, lam_grid)
+    bounds = dhat_sandwich(problem, args.rate)
     if args.out or args.csv:
         row = (args.rate, bounds.lower, bounds.upper,
                *[float(v) for v in bounds.q_star])
@@ -228,7 +224,7 @@ def _cmd_excess(args) -> int:
         report = BoundReport("m-functional")
         report.add("m", math.exp(check.rhs), "column-max sum")
         report.add("lhs", check.lhs, "max-divergence at the explicit minimizer")
-        report.add("rhs", check.rhs, "log column-max sum", tolerance=1e-10)
+        report.add("rhs", check.rhs, "log column-max sum", tolerance=LEMMA4_TOL)
         report.emit(args.json)
         return 0
     ep = excess_problem(problem, args.dth)
@@ -266,20 +262,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csv_out=False):
+    def common(p, report=True, out=False, csv=False):
+        # --json where a report prints, --out where CSV is written, and --csv
+        # where CSV on stdout replaces the report
         p.add_argument("--problem", required=True, help="problem-spec JSON file")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if csv_out:
+        if report:
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
+        if out or csv:
             p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+        if csv:
             p.add_argument("--csv", action="store_true", help="emit CSV to stdout")
 
     p = sub.add_parser("dtilde", help="dump the quantile-distortion curve")
-    common(p, csv_out=True)
+    common(p, report=False, out=True)
     p.add_argument("--grid", type=int, default=101)
     p.set_defaults(func=_cmd_dtilde)
 
     p = sub.add_parser("exact", help="exact random-coding distortion plus MC check")
-    common(p, csv_out=True)
+    common(p, csv=True)
     p.add_argument("--M", required=True, help="codebook size(s), comma separated")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
@@ -293,11 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_achieve)
 
     p = sub.add_parser("converse", help="code equality check or prior sandwich")
-    common(p, csv_out=True)
+    common(p, csv=True)
     p.add_argument("--code", default=None, help="comma-separated codeword indices")
     p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--lambdas", default=None, help="slack grid, comma separated")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_converse)
 
     p = sub.add_parser("optimize-prior", help="minimize dtilde over priors")
@@ -311,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_variational)
 
     p = sub.add_parser("excess", help="excess-distortion curves and comparisons")
-    common(p, csv_out=True)
+    common(p, out=True)
     p.add_argument("--dth", type=float, default=0.0)
     p.add_argument("--delta-grid", type=int, default=51)
     p.add_argument("--gap-sweep", action="store_true")

@@ -24,6 +24,10 @@ from .dtilde import dtilde, dtilde_for_prior, fill_thresholds
 from .model import Channel, Code, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
 
+EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs| accepted
+SANDWICH_SLACKS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)  # dhat_sandwich: rate - lam
+SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper accepted
+
 
 class ConverseEquality(NamedTuple):
     lhs: float
@@ -97,30 +101,26 @@ def optimal_encoder(problem: Problem, code: Code) -> Channel:
     return Channel(rows)
 
 
-def converse_equality_check(
-    problem: Problem, code: Code, tol: float = 1e-10
-) -> ConverseEquality:
-    """Verify code distortion == dtilde(1/M, code prior); raise beyond tol."""
+def converse_equality_check(problem: Problem, code: Code) -> ConverseEquality:
+    """Verify code distortion == dtilde(1/M, code prior); raise beyond EQUALITY_TOL."""
     lhs = code_distortion(problem, code)
     prior = code_prior(problem, code)
     rhs = dtilde(Problem(problem.p_x, prior, problem.d), 1.0 / code.M)
     gap = abs(lhs - rhs)
-    if gap > tol:
+    if gap > EQUALITY_TOL:
         raise EqualityCheckError(
             f"converse equality violated: lhs={lhs!r} rhs={rhs!r} gap={gap:.3e}"
         )
     return ConverseEquality(lhs, rhs, gap)
 
 
-def dtilde_subgradient(problem: Problem, w: float, prior=None) -> np.ndarray:
+def dtilde_subgradient(problem: Problem, w: float, prior) -> np.ndarray:
     """Subgradient of prior -> dtilde(w, prior) from the fill thresholds.
 
     Raising the mass of letter y displaces fill mass from each letter's
     threshold level theta_x down to d(x, y) where that is an improvement,
     at exchange rate 1/w.
     """
-    if prior is None:
-        prior = problem.q_y
     theta = fill_thresholds(problem, w, prior)
     gain = np.maximum(theta[:, None] - problem.d, 0.0)
     return -np.sum(problem.p_x[:, None] * gain, axis=0) / w
@@ -190,23 +190,16 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     )
 
 
-def dhat_sandwich(
-    problem: Problem,
-    rate: float,
-    lam_grid=None,
-    tol: float = 1e-9,
-) -> SandwichBounds:
+def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     """Certified lower bound vs the matching achievability upper bound.
 
     lower = optimize_prior(rate).dual_bound, with q_star its prior;
-    upper = min over lam in lam_grid of
+    upper = min over lam = rate - t, t in SANDWICH_SLACKS, of
             optimize_prior(rate - lam).value + d_max * f(lam).
     """
-    if lam_grid is None:
-        lam_grid = [rate - t for t in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
-    lam_grid = [lam for lam in lam_grid if lam < rate]
+    lam_grid = [lam for lam in (rate - t for t in SANDWICH_SLACKS) if lam < rate]
     if not lam_grid:
-        raise ValueError("lam_grid must contain at least one value below the rate")
+        raise ValueError(f"no lam = rate - t falls below rate={rate}")
     at_rate = optimize_prior(problem, rate)
     lower = at_rate.dual_bound
     upper = math.inf
@@ -214,7 +207,7 @@ def dhat_sandwich(
         cand = (optimize_prior(problem, rate - lam).value
                 + problem.d_max * f_of(lam))
         upper = min(upper, cand)
-    if lower > upper + tol:
+    if lower > upper + SANDWICH_TOL:
         raise EqualityCheckError(
             f"sandwich violated: lower={lower!r} > upper={upper!r}"
         )

@@ -103,8 +103,9 @@ def dtilde(problem: Problem, w: float) -> float:
 def dtilde_inverse(problem: Problem, z: float) -> float:
     """Smallest w with dtilde(w) >= z.
 
-    z must lie in the closed range [dtilde(0), dtilde(1)]. Flat level sets
-    resolve to their left endpoint, so z <= dtilde(0) returns 0.
+    z must lie in the closed range [dtilde(0), dtilde(1)]. dtilde is flat
+    at dtilde(0) up to its first kink and strictly increasing after it, so
+    z <= dtilde(0) returns 0 and every larger z a positive w.
     """
     pw = build_dtilde1(problem)
     lo, hi = float(pw.slopes[0]), float(pw.value(1.0))
@@ -115,23 +116,22 @@ def dtilde_inverse(problem: Problem, z: float) -> float:
         return 0.0
     right = pw.breakpoints[1:]
     rvals = (pw.intercepts + pw.slopes * right) / right
-    i = int(np.argmax(rvals >= z))
+    # dtilde is dtilde(0) < z on every segment of slope dtilde(0), even
+    # where rounding lifts the right-end value above z; slopes are exact
+    # sums of levels and never decrease, so only the later segments count
+    i = int(np.argmax((rvals >= z) & (pw.slopes > lo)))
     c, s = pw.intercepts[i], pw.slopes[i]
-    if c == 0.0:
-        # flat segment already at level z; the infimum is its left edge
-        return float(pw.breakpoints[i])
-    w = c / (z - s)
+    # solve c / w + s = z; where rounding leaves z >= s, dtilde reaches z
+    # only at the right end of the segment
+    w = c / (z - s) if z < s else right[i]
     return float(min(max(w, pw.breakpoints[i]), right[i]))
 
 
 def rtilde(problem: Problem, z: float) -> float:
     """Rate needed for distortion level z under this prior: -log of the inverse.
 
-    Below dtilde(0) no rate reaches z, and the result is +inf.
+    At or below dtilde(0) no finite rate reaches z, and the result is +inf.
     """
-    # dtilde_inverse gives w = 0 for z <= dtilde(0) and also for a z one
-    # rounding step above it, where (s * w) / w exceeds s on the flat first
-    # segment; both are +inf here
     w = dtilde_inverse(problem, max(z, float(build_dtilde1(problem).slopes[0])))
     return max(0.0, -math.log(w)) if w > 0.0 else math.inf
 
@@ -160,25 +160,21 @@ def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
     return ds, qs, cum, alloc
 
 
-def dtilde1_for_prior(problem: Problem, w: float, prior=None) -> float:
+def dtilde1_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde1(w) for an arbitrary (possibly unnormalized) prior vector."""
-    if prior is None:
-        prior = problem.q_y
     ds, _, _, alloc = _sorted_fill(problem, w, prior)
     return float(np.sum(problem.p_x * np.sum(ds * alloc, axis=1)))
 
 
-def dtilde_for_prior(problem: Problem, w: float, prior=None) -> float:
+def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde(w) for an arbitrary prior vector (w > 0)."""
     if w <= 0.0:
         raise ValueError("w must be positive; use the profile route for limits")
     return dtilde1_for_prior(problem, w, prior) / w
 
 
-def fill_thresholds(problem: Problem, w: float, prior=None) -> np.ndarray:
+def fill_thresholds(problem: Problem, w: float, prior) -> np.ndarray:
     """Per-letter distortion level at which the greedy mass-w fill stops."""
-    if prior is None:
-        prior = problem.q_y
     ds, _, cum, _ = _sorted_fill(problem, w, prior)
     idx = np.minimum(np.sum(cum < w, axis=1), problem.y_size - 1)
     return ds[np.arange(problem.x_size), idx]

@@ -17,6 +17,8 @@ from .model import EqualityCheckError, Problem
 from .random_coding import g_of
 from .variational import d_inf
 
+LEMMA4_TOL = 1e-10  # lemma4_check: largest |lhs - rhs| accepted
+
 
 class Lemma4Result(NamedTuple):
     lhs: float
@@ -65,8 +67,9 @@ def excess_rate(problem: Problem, delta: float, d_th: float) -> float:
     return rtilde(ep, delta)
 
 
-def m_functional(joint) -> float:
-    """Sum over outputs of the largest conditional probability on their support."""
+def _column_maxima(joint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked joint, its marginal p_x and each output's largest
+    conditional probability on the support of the joint."""
     j = np.asarray(joint, dtype=float)
     if j.ndim != 2 or np.any(j < 0) or not np.all(np.isfinite(j)):
         raise ValueError("joint must be a nonnegative finite matrix")
@@ -77,27 +80,27 @@ def m_functional(joint) -> float:
     live = p_x > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(live[:, None], j / np.where(live, p_x, 1.0)[:, None], 0.0)
-    cond = np.where(j > 0, cond, 0.0)
-    return float(np.sum(cond.max(axis=0)))
+    return j, p_x, np.where(j > 0, cond, 0.0).max(axis=0)
 
 
-def lemma4_check(joint, tol: float = 1e-10) -> Lemma4Result:
+def m_functional(joint) -> float:
+    """Sum over outputs of the largest conditional probability on their support."""
+    return float(np.sum(_column_maxima(joint)[2]))
+
+
+def lemma4_check(joint) -> Lemma4Result:
     """Verify that the minimal max-divergence to a product measure is log M.
 
     Evaluates the explicit minimizer q*(y) = column-max / M and raises
-    beyond tol.
+    beyond LEMMA4_TOL.
     """
-    j = np.asarray(joint, dtype=float)
-    m = m_functional(j)
+    j, p_x, colmax = _column_maxima(joint)
+    m = float(np.sum(colmax))
     rhs = math.log(m)
-    p_x = j.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(p_x[:, None] > 0, j / np.where(p_x > 0, p_x, 1.0)[:, None], 0.0)
-    colmax = np.where(j > 0, cond, 0.0).max(axis=0)
     q_star = colmax / m
     lhs = d_inf(j, p_x[:, None] * q_star[None, :])
     gap = abs(lhs - rhs)
-    if gap > tol:
+    if gap > LEMMA4_TOL:
         raise EqualityCheckError(
             f"minimal-divergence identity violated: lhs={lhs!r} rhs={rhs!r}"
         )

@@ -69,11 +69,6 @@ class Problem:
         return self.q_y.shape[0]
 
     @property
-    def support_y(self) -> np.ndarray:
-        """Indices of reproduction letters with positive prior mass."""
-        return np.flatnonzero(self.q_y > 0)
-
-    @property
     def d_max(self) -> float:
         """Largest distortion over the supports of p_x and q_y."""
         sub = self.d[np.ix_(self.p_x > 0, self.q_y > 0)]
@@ -114,24 +109,16 @@ class Channel:
 def validate(problem: Problem) -> None:
     """Check every Problem invariant, raising on the first violation."""
     p, q, d = problem.p_x, problem.q_y, problem.d
-    if p.ndim != 1 or p.size == 0:
-        raise InvariantViolation("p_x must be a nonempty vector")
-    if not np.all(np.isfinite(p)):
-        raise InvariantViolation("p_x has non-finite entries")
-    if np.any(p < 0):
-        raise InvariantViolation("p_x has negative entries")
-    s = float(np.sum(p))
-    if abs(s - 1.0) > PROB_ATOL:
-        raise InvariantViolation(f"p_x sums to {s:.12g}")
-    if q.ndim != 1 or q.size == 0:
-        raise InvariantViolation("q_y must be a nonempty vector")
-    if not np.all(np.isfinite(q)):
-        raise InvariantViolation("q_y has non-finite entries")
-    if np.any(q < 0):
-        raise InvariantViolation("q_y has negative entries")
-    s = float(np.sum(q))
-    if abs(s - 1.0) > PROB_ATOL:
-        raise InvariantViolation(f"q_y sums to {s:.12g}")
+    for name, v in (("p_x", p), ("q_y", q)):
+        if v.ndim != 1 or v.size == 0:
+            raise InvariantViolation(f"{name} must be a nonempty vector")
+        if not np.all(np.isfinite(v)):
+            raise InvariantViolation(f"{name} has non-finite entries")
+        if np.any(v < 0):
+            raise InvariantViolation(f"{name} has negative entries")
+        s = float(np.sum(v))
+        if abs(s - 1.0) > PROB_ATOL:
+            raise InvariantViolation(f"{name} sums to {s:.12g}")
     if d.shape != (p.size, q.size):
         raise InvariantViolation(
             f"distortion matrix has shape {d.shape}, expected {(p.size, q.size)}"
@@ -142,14 +129,15 @@ def validate(problem: Problem) -> None:
         raise InvariantViolation("negative distortion")
 
 
-def validate_channel(channel: Channel, atol: float = PROB_ATOL) -> None:
+def validate_channel(channel: Channel) -> None:
+    """Check that every row is a probability vector within PROB_ATOL."""
     w = channel.w
     if not np.all(np.isfinite(w)):
         raise InvariantViolation("channel has non-finite entries")
     if np.any(w < 0):
         raise InvariantViolation("channel has negative entries")
     sums = w.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > atol)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_ATOL)
     if bad.size:
         raise InvariantViolation(
             f"channel row {bad[0]} sums to {sums[bad[0]]:.12g}"

@@ -2,8 +2,8 @@
 
 All sampling runs on counter-based Philox streams keyed by (seed, stream).
 A trial's draws live at a fixed, 4-aligned counter offset, so results are
-bit-identical no matter how trials are chunked or distributed; the chunk
-size below is a memory knob, not a semantic one.
+bit-identical no matter how trials are chunked or distributed; the block
+size is a memory knob, not a semantic one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from .pairwise import _level_masses
 
 _MASK64 = (1 << 64) - 1
 KS_SIGNIFICANCE = 1e-3
-BUDGET = 1 << 22  # elements of simulate_random_code's (nx, trials, M) temporary
+# a block holds at most CHUNK trials, and its largest temporary at most
+# BUDGET elements unless a single trial needs more
+CHUNK = 16384
+BUDGET = 1 << 22
 
 
 @dataclass(eq=False)
@@ -68,12 +71,19 @@ def _trial_uniforms(seed, stream, per_trial, t0, t1):
     return block.reshape(t1 - t0, stride)[:, :per_trial]
 
 
+def _blocks(trials: int, per_trial: int, chunk: int):
+    """Trial ranges [t0, t1) of at most chunk trials and BUDGET elements."""
+    block = min(chunk, max(1, BUDGET // per_trial))
+    for t0 in range(0, trials, block):
+        yield t0, min(t0 + block, trials)
+
+
 def _inverse_cdf(cum_q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum_q, u, side="right"), cum_q.size - 1)
 
 
 def simulate_random_code(
-    problem: Problem, M: int, trials: int, seed: int, chunk: int = 16384
+    problem: Problem, M: int, trials: int, seed: int, chunk: int = CHUNK
 ) -> MCEstimate:
     """Sample codebooks of M prior draws; average the exact per-source minimum.
 
@@ -88,9 +98,7 @@ def simulate_random_code(
         raise ValueError("trials must be at least 1")
     cum_q = np.cumsum(problem.q_y)
     values = np.empty(trials)
-    block = min(chunk, max(1, BUDGET // (problem.x_size * M)))
-    for t0 in range(0, trials, block):
-        t1 = min(t0 + block, trials)
+    for t0, t1 in _blocks(trials, problem.x_size * M, chunk):
         u = _trial_uniforms(seed, 0, M, t0, t1)
         codes = _inverse_cdf(cum_q, u)
         best = problem.d[:, codes].min(axis=2)
@@ -116,32 +124,28 @@ def _ks_summary(sample: np.ndarray, cdf, seed: int) -> KSSummary:
     )
 
 
-def sample_min_uniform(M: int, trials: int, seed: int, chunk: int = 16384) -> KSSummary:
+def sample_min_uniform(M: int, trials: int, seed: int) -> KSSummary:
     """Empirical law of the minimum of M uniforms against 1 - (1-w)^M."""
     if M < 1:
         raise ValueError("M must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     mins = np.empty(trials)
-    for t0 in range(0, trials, chunk):
-        t1 = min(t0 + chunk, trials)
+    for t0, t1 in _blocks(trials, _stride(M), CHUNK):
         mins[t0:t1] = _trial_uniforms(seed, 1, M, t0, t1).min(axis=1)
     with np.errstate(divide="ignore"):
         cdf = lambda w: -np.expm1(M * np.log1p(-np.minimum(w, 1.0)))
     return _ks_summary(mins, cdf, seed)
 
 
-def sample_pc_uniformity(
-    problem: Problem, x: int, trials: int, seed: int, chunk: int = 16384
-) -> KSSummary:
+def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KSSummary:
     """Sampled pairwise-correct values for letter x against the uniform CDF."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     below, tie = _level_masses(problem, x)
     cum_q = np.cumsum(problem.q_y)
     pc = np.empty(trials)
-    for t0 in range(0, trials, chunk):
-        t1 = min(t0 + chunk, trials)
+    for t0, t1 in _blocks(trials, _stride(2), CHUNK):
         u = _trial_uniforms(seed, 2, 2, t0, t1)
         y = _inverse_cdf(cum_q, u[:, 0])
         pc[t0:t1] = below[y] + u[:, 1] * tie[y]

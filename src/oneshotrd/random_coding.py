@@ -21,6 +21,7 @@ from .dtilde import build_dtilde1, dtilde, rtilde
 from .model import Problem
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+F_INVERSE_TOL = 1e-14  # f_inverse stops once its bisection bracket is this narrow
 
 
 @dataclass(eq=False)
@@ -92,7 +93,7 @@ def f_of(lam: float) -> float:
     return math.exp(math.log1p(t) - t)
 
 
-def f_inverse(x: float, tol: float = 1e-14) -> float:
+def f_inverse(x: float) -> float:
     """Solve f(lam) = x for x in (0, 1) by bisection on a guaranteed bracket.
 
     The bracket comes from two closed-form bounds on lam - log(-log x),
@@ -111,7 +112,7 @@ def f_inverse(x: float, tol: float = 1e-14) -> float:
         hi += 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < F_INVERSE_TOL:
             break
         if f_of(mid) > x:
             lo = mid
@@ -148,11 +149,13 @@ def achievability_bound(problem: Problem, rate: float, lam: float) -> Achievabil
     )
 
 
-def _golden_min(fn, a: float, b: float, iters: int = 80):
+def _golden_min(fn, a: float, b: float):
+    """Golden-section minimum of fn on [a, b]; 80 steps shrink the bracket
+    by 0.618^80, about 2e-17."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -184,21 +187,25 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
         np.linspace(lo, d_req, 258)[1:-1],
     ]))
 
-    def minimand(z: float, use_g: bool) -> float:
-        if not lo < z < d_req:
-            return math.inf
+    def split(z: float):
+        """(rtilde(z), y) for the split at z <= d_req, or None where it is infeasible."""
         y = (d_req - z) / (hi - z)
-        if not 0.0 < y < 1.0:
-            return math.inf
-        return rtilde(problem, z) + (g_of(1.0 / y) if use_g else f_inverse(y))
+        return (rtilde(problem, z), y) if lo < z < d_req and 0.0 < y < 1.0 else None
 
+    def minimand(parts, use_g: bool) -> float:
+        if parts is None:
+            return math.inf
+        r, y = parts
+        return r + (g_of(1.0 / y) if use_g else f_inverse(y))
+
+    splits = [split(z) for z in grid]
     results = []
     for use_g in (False, True):
-        vals = np.array([minimand(z, use_g) for z in grid])
+        vals = np.array([minimand(parts, use_g) for parts in splits])
         k = int(np.argmin(vals))
         a = grid[k - 1] if k > 0 else lo
         b = grid[k + 1] if k + 1 < grid.size else d_req
-        z_star, v_star = _golden_min(lambda z: minimand(z, use_g), a, b)
+        z_star, v_star = _golden_min(lambda z: minimand(split(z), use_g), a, b)
         if vals[k] < v_star:
             z_star, v_star = grid[k], vals[k]
         results.append((max(v_star, 0.0), float(z_star)))

@@ -86,7 +86,7 @@ def test_criterion_03_converse_equality():
         p = make_random_problem(rng)
         m = int(rng.integers(1, 7))
         code = Code(tuple(int(y) for y in rng.integers(0, p.y_size, m)))
-        res = converse_equality_check(p, code, tol=1e-10)
+        res = converse_equality_check(p, code)
         worst = max(worst, res.gap)
     elapsed = time.time() - start
     report(3, "code distortion equals dtilde(1/M, code prior)",

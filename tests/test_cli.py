@@ -13,7 +13,7 @@ from oneshotrd import (
     optimize_prior,
     save_problem,
 )
-from oneshotrd.cli import run
+from oneshotrd.cli import _build_parser, run
 from oneshotrd.converse import product_prior_experiment, product_problem
 
 
@@ -231,3 +231,25 @@ def test_cli_exact_matches_library_on_random_problem(rng, tmp_path, capsys):
     names = {r["quantity"]: r["value"] for r in doc["records"]}
     expect = exact_expected_distortion(p, 4).exact_distortion
     assert names["exact[M=4]"] == pytest.approx(expect, rel=1e-10)
+
+
+def test_every_option_is_read():
+    # the exact option set of each subcommand; a new flag must be added
+    # here, next to the code that reads it
+    expected = {
+        "dtilde": {"--problem", "--out", "--grid"},
+        "exact": {"--problem", "--json", "--out", "--csv", "--M", "--trials", "--seed"},
+        "achieve": {"--problem", "--json", "--rate", "--slack", "--dreq"},
+        "converse": {"--problem", "--json", "--out", "--csv", "--code", "--rate"},
+        "optimize-prior": {"--problem", "--json", "--rate"},
+        "variational": {"--problem", "--json", "--w"},
+        "excess": {"--problem", "--json", "--out", "--dth", "--delta-grid",
+                   "--gap-sweep", "--sweep-points", "--m-functional", "--rate"},
+        "simulate": {"--problem", "--json", "--M", "--trials", "--seed"},
+        "product-prior-experiment": {"--problem", "--json", "--n", "--rate", "--seed"},
+    }
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    found = {name: {opt for action in p._actions for opt in action.option_strings}
+             - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert found == expected

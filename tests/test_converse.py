@@ -103,7 +103,7 @@ def test_converse_equality_hand_cases(binary_hamming):
 def test_converse_equality_random_stress(rng):
     for _ in range(100):
         p = make_random_problem(rng)
-        res = converse_equality_check(p, random_code(rng, p), tol=1e-10)
+        res = converse_equality_check(p, random_code(rng, p))
         assert res.gap <= 1e-10
 
 
@@ -128,7 +128,7 @@ def test_subgradient_is_nonpositive(rng):
     # more prior mass anywhere can only improve the fill
     for _ in range(10):
         p = make_random_problem(rng)
-        g = dtilde_subgradient(p, float(rng.uniform(0.05, 0.95)))
+        g = dtilde_subgradient(p, float(rng.uniform(0.05, 0.95)), p.q_y)
         assert np.all(g <= 1e-15)
 
 
@@ -202,7 +202,7 @@ def test_dhat_sandwich_binary(binary_hamming):
 
 
 def test_dhat_sandwich_zero_rate(binary_hamming):
-    bounds = dhat_sandwich(binary_hamming, 0.0, lam_grid=[-0.5, -1.0, -2.0])
+    bounds = dhat_sandwich(binary_hamming, 0.0)
     assert bounds.lower <= bounds.upper + 1e-9
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_problem, nonbreakpoint_w
 from oneshotrd import (
@@ -76,7 +80,7 @@ def test_dtilde1_matches_direct_sum(rng):
         for w in rng.random(4):
             w = float(w)
             assert dtilde1(p, w) == pytest.approx(dtilde1_direct(p, w), abs=1e-12)
-            assert dtilde1_for_prior(p, w) == pytest.approx(
+            assert dtilde1_for_prior(p, w, p.q_y) == pytest.approx(
                 dtilde1_direct(p, w), abs=1e-12
             )
 
@@ -136,7 +140,7 @@ def test_for_prior_agrees_with_profile_route(rng):
     for _ in range(20):
         p = make_random_problem(rng)
         w = float(rng.uniform(0.01, 1.0))
-        assert dtilde_for_prior(p, w) == pytest.approx(dtilde(p, w), abs=1e-13)
+        assert dtilde_for_prior(p, w, p.q_y) == pytest.approx(dtilde(p, w), abs=1e-13)
 
 
 def test_inverse_hand_values(binary_hamming):
@@ -188,15 +192,56 @@ def test_rtilde_infinite_below_dtilde_zero():
     assert np.isfinite(rtilde(p, 0.6))
 
 
-def test_rtilde_infinite_where_inverse_is_zero():
+def test_rtilde_finite_one_rounding_step_above_dtilde_zero():
     # the first segment is flat at dtilde(0) = 0.1 up to w = 0.1, where
-    # dtilde1(w) / w rounds one step above 0.1; rtilde must not take log(0)
+    # dtilde1(w) / w rounds one step above 0.1; that z lies on the next
+    # segment, at its left edge, so the rate is finite
     p = Problem([0.1, 0.9], [0.1, 0.9], [[0.1, 1.3], [1.3, 0.1]])
     pw = build_dtilde1(p)
     z = float(pw.value(pw.breakpoints[1]) / pw.breakpoints[1])
     assert z > dtilde(p, 0.0)
-    assert dtilde_inverse(p, z) == 0.0
-    assert rtilde(p, z) == np.inf
+    assert dtilde_inverse(p, z) == pytest.approx(0.1, abs=1e-15)
+    assert rtilde(p, z) == -math.log(0.1)
+
+
+@st.composite
+def problems(draw):
+    """1x1 to 5x5 instances, 1xn and nx1 included, with zero masses and
+    distortions on a coarse grid half the time, so levels tie."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def vec(n):
+        v = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                   min_size=n, max_size=n)))
+        assume(v.sum() > 1e-3)
+        return v / v.sum()
+
+    p, q = vec(nx), vec(ny)
+    entry = (st.sampled_from([0.0, 0.5, 1.0, 2.0]) if draw(st.booleans())
+             else st.floats(0.0, 4.0))
+    d = draw(st.lists(entry, min_size=nx * ny, max_size=nx * ny))
+    return Problem(p, q, np.reshape(d, (nx, ny)))
+
+
+def _levels_above_floor(problem, data):
+    """z values in (dtilde(0), dtilde(1)]: every breakpoint value, the next
+    float above dtilde(0), dtilde(1) and a drawn point between."""
+    pw = build_dtilde1(problem)
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    zs = [float(z) for z in pw.value(pw.breakpoints[1:]) / pw.breakpoints[1:]]
+    zs += [math.nextafter(lo, math.inf), hi,
+           lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)]
+    return [z for z in zs if lo < z <= hi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_inverse_round_trips_with_finite_rate_above_dtilde_zero(problem, data):
+    for z in _levels_above_floor(problem, data):
+        w = dtilde_inverse(problem, z)
+        assert 0.0 < w <= 1.0
+        assert abs(dtilde(problem, w) - z) <= 1e-12, z
+        assert math.isfinite(rtilde(problem, z)), z
 
 
 def test_test_channel_hand_case(binary_hamming):
@@ -227,6 +272,6 @@ def test_fill_thresholds_match_quantile_levels(rng):
     for _ in range(20):
         p = make_random_problem(rng)
         w = nonbreakpoint_w(p, rng)
-        theta = fill_thresholds(p, w)
+        theta = fill_thresholds(p, w, p.q_y)
         for x in range(p.x_size):
             assert theta[x] == dtilde_of_u(p, x, w)

@@ -175,7 +175,7 @@ def test_problem_is_freed_with_its_last_reference(rng):
     packing_channel(problem, 0.5)
     profile(problem, 0)
     find_level(problem, 0, 0.5)
-    dtilde_for_prior(problem, 0.5)
+    dtilde_for_prior(problem, 0.5, problem.q_y)
     exact_expected_distortion(problem, 7)
     simulate_random_code(problem, 3, 10, seed=0)
     ref = weakref.ref(problem)

@@ -57,6 +57,22 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     assert simulate_random_code(p, 256, 4096, seed=3).mean == means[1]
 
 
+def test_min_uniform_memory_does_not_grow_with_m(monkeypatch):
+    # at a budget of 2^16 elements the blocks hold 256 trials at M = 256
+    # and 32 at M = 2048; unbounded, the second would hold 16 MiB
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    peaks, stats = [], []
+    for m in (256, 2048):
+        tracemalloc.start()
+        stats.append(sample_min_uniform(m, 1024, seed=4).statistic)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
+    monkeypatch.undo()
+    assert sample_min_uniform(2048, 1024, seed=4).statistic == stats[1]
+
+
 def test_simulate_binary_hamming_matches_exact(binary_hamming):
     mc = simulate_random_code(binary_hamming, 2, 100000, seed=5)
     assert abs(mc.mean - 0.25) <= 3 * mc.stderr
