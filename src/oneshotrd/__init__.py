@@ -15,7 +15,7 @@ Modules:
 - ``converse``: code equality, prior optimization, sandwich, product priors.
 - ``variational``: Neyman-Pearson and max-divergence forms.
 - ``excess``: indicator-distortion specialization and reference comparisons.
-- ``montecarlo``: reproducible sampling oracles.
+- ``montecarlo``: the seeded random-code simulator.
 - ``cli``: command-line adapters (``oneshotrd --help``).
 """
 
@@ -58,21 +58,15 @@ from .model import (
     load_problem,
     save_problem,
     validate,
-    validate_channel,
 )
 from .montecarlo import (
-    KSSummary,
     MCEstimate,
-    sample_min_uniform,
-    sample_pc_uniformity,
     simulate_random_code,
 )
 from .pairwise import (
     DistortionProfile,
-    dtilde_of_u,
     find_level,
     pairwise_correct,
-    pc_cdf,
     profile,
 )
 from .random_coding import (
@@ -81,10 +75,7 @@ from .random_coding import (
     exact_expected_distortion,
     f_inverse,
     f_of,
-    g_m,
     g_of,
-    min_uniform_cdf,
-    min_uniform_pdf,
     rate_for_distortion,
 )
 from .variational import (

@@ -1,8 +1,8 @@
 """Command-line toolkit routing every computation in the package.
 
 Each subcommand is a thin adapter around the library: identical numbers to
-direct calls. Exit status is 0 on success, 1 on a validation or input
-error, and 2 when an exact identity fails its tolerance.
+direct calls. Exit status is 0 on success, 1 on a validation, input or
+usage error, and 2 when an exact identity fails its tolerance.
 """
 
 from __future__ import annotations
@@ -337,8 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (status 0) or a usage error, which it
+        # would end with status 2, the status of a failed identity here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except EqualityCheckError as exc:

@@ -153,7 +153,7 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     recomputed in numpy from the equality duals alpha, without trusting
     the solver's objective.
     """
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     t = _lp_size(problem, rate)
     nx, ny = problem.x_size, problem.y_size
@@ -196,13 +196,13 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     lower = optimize_prior(rate).dual_bound, with q_star its prior;
     upper = min over lam = rate - t, t in SANDWICH_SLACKS, of
             optimize_prior(rate - lam).value + d_max * f(lam).
+    Where every rate - t rounds back to rate (about 1e16 and above), the LP
+    is clamped at the floor sum_x p_x min_y d_xy, and upper is its value.
     """
-    lam_grid = [lam for lam in (rate - t for t in SANDWICH_SLACKS) if lam < rate]
-    if not lam_grid:
-        raise ValueError(f"no lam = rate - t falls below rate={rate}")
     at_rate = optimize_prior(problem, rate)
     lower = at_rate.dual_bound
-    upper = math.inf
+    lam_grid = [lam for lam in (rate - t for t in SANDWICH_SLACKS) if lam < rate]
+    upper = math.inf if lam_grid else at_rate.value
     for lam in lam_grid:
         cand = (optimize_prior(problem, rate - lam).value
                 + problem.d_max * f_of(lam))

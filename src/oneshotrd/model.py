@@ -129,21 +129,6 @@ def validate(problem: Problem) -> None:
         raise InvariantViolation("negative distortion")
 
 
-def validate_channel(channel: Channel) -> None:
-    """Check that every row is a probability vector within PROB_ATOL."""
-    w = channel.w
-    if not np.all(np.isfinite(w)):
-        raise InvariantViolation("channel has non-finite entries")
-    if np.any(w < 0):
-        raise InvariantViolation("channel has negative entries")
-    sums = w.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_ATOL)
-    if bad.size:
-        raise InvariantViolation(
-            f"channel row {bad[0]} sums to {sums[bad[0]]:.12g}"
-        )
-
-
 _ALLOWED_KEYS = {"p_x", "q_y", "d", "x_labels", "y_labels"}
 
 

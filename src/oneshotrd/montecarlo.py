@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo oracles for the exact formulas.
+"""The seeded random-code simulator: the Monte Carlo check of the exact average.
 
 All sampling runs on counter-based Philox streams keyed by (seed, stream).
 A trial's draws live at a fixed, 4-aligned counter offset, so results are
@@ -12,13 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .model import Problem
-from .pairwise import _level_masses
 
 _MASK64 = (1 << 64) - 1
-KS_SIGNIFICANCE = 1e-3
 # a block holds at most CHUNK trials, and its largest temporary at most
 # BUDGET elements unless a single trial needs more
 CHUNK = 16384
@@ -30,20 +27,6 @@ class MCEstimate:
     mean: float
     stderr: float
     trials: int
-    seed: int
-
-
-@dataclass(eq=False)
-class KSSummary:
-    """Kolmogorov-Smirnov comparison of a sample against a reference CDF."""
-
-    trials: int
-    statistic: float
-    pvalue: float
-    critical_value: float  # asymptotic threshold at the 1e-3 level
-    passed: bool
-    sample_mean: float
-    sample_stderr: float
     seed: int
 
 
@@ -106,47 +89,3 @@ def simulate_random_code(
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MCEstimate(mean, stderr, trials, seed)
-
-
-def _ks_summary(sample: np.ndarray, cdf, seed: int) -> KSSummary:
-    result = stats.kstest(sample, cdf)
-    n = sample.size
-    critical = float(stats.kstwobign.isf(KS_SIGNIFICANCE) / math.sqrt(n))
-    return KSSummary(
-        trials=n,
-        statistic=float(result.statistic),
-        pvalue=float(result.pvalue),
-        critical_value=critical,
-        passed=bool(result.pvalue > KS_SIGNIFICANCE),
-        sample_mean=float(np.mean(sample)),
-        sample_stderr=float(np.std(sample, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        seed=seed,
-    )
-
-
-def sample_min_uniform(M: int, trials: int, seed: int) -> KSSummary:
-    """Empirical law of the minimum of M uniforms against 1 - (1-w)^M."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    mins = np.empty(trials)
-    for t0, t1 in _blocks(trials, _stride(M), CHUNK):
-        mins[t0:t1] = _trial_uniforms(seed, 1, M, t0, t1).min(axis=1)
-    with np.errstate(divide="ignore"):
-        cdf = lambda w: -np.expm1(M * np.log1p(-np.minimum(w, 1.0)))
-    return _ks_summary(mins, cdf, seed)
-
-
-def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KSSummary:
-    """Sampled pairwise-correct values for letter x against the uniform CDF."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    below, tie = _level_masses(problem, x)
-    cum_q = np.cumsum(problem.q_y)
-    pc = np.empty(trials)
-    for t0, t1 in _blocks(trials, _stride(2), CHUNK):
-        u = _trial_uniforms(seed, 2, 2, t0, t1)
-        y = _inverse_cdf(cum_q, u[:, 0])
-        pc[t0:t1] = below[y] + u[:, 1] * tie[y]
-    return _ks_summary(pc, "uniform", seed)

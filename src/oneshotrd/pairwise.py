@@ -80,25 +80,6 @@ def find_level(problem: Problem, x: int, w: float) -> tuple[int, float]:
     return y, float(tau)
 
 
-def dtilde_of_u(problem: Problem, x: int, u: float) -> float:
-    """Distortion level sitting at quantile u of the pairwise-correct variable."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must be in [0, 1], got {u}")
-    prof = profile(problem, x)
-    j = min(int(np.searchsorted(prof.cumulative[1:], u, side="left")),
-            prof.levels.size - 1)
-    return float(prof.levels[j])
-
-
-def pc_cdf(problem: Problem, x: int, w: float) -> float:
-    """CDF of p_c(x, Y, U) at w; equals w exactly by the uniformity property."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    prof = profile(problem, x)
-    filled = np.minimum(prof.masses, np.maximum(0.0, w - prof.cumulative[:-1]))
-    return float(np.sum(filled))
-
-
 def accept_probability(problem: Problem, w: float) -> np.ndarray:
     """Matrix of Pr_U{p_c(x, y, U) <= w} over all (x, y) pairs.
 

@@ -53,15 +53,6 @@ def _survival_pow(w: float, expo: float) -> float:
     return math.exp(expo * math.log1p(-w))
 
 
-def g_m(w: float, M: int) -> float:
-    """Survival-side kernel G_M(w) = -(1-w)^(M-1) ((M-1) w + 1)."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return -_survival_pow(w, M - 1) * ((M - 1) * w + 1.0)
-
-
 def _segment_integral(pwl, M: float) -> np.ndarray:
     """Per-segment values of the integral of (c/w + s) * G'_M(w) dw."""
     a = pwl.breakpoints[:-1]
@@ -212,21 +203,3 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
 
     (rate, z), (rate_g, z_g) = results
     return RateForDistortion(rate=rate, z=z, rate_g=rate_g, z_g=z_g)
-
-
-def min_uniform_pdf(w: float, M: int) -> float:
-    """Density of the minimum of M independent uniforms: M (1-w)^(M-1)."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return M * _survival_pow(w, M - 1) if M > 1 else 1.0
-
-
-def min_uniform_cdf(w: float, M: int) -> float:
-    """CDF of the minimum of M independent uniforms: 1 - (1-w)^M."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return 1.0 - _survival_pow(w, M)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oneshotrd import Problem, d_inf
@@ -29,6 +31,25 @@ def make_random_problem(rng, nx=None, ny=None, tie_prob=0.5, zero_mass_prob=0.3,
     if scale_d:
         d = d * rng.uniform(0.5, 3.0)
     return Problem(p_x, q_y, d)
+
+
+@st.composite
+def problems(draw):
+    """1x1 to 5x5 instances, 1xn and nx1 included, with zero masses and
+    distortions on a coarse grid half the time, so levels tie."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def vec(n):
+        v = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                   min_size=n, max_size=n)))
+        assume(v.sum() > 1e-3)
+        return v / v.sum()
+
+    p, q = vec(nx), vec(ny)
+    entry = (st.sampled_from([0.0, 0.5, 1.0, 2.0]) if draw(st.booleans())
+             else st.floats(0.0, 4.0))
+    d = draw(st.lists(entry, min_size=nx * ny, max_size=nx * ny))
+    return Problem(p, q, np.reshape(d, (nx, ny)))
 
 
 def nonbreakpoint_w(problem, rng, lo=0.02, hi=0.999, margin=1e-6):

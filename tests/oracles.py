@@ -1,0 +1,149 @@
+"""Test-only oracles: the laws behind the exact formulas, and samplers of them.
+
+The library computes each quantity by one route (closed-form segment
+integrals, the piecewise-linear functional, the k-median LP). The routes
+here only cross-check it: the order-statistic kernel G_M and the law of the
+minimum of M uniforms, the CDF and quantile levels of the pairwise-correct
+variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, and
+a row-sum check for channels.
+
+The samplers draw from the library's own Philox streams and blocks (streams
+1 and 2; the random-code simulator uses stream 0), so they are seeded
+exactly as the library is, and a patched ``oneshotrd.montecarlo.BUDGET``
+bounds their memory too.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import stats
+
+from oneshotrd import Channel, InvariantViolation, Problem, profile
+from oneshotrd.model import PROB_ATOL
+from oneshotrd.montecarlo import CHUNK, _blocks, _inverse_cdf, _stride, _trial_uniforms
+from oneshotrd.pairwise import _level_masses
+from oneshotrd.random_coding import _survival_pow
+
+KS_SIGNIFICANCE = 1e-3
+
+
+def g_m(w: float, M: int) -> float:
+    """Survival-side kernel G_M(w) = -(1-w)^(M-1) ((M-1) w + 1)."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    return -_survival_pow(w, M - 1) * ((M - 1) * w + 1.0)
+
+
+def min_uniform_pdf(w: float, M: int) -> float:
+    """Density of the minimum of M independent uniforms: M (1-w)^(M-1)."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    return M * _survival_pow(w, M - 1) if M > 1 else 1.0
+
+
+def min_uniform_cdf(w: float, M: int) -> float:
+    """CDF of the minimum of M independent uniforms: 1 - (1-w)^M."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    return 1.0 - _survival_pow(w, M)
+
+
+def dtilde_of_u(problem: Problem, x: int, u: float) -> float:
+    """Distortion level sitting at quantile u of the pairwise-correct variable."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u must be in [0, 1], got {u}")
+    prof = profile(problem, x)
+    j = min(int(np.searchsorted(prof.cumulative[1:], u, side="left")),
+            prof.levels.size - 1)
+    return float(prof.levels[j])
+
+
+def pc_cdf(problem: Problem, x: int, w: float) -> float:
+    """CDF of p_c(x, Y, U) at w; equals w exactly by the uniformity property."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
+    prof = profile(problem, x)
+    filled = np.minimum(prof.masses, np.maximum(0.0, w - prof.cumulative[:-1]))
+    return float(np.sum(filled))
+
+
+def validate_channel(channel: Channel) -> None:
+    """Check that every row is a probability vector within PROB_ATOL."""
+    w = channel.w
+    if not np.all(np.isfinite(w)):
+        raise InvariantViolation("channel has non-finite entries")
+    if np.any(w < 0):
+        raise InvariantViolation("channel has negative entries")
+    sums = w.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_ATOL)
+    if bad.size:
+        raise InvariantViolation(
+            f"channel row {bad[0]} sums to {sums[bad[0]]:.12g}"
+        )
+
+
+@dataclass(eq=False)
+class KSSummary:
+    """Kolmogorov-Smirnov comparison of a sample against a reference CDF."""
+
+    trials: int
+    statistic: float
+    pvalue: float
+    critical_value: float  # asymptotic threshold at the 1e-3 level
+    passed: bool
+    sample_mean: float
+    sample_stderr: float
+    seed: int
+
+
+def _ks_summary(sample: np.ndarray, cdf, seed: int) -> KSSummary:
+    result = stats.kstest(sample, cdf)
+    n = sample.size
+    critical = float(stats.kstwobign.isf(KS_SIGNIFICANCE) / math.sqrt(n))
+    return KSSummary(
+        trials=n,
+        statistic=float(result.statistic),
+        pvalue=float(result.pvalue),
+        critical_value=critical,
+        passed=bool(result.pvalue > KS_SIGNIFICANCE),
+        sample_mean=float(np.mean(sample)),
+        sample_stderr=float(np.std(sample, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        seed=seed,
+    )
+
+
+def sample_min_uniform(M: int, trials: int, seed: int) -> KSSummary:
+    """Empirical law of the minimum of M uniforms against 1 - (1-w)^M."""
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    mins = np.empty(trials)
+    for t0, t1 in _blocks(trials, _stride(M), CHUNK):
+        mins[t0:t1] = _trial_uniforms(seed, 1, M, t0, t1).min(axis=1)
+    with np.errstate(divide="ignore"):
+        cdf = lambda w: -np.expm1(M * np.log1p(-np.minimum(w, 1.0)))
+    return _ks_summary(mins, cdf, seed)
+
+
+def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KSSummary:
+    """Sampled pairwise-correct values for letter x against the uniform CDF."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    below, tie = _level_masses(problem, x)
+    cum_q = np.cumsum(problem.q_y)
+    pc = np.empty(trials)
+    for t0, t1 in _blocks(trials, _stride(2), CHUNK):
+        u = _trial_uniforms(seed, 2, 2, t0, t1)
+        y = _inverse_cdf(cum_q, u[:, 0])
+        pc[t0:t1] = below[y] + u[:, 1] * tie[y]
+    return _ks_summary(pc, "uniform", seed)

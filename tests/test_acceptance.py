@@ -30,11 +30,10 @@ from oneshotrd import (
     inf_form_value,
     lemma4_check,
     optimize_prior,
-    pc_cdf,
-    sample_pc_uniformity,
     simulate_random_code,
     sup_form_value,
 )
+from oracles import pc_cdf, sample_pc_uniformity
 
 
 def report(num, name, ok, detail=""):

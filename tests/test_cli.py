@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oneshotrd
 import oneshotrd.converse as converse_mod
 from conftest import dense_prior_lp, make_random_problem
 from oneshotrd import (
@@ -89,7 +94,7 @@ def test_optimize_prior_subcommand(binary_path, capsys):
 
 
 def test_large_rates_exit_zero(binary_path, capsys):
-    for rate in ("60", "1000"):
+    for rate in ("60", "1000", "1e17", "inf"):
         assert run(["optimize-prior", "--problem", binary_path,
                     "--rate", rate, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -97,6 +102,12 @@ def test_large_rates_exit_zero(binary_path, capsys):
         assert names["value"] == 0.0 and names["certificate_gap"] <= 1e-12
         assert run(["converse", "--problem", binary_path, "--rate", rate]) == 0
         capsys.readouterr()
+
+
+def test_nan_rate_exits_one(binary_path, capsys):
+    for cmd in ("converse", "optimize-prior"):
+        assert run([cmd, "--problem", binary_path, "--rate", "nan"]) == 1
+        assert "error: rate must be nonnegative, got nan" in capsys.readouterr().err
 
 
 def test_converse_rate_solves_seven_lps(rng, tmp_path, monkeypatch, capsys):
@@ -177,6 +188,19 @@ def test_cli_assertion_failures_exit_2(binary_path, monkeypatch, capsys):
     assert "assertion failure" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_1(binary_path, capsys):
+    # a removed flag and a missing --problem are usage errors, not the
+    # failed identity that status 2 reports
+    assert run(["converse", "--problem", binary_path, "--rate", "1",
+                "--tol", "1e-3"]) == 1
+    assert "error: unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+    assert run(["converse", "--rate", "1"]) == 1
+    assert ("error: the following arguments are required: --problem"
+            in capsys.readouterr().err)
+    assert run(["converse", "--help"]) == 0
+    assert "--problem" in capsys.readouterr().out
+
+
 def test_product_problem_structure(binary_hamming):
     prod = product_problem(binary_hamming, 2)
     assert prod.x_size == 4 and prod.y_size == 4
@@ -253,3 +277,13 @@ def test_every_option_is_read():
              - {"-h", "--help"}
              for name, p in sub.choices.items()}
     assert found == expected
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second and 20 MB on every import, and
+    # only the test oracles use it
+    src = str(Path(oneshotrd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, oneshotrd, oneshotrd.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -179,6 +179,23 @@ def test_optimize_prior_large_rate_is_the_floor(rng):
 def test_optimize_prior_rejects_negative_rate(binary_hamming):
     with pytest.raises(ValueError):
         optimize_prior(binary_hamming, -0.5)
+    for fn in (optimize_prior, dhat_sandwich):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(binary_hamming, math.nan)
+
+
+def test_dhat_sandwich_is_the_floor_where_every_slack_rounds_away(rng):
+    # 1e17 - t rounds back to 1e17 for every slack t, so the LP at the rate,
+    # clamped at the floor sum_x p_x min_y d_xy, gives both bounds
+    base = make_random_problem(rng, nx=4, ny=5)
+    p = Problem(base.p_x, base.q_y, base.d + 0.5)
+    floor = float(np.sum(p.p_x * p.d.min(axis=1)))
+    res = optimize_prior(p, 1e17)
+    assert res.value == pytest.approx(floor, abs=1e-12) and floor >= 0.5
+    for rate in (1e17, math.inf):
+        bounds = dhat_sandwich(p, rate)
+        assert bounds.upper == res.value
+        assert bounds.lower == pytest.approx(res.value, abs=1e-12)
 
 
 def test_converse_dominance_exhaustive(rng):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_problem, nonbreakpoint_w
+from conftest import make_random_problem, nonbreakpoint_w, problems
 from oneshotrd import (
     Problem,
     build_dtilde1,
@@ -16,9 +16,9 @@ from oneshotrd import (
     dtilde_inverse,
     rtilde,
     test_channel as packing_channel,
-    validate_channel,
 )
 from oneshotrd.dtilde import fill_thresholds
+from oracles import dtilde_of_u, validate_channel
 
 
 def dtilde1_direct(problem, w):
@@ -204,25 +204,6 @@ def test_rtilde_finite_one_rounding_step_above_dtilde_zero():
     assert rtilde(p, z) == -math.log(0.1)
 
 
-@st.composite
-def problems(draw):
-    """1x1 to 5x5 instances, 1xn and nx1 included, with zero masses and
-    distortions on a coarse grid half the time, so levels tie."""
-    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-
-    def vec(n):
-        v = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
-                                   min_size=n, max_size=n)))
-        assume(v.sum() > 1e-3)
-        return v / v.sum()
-
-    p, q = vec(nx), vec(ny)
-    entry = (st.sampled_from([0.0, 0.5, 1.0, 2.0]) if draw(st.booleans())
-             else st.floats(0.0, 4.0))
-    d = draw(st.lists(entry, min_size=nx * ny, max_size=nx * ny))
-    return Problem(p, q, np.reshape(d, (nx, ny)))
-
-
 def _levels_above_floor(problem, data):
     """z values in (dtilde(0), dtilde(1)]: every breakpoint value, the next
     float above dtilde(0), dtilde(1) and a drawn point between."""
@@ -267,8 +248,6 @@ def test_test_channel_rows_and_average(rng):
 
 
 def test_fill_thresholds_match_quantile_levels(rng):
-    from oneshotrd import dtilde_of_u
-
     for _ in range(20):
         p = make_random_problem(rng)
         w = nonbreakpoint_w(p, rng)

@@ -22,8 +22,8 @@ from oneshotrd import (
     simulate_random_code,
     test_channel as packing_channel,
     validate,
-    validate_channel,
 )
+from oracles import validate_channel
 
 
 def write_json(tmp_path, doc, name="prob.json"):

@@ -8,11 +8,10 @@ from conftest import make_random_problem
 from oneshotrd import (
     Problem,
     exact_expected_distortion,
-    sample_min_uniform,
-    sample_pc_uniformity,
     simulate_random_code,
 )
 from oneshotrd.montecarlo import _uniform_block
+from oracles import sample_min_uniform, sample_pc_uniformity
 
 
 def test_uniform_block_counter_semantics():

@@ -5,13 +5,12 @@ from conftest import make_random_problem
 from oneshotrd import (
     InvariantViolation,
     Problem,
-    dtilde_of_u,
     find_level,
     pairwise_correct,
-    pc_cdf,
     profile,
 )
 from oneshotrd.pairwise import accept_probability
+from oracles import dtilde_of_u, pc_cdf
 
 
 def pairwise_direct(problem, x, y, u):

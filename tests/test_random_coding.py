@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
-from conftest import make_random_problem
+from conftest import make_random_problem, problems
 from oneshotrd import (
     Code,
     Problem,
@@ -15,14 +16,12 @@ from oneshotrd import (
     exact_expected_distortion,
     f_inverse,
     f_of,
-    g_m,
     g_of,
-    min_uniform_cdf,
-    min_uniform_pdf,
     rate_for_distortion,
 )
 from oneshotrd.dtilde import build_dtilde1
 from oneshotrd.random_coding import _segment_integral
+from oracles import g_m, min_uniform_cdf, min_uniform_pdf
 
 
 def brute_force_random_code(problem, M):
@@ -101,6 +100,24 @@ def test_exact_nonincreasing_in_m(rng):
         p = make_random_problem(rng)
         vals = [exact_expected_distortion(p, M).exact_distortion for M in range(1, 12)]
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=problems())
+def test_exact_tends_to_dtilde_zero_at_large_m(problem):
+    # on [0, w1] dtilde is flat at dtilde(0), and elsewhere at most dtilde(1);
+    # the second-smallest of M uniforms exceeds w1 with probability
+    # (1 - w1)^(M-1) ((M-1) w1 + 1)
+    w1 = float(build_dtilde1(problem).breakpoints[1])
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    values = []
+    for M in (2, 3, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18):
+        tail = math.exp((M - 1) * math.log1p(-w1)) if w1 < 1.0 else 0.0
+        e = exact_expected_distortion(problem, M).exact_distortion
+        assert lo - 1e-12 <= e <= lo + (hi - lo) * tail * ((M - 1) * w1 + 1) + 1e-12, M
+        values.append(e)
+    # rounding can lift E(M) by an ulp where it has reached dtilde(0)
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
 
 
 def test_exact_dominates_converse_value(rng):

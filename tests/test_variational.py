@@ -17,9 +17,9 @@ from oneshotrd import (
     np_beta,
     sup_form_value,
     test_channel as packing_channel,
-    validate_channel,
     witness_qx,
 )
+from oracles import validate_channel
 
 
 def feasible_channel(rng, problem, rate):
