@@ -164,7 +164,8 @@ def _cmd_converse(args) -> int:
     else:
         report = BoundReport("dhat-sandwich")
         report.add("dhat_lower", bounds.lower, "k-median LP dual bound")
-        report.add("dhat_upper", bounds.upper, "achievability over the slack grid")
+        report.add("dhat_upper", bounds.upper, "k-median LP floor (no slack below the rate)"
+                   if bounds.slack is None else "achievability over the slack grid")
         report.emit(args.json)
     return 0
 
@@ -229,7 +230,7 @@ def _cmd_excess(args) -> int:
         return 0
     ep = excess_problem(problem, args.dth)
     deltas = np.linspace(0.0, dtilde(ep, 1.0), args.delta_grid)
-    rows = [(dl, rtilde(ep, dl)) for dl in deltas.tolist()]
+    rows = zip(deltas.tolist(), rtilde(ep, deltas).tolist())
     _write_csv(rows, ["delta", "excess_rate"], args.out)
     return 0
 

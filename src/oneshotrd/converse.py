@@ -39,6 +39,7 @@ class SandwichBounds(NamedTuple):
     lower: float
     upper: float
     q_star: np.ndarray
+    slack: float | None  # the rate - lam that gave upper; None at the floor
 
 
 class ProductPriorReport(NamedTuple):
@@ -194,24 +195,31 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     """Certified lower bound vs the matching achievability upper bound.
 
     lower = optimize_prior(rate).dual_bound, with q_star its prior;
-    upper = min over lam = rate - t, t in SANDWICH_SLACKS, of
+    upper = min over lam = rate - s, s in SANDWICH_SLACKS, of
             optimize_prior(rate - lam).value + d_max * f(lam).
-    Where every rate - t rounds back to rate (about 1e16 and above), the LP
-    is clamped at the floor sum_x p_x min_y d_xy, and upper is its value.
+    Each LP depends on its rate only through _lp_size's t, so each distinct
+    t is solved once. Where every rate - s rounds back to rate (about 1e16
+    and above), the LP is clamped at the floor sum_x p_x min_y d_xy, upper
+    is its value and slack is None.
     """
     at_rate = optimize_prior(problem, rate)
-    lower = at_rate.dual_bound
-    lam_grid = [lam for lam in (rate - t for t in SANDWICH_SLACKS) if lam < rate]
-    upper = math.inf if lam_grid else at_rate.value
-    for lam in lam_grid:
-        cand = (optimize_prior(problem, rate - lam).value
-                + problem.d_max * f_of(lam))
-        upper = min(upper, cand)
-    if lower > upper + SANDWICH_TOL:
+    solved = {_lp_size(problem, rate): at_rate}
+    upper, slack = at_rate.value, None
+    for s in SANDWICH_SLACKS:
+        lam = rate - s
+        if not lam < rate:
+            continue
+        t = _lp_size(problem, rate - lam)
+        if t not in solved:
+            solved[t] = optimize_prior(problem, rate - lam)
+        cand = solved[t].value + problem.d_max * f_of(lam)
+        if slack is None or cand < upper:
+            upper, slack = cand, s
+    if at_rate.dual_bound > upper + SANDWICH_TOL:
         raise EqualityCheckError(
-            f"sandwich violated: lower={lower!r} > upper={upper!r}"
+            f"sandwich violated: lower={at_rate.dual_bound!r} > upper={upper!r}"
         )
-    return SandwichBounds(lower, upper, at_rate.q_star)
+    return SandwichBounds(at_rate.dual_bound, upper, at_rate.q_star, slack)
 
 
 # product_prior_experiment: multiplicative-weights steps per start, random

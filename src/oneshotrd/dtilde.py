@@ -15,12 +15,11 @@ expected minimum distortion over the prior support.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Channel, Problem
+from .model import Channel, Problem, _like
 from .pairwise import accept_probability, profile
 
 BREAKPOINT_MERGE_TOL = 1e-14
@@ -31,19 +30,20 @@ class PiecewiseLinear:
     """Continuous piecewise-linear function on [0, 1].
 
     value(w) = intercepts[i] + slopes[i] * w on the i-th segment
-    [breakpoints[i], breakpoints[i+1]].
+    [breakpoints[i], breakpoints[i+1]]. right_values[i] is value(w) / w at
+    the segment's right end, -inf on the segments of slope slopes[0] and
+    kept nondecreasing by a running maximum, so that searchsorted finds the
+    first rising segment that reaches a given level.
     """
 
     breakpoints: np.ndarray
     intercepts: np.ndarray
     slopes: np.ndarray
-
-    def segment_index(self, w) -> np.ndarray:
-        i = np.searchsorted(self.breakpoints, w, side="right") - 1
-        return np.clip(i, 0, self.slopes.size - 1)
+    right_values: np.ndarray
 
     def value(self, w):
-        i = self.segment_index(w)
+        i = np.clip(np.searchsorted(self.breakpoints, w, side="right") - 1,
+                    0, self.slopes.size - 1)
         return self.intercepts[i] + self.slopes[i] * np.asarray(w, dtype=float)
 
 
@@ -73,9 +73,14 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
 
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
     intercepts = values[:-1] - slopes * bp[:-1]
-    for a in (bp, intercepts, slopes):
+    # slopes are exact sums of levels and never decrease, so the flat
+    # segments are a prefix; rounding may still lift one of their right-end
+    # values above dtilde(0), hence the mask by slope
+    rvals = (intercepts + slopes * bp[1:]) / bp[1:]
+    right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
+    for a in (bp, intercepts, slopes, right_values):
         a.setflags(write=False)
-    problem._dtilde1 = PiecewiseLinear(bp, intercepts, slopes)
+    problem._dtilde1 = PiecewiseLinear(bp, intercepts, slopes, right_values)
     return problem._dtilde1
 
 
@@ -100,40 +105,38 @@ def dtilde(problem: Problem, w: float) -> float:
     return float(pw.value(w)) / w
 
 
-def dtilde_inverse(problem: Problem, z: float) -> float:
-    """Smallest w with dtilde(w) >= z.
+def dtilde_inverse(problem: Problem, z):
+    """Smallest w with dtilde(w) >= z, for a scalar or elementwise for an array.
 
     z must lie in the closed range [dtilde(0), dtilde(1)]. dtilde is flat
     at dtilde(0) up to its first kink and strictly increasing after it, so
-    z <= dtilde(0) returns 0 and every larger z a positive w.
+    z <= dtilde(0) gives 0 and every larger z a positive w.
     """
     pw = build_dtilde1(problem)
-    lo, hi = float(pw.slopes[0]), float(pw.value(1.0))
-    if z < lo - 1e-12 or z > hi + 1e-12:
-        raise ValueError(f"z={z} outside the achievable range [{lo}, {hi}]")
-    z = min(max(z, lo), hi)
-    if z <= lo:
-        return 0.0
-    right = pw.breakpoints[1:]
-    rvals = (pw.intercepts + pw.slopes * right) / right
-    # dtilde is dtilde(0) < z on every segment of slope dtilde(0), even
-    # where rounding lifts the right-end value above z; slopes are exact
-    # sums of levels and never decrease, so only the later segments count
-    i = int(np.argmax((rvals >= z) & (pw.slopes > lo)))
-    c, s = pw.intercepts[i], pw.slopes[i]
+    lo, hi = float(pw.slopes[0]), float(pw.intercepts[-1] + pw.slopes[-1])
+    zs = np.array(z, dtype=float, ndmin=1)
+    bad = ~((lo - 1e-12 <= zs) & (zs <= hi + 1e-12))
+    if bad.any():
+        raise ValueError(f"z={zs[bad][0]} outside the achievable range [{lo}, {hi}]")
+    zs = np.minimum(np.maximum(zs, lo), hi)
+    i = np.minimum(np.searchsorted(pw.right_values, zs), pw.slopes.size - 1)
+    left, right, s = pw.breakpoints[i], pw.breakpoints[i + 1], pw.slopes[i]
     # solve c / w + s = z; where rounding leaves z >= s, dtilde reaches z
     # only at the right end of the segment
-    w = c / (z - s) if z < s else right[i]
-    return float(min(max(w, pw.breakpoints[i]), right[i]))
+    w = np.divide(pw.intercepts[i], zs - s, out=right.copy(), where=zs < s)
+    return _like(np.where(zs <= lo, 0.0, np.minimum(np.maximum(w, left), right)), z)
 
 
-def rtilde(problem: Problem, z: float) -> float:
+def rtilde(problem: Problem, z):
     """Rate needed for distortion level z under this prior: -log of the inverse.
 
-    At or below dtilde(0) no finite rate reaches z, and the result is +inf.
+    Takes a scalar or an array. At or below dtilde(0) no finite rate reaches
+    z, and the result is +inf.
     """
-    w = dtilde_inverse(problem, max(z, float(build_dtilde1(problem).slopes[0])))
-    return max(0.0, -math.log(w)) if w > 0.0 else math.inf
+    zs = np.maximum(np.array(z, dtype=float, ndmin=1), build_dtilde1(problem).slopes[0])
+    w = dtilde_inverse(problem, zs)
+    with np.errstate(divide="ignore"):
+        return _like(np.where(w < 1.0, -np.log(w), 0.0), z)
 
 
 def test_channel(problem: Problem, w: float) -> Channel:

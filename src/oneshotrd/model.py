@@ -37,6 +37,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _like(values: np.ndarray, x):
+    """values, computed from x, as a float where x was a scalar."""
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
 @dataclass(eq=False)
 class Problem:
     """Finite instance: source p_x, reproduction prior q_y, distortion d.

@@ -110,8 +110,9 @@ def test_nan_rate_exits_one(binary_path, capsys):
         assert "error: rate must be nonnegative, got nan" in capsys.readouterr().err
 
 
-def test_converse_rate_solves_seven_lps(rng, tmp_path, monkeypatch, capsys):
-    # one LP at the rate, one per default slack; the CSV prior reuses the first
+def test_converse_rate_solves_each_distinct_lp_once(rng, tmp_path, monkeypatch, capsys):
+    # at rate 1 on 4x4 the slacks give LP sizes e^0.25, e^0.5, e (the rate's
+    # own LP) and three times the clamp t = 4; the CSV prior reuses the first
     path = tmp_path / "rand.json"
     save_problem(make_random_problem(rng, nx=4, ny=4), path)
     calls = []
@@ -123,8 +124,17 @@ def test_converse_rate_solves_seven_lps(rng, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(converse_mod, "linprog", counting)
     assert run(["converse", "--problem", str(path), "--rate", "1", "--csv"]) == 0
-    assert len(calls) == 7
+    assert len(calls) == 4
     capsys.readouterr()
+
+
+def test_converse_labels_the_floor_where_no_slack_runs(binary_path, capsys):
+    assert run(["converse", "--problem", binary_path, "--rate", "inf"]) == 0
+    out = capsys.readouterr().out
+    assert "dhat_upper = 0  [k-median LP floor (no slack below the rate)]" in out
+    assert "slack grid" not in out
+    assert run(["converse", "--problem", binary_path, "--rate", "0.5"]) == 0
+    assert "  [achievability over the slack grid]" in capsys.readouterr().out
 
 
 def test_excess_subcommands(binary_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oneshotrd.converse as converse_mod
 from conftest import dense_prior_lp, make_random_problem, nonbreakpoint_w, simplex_grid
 from oneshotrd import (
     Code,
@@ -17,11 +18,12 @@ from oneshotrd import (
     dtilde_for_prior,
     dtilde_subgradient,
     exact_expected_distortion,
+    f_of,
     optimal_encoder,
     optimize_prior,
     test_channel as packing_channel,
 )
-from oneshotrd.converse import _dual_bound, _lp_size
+from oneshotrd.converse import SANDWICH_SLACKS, _dual_bound, _lp_size
 
 
 def random_code(rng, problem, max_m=6):
@@ -194,8 +196,30 @@ def test_dhat_sandwich_is_the_floor_where_every_slack_rounds_away(rng):
     assert res.value == pytest.approx(floor, abs=1e-12) and floor >= 0.5
     for rate in (1e17, math.inf):
         bounds = dhat_sandwich(p, rate)
-        assert bounds.upper == res.value
+        assert bounds.upper == res.value and bounds.slack is None
         assert bounds.lower == pytest.approx(res.value, abs=1e-12)
+
+
+def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
+    calls = []
+    real = converse_mod.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(converse_mod, "linprog", counting)
+    for rate in (0.0, 0.25, 0.5, 1.0, 1.5, 2.3, 3.0, 5.0):
+        p = make_random_problem(rng)
+        calls.clear()
+        bounds = dhat_sandwich(p, rate)
+        sizes = {_lp_size(p, rate)} | {_lp_size(p, rate - (rate - s)) for s in SANDWICH_SLACKS}
+        assert len(calls) == len(sizes)
+        # the bounds of one LP per slack, as solved before the dedup
+        cands = {s: optimize_prior(p, rate - (rate - s)).value + p.d_max * f_of(rate - s)
+                 for s in SANDWICH_SLACKS}
+        assert bounds.upper == min(cands.values()) == cands[bounds.slack]
+        assert bounds.lower == optimize_prior(p, rate).dual_bound
 
 
 def test_converse_dominance_exhaustive(rng):

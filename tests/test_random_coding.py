@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import make_random_problem, problems
@@ -13,11 +14,13 @@ from oneshotrd import (
     achievability_bound,
     code_distortion,
     dtilde,
+    dtilde_inverse,
     exact_expected_distortion,
     f_inverse,
     f_of,
     g_of,
     rate_for_distortion,
+    rtilde,
 )
 from oneshotrd.dtilde import build_dtilde1
 from oneshotrd.random_coding import _segment_integral
@@ -161,6 +164,44 @@ def test_f_inverse_rejects_out_of_range():
         f_inverse(0.0)
     with pytest.raises(ValueError):
         f_inverse(1.0)
+    with pytest.raises(ValueError, match="nan"):
+        f_inverse(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        f_inverse(np.array([0.5, math.nan]))
+
+
+def test_f_inverse_round_trips_at_the_extremes():
+    for x in (1e-300, 1.0 - 1e-15):
+        assert abs(f_of(f_inverse(x)) - x) <= 1e-12
+    assert f_of(f_inverse(1e-300)) == pytest.approx(1e-300, rel=1e-12)
+
+
+def _same_bits(array, scalars):
+    return np.asarray(array).tobytes() == np.array(scalars, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_array_calls_match_scalar_calls_bit_for_bit(problem, data):
+    pw = build_dtilde1(problem)
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    zs = np.concatenate([pw.value(pw.breakpoints[1:]) / pw.breakpoints[1:],
+                         [lo, math.nextafter(lo, math.inf), hi], lo + u * (hi - lo)])
+    zs = zs[(lo <= zs) & (zs <= hi)]
+    assert _same_bits(dtilde_inverse(problem, zs), [dtilde_inverse(problem, z) for z in zs.tolist()])
+    below = np.concatenate([zs, lo - u])
+    assert _same_bits(rtilde(problem, below), [rtilde(problem, z) for z in below.tolist()])
+    assert all(type(f(problem, lo)) is float for f in (dtilde_inverse, rtilde))
+    # the splits (d_req - z) / (hi - z) that rate_for_distortion hands to
+    # f_inverse, the drawn points and the far ends
+    d_req = lo + u[0] * (hi - lo)
+    inner = zs[zs < d_req]
+    ys = np.concatenate([(d_req - inner) / (hi - inner), u,
+                         [5e-324, 1e-300, math.nextafter(1.0, 0.0)]])
+    ys = ys[(0.0 < ys) & (ys < 1.0)]
+    assert _same_bits(f_inverse(ys), [f_inverse(y) for y in ys.tolist()])
+    assert type(f_inverse(0.5)) is float
 
 
 def test_g_of_values():
@@ -245,6 +286,24 @@ def test_rate_for_distortion_f_below_g(rng):
         d_req = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.05 * (hi - lo)))
         res = rate_for_distortion(p, d_req)
         assert res.rate <= res.rate_g + 1e-9
+
+
+def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(rng):
+    checked = 0
+    while checked < 6:
+        p = make_random_problem(rng)  # ties and zero masses included
+        lo, hi = dtilde(p, 0.0), dtilde(p, 1.0)
+        if hi - lo < 1e-3:
+            continue
+        checked += 1
+        d_req = float(lo + rng.uniform(0.02, 0.98) * (hi - lo))
+        res = rate_for_distortion(p, d_req)
+        scan = min(rtilde(p, z) + f_inverse((d_req - z) / (hi - z))
+                   for z in np.linspace(lo, d_req, 4002)[1:-1].tolist())
+        assert res.rate <= max(scan, 0.0) + 1e-12
+        assert res.rate <= res.rate_g + 1e-12
+        m = int(math.exp(res.rate)) + 1
+        assert exact_expected_distortion(p, m).exact_distortion <= d_req + 1e-9
 
 
 def test_min_uniform_pdf_cdf():
