@@ -128,7 +128,7 @@ def _cmd_achieve(args) -> int:
         res = rate_for_distortion(problem, args.dreq)
         report.add("rate", res.rate, "exact f-inverse minimization")
         report.add("rate_g", res.rate_g, "closed-form g relaxation")
-        report.add("z", res.z, "argmin distortion split")
+        report.add("z", res.z, "one minimizing distortion split, fixed to about 1e-4")
     else:
         if args.rate is None or args.slack is None:
             raise ValueError("provide either --dreq or both --rate and --slack")

@@ -22,6 +22,13 @@ import numpy as np
 from .model import Channel, Problem, _like
 from .pairwise import accept_probability, profile
 
+# Breakpoints closer than this are one breakpoint. Each row's profile adds
+# the prior masses in its own order, so cumulative sums that are equal in
+# exact arithmetic can differ by rounding, up to about ny * 2^-53; merging
+# them drops segments of rounding width. It bounds arithmetic error, not the
+# input: PROB_ATOL (model.py) is how far an input simplex may sum from 1,
+# and at that width real breakpoints of letters with mass below 1e-12 would
+# merge, so neither tolerance can be derived from the other.
 BREAKPOINT_MERGE_TOL = 1e-14
 
 

@@ -15,7 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-PROB_ATOL = 1e-12    # simplex sum tolerance enforced by validate()
+# How far validate() lets p_x and q_y sum from 1: a tolerance on the input,
+# which accepts vectors written to about a dozen decimals. The arithmetic
+# tolerance BREAKPOINT_MERGE_TOL (dtilde.py), which merges cumulative sums
+# that differ by rounding alone, is narrower and is a separate quantity.
+PROB_ATOL = 1e-12
 RESCALE_ATOL = 1e-9  # load_problem rescales sums within this, rejects beyond
 
 

@@ -4,8 +4,10 @@ The library computes each quantity by one route (closed-form segment
 integrals, the piecewise-linear functional, the k-median LP). The routes
 here only cross-check it: the order-statistic kernel G_M and the law of the
 minimum of M uniforms, the CDF and quantile levels of the pairwise-correct
-variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, and
-a row-sum check for channels.
+variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
+row-sum check for channels, and the random-code simulator's plain kernel:
+a search of the prior's CDF for every draw and a gather of d over every
+codeword, then a min.
 
 The samplers draw from the library's own Philox streams and blocks (streams
 1 and 2; the random-code simulator uses stream 0), so they are seeded
@@ -23,7 +25,9 @@ from scipy import stats
 
 from oneshotrd import Channel, InvariantViolation, Problem, profile
 from oneshotrd.model import PROB_ATOL
-from oneshotrd.montecarlo import CHUNK, _blocks, _inverse_cdf, _stride, _trial_uniforms
+from oneshotrd.montecarlo import (
+    CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
+)
 from oneshotrd.pairwise import _level_masses
 from oneshotrd.random_coding import _survival_pow
 
@@ -140,10 +144,31 @@ def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KS
     if trials < 1:
         raise ValueError("trials must be at least 1")
     below, tie = _level_masses(problem, x)
-    cum_q = np.cumsum(problem.q_y)
     pc = np.empty(trials)
+    draw = _inverse_cdf(problem.q_y)
     for t0, t1 in _blocks(trials, _stride(2), CHUNK):
         u = _trial_uniforms(seed, 2, 2, t0, t1)
-        y = _inverse_cdf(cum_q, u[:, 0])
+        y = draw(u[:, 0])
         pc[t0:t1] = below[y] + u[:, 1] * tie[y]
     return _ks_summary(pc, "uniform", seed)
+
+
+def inverse_cdf(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The prior's inverse CDF by a search of cum_q for every draw, clamped
+    to the last letter with positive mass."""
+    cum_q = np.cumsum(q)
+    return np.minimum(np.searchsorted(cum_q, u, side="right"),
+                      np.flatnonzero(q)[-1])
+
+
+def simulate_gather_min(problem: Problem, M: int, trials: int, seed: int,
+                        chunk: int = CHUNK) -> MCEstimate:
+    """simulate_random_code by a search per draw and the (nx, B, M) gather of
+    d over the codewords, then a min: same streams, blocks and sums."""
+    values = np.empty(trials)
+    for t0, t1 in _blocks(trials, problem.x_size * M, chunk):
+        codes = inverse_cdf(problem.q_y, _trial_uniforms(seed, 0, M, t0, t1))
+        best = problem.d[:, codes].min(axis=2)
+        values[t0:t1] = np.sum(problem.p_x[:, None] * best, axis=0)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MCEstimate(float(np.mean(values)), stderr, trials, seed)

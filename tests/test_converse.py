@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oneshotrd.converse as converse_mod
-from conftest import dense_prior_lp, make_random_problem, nonbreakpoint_w, simplex_grid
+from conftest import (
+    dense_prior_lp, make_random_problem, nonbreakpoint_w, problems, simplex_grid,
+)
 from oneshotrd import (
     Code,
     Problem,
@@ -23,7 +25,7 @@ from oneshotrd import (
     optimize_prior,
     test_channel as packing_channel,
 )
-from oneshotrd.converse import SANDWICH_SLACKS, _dual_bound, _lp_size
+from oneshotrd.converse import EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size
 
 
 def random_code(rng, problem, max_m=6):
@@ -108,6 +110,19 @@ def test_converse_equality_random_stress(rng):
         res = converse_equality_check(p, random_code(rng, p))
         assert res.gap <= 1e-10
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_converse_equality_with_repeated_codewords(problem, data):
+    # M from 1 to 6; every code with M >= 2 repeats its first codeword
+    letter = st.integers(0, problem.y_size - 1)
+    first = data.draw(letter)
+    rest = data.draw(st.lists(letter, max_size=5))
+    if rest:
+        rest[data.draw(st.integers(0, len(rest) - 1))] = first
+    res = converse_equality_check(problem, Code((first, *rest)))
+    assert res.gap <= EQUALITY_TOL
 
 def test_subgradient_matches_finite_differences(rng):
     checked = 0

@@ -2,16 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneshotrd.montecarlo as montecarlo_mod
-from conftest import make_random_problem
+from conftest import make_random_problem, problems
 from oneshotrd import (
     Problem,
     exact_expected_distortion,
     simulate_random_code,
 )
-from oneshotrd.montecarlo import _uniform_block
-from oracles import sample_min_uniform, sample_pc_uniformity
+from oneshotrd.montecarlo import _BINS, _inverse_cdf, _uniform_block
+from oracles import (
+    inverse_cdf,
+    sample_min_uniform,
+    sample_pc_uniformity,
+    simulate_gather_min,
+)
 
 
 def test_uniform_block_counter_semantics():
@@ -54,6 +61,23 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
     monkeypatch.undo()
     assert simulate_random_code(p, 256, 4096, seed=3).mean == means[1]
+
+
+def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
+    # M >= ny takes the presence-mask path; its (block, nx, ny) mask holds
+    # at most BUDGET bytes, and the blocks hold 2^16 / (4 * 256) = 64 trials
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    rng = np.random.default_rng(6)
+    p = Problem(np.full(4, 0.25), rng.dirichlet(np.ones(64)),
+                rng.integers(0, 5, (4, 64)).astype(float))
+    peaks = []
+    for trials in (256, 4096):
+        tracemalloc.start()
+        simulate_random_code(p, 256, trials, seed=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
 
 
 def test_min_uniform_memory_does_not_grow_with_m(monkeypatch):
@@ -138,3 +162,67 @@ def test_oracle_agreement_panel():
         if abs(mc.mean - exact) <= 3 * mc.stderr:
             hits += 1
     assert hits >= 19
+
+
+def test_inverse_cdf_never_draws_a_zero_mass_letter():
+    # cum_q[-1] rounds to 1 - 2^-53, the largest double below 1, so a draw
+    # there is not below any cumulative sum; it must land on letter 2, the
+    # last one with mass, not on letter 3
+    q = np.array([0.7, 0.2, 0.1, 0.0])
+    u = np.array([np.nextafter(1.0, 0.0), 0.95])
+    assert np.cumsum(q)[-1] == u[0]
+    np.testing.assert_array_equal(_inverse_cdf(q)(u), [2, 2])
+    np.testing.assert_array_equal(inverse_cdf(q, u), [2, 2])
+
+
+@st.composite
+def dyadic_priors(draw, n):
+    """Priors in multiples of 1/2^j, j <= 7, so that every cumulative sum
+    is exact and falls on an edge of the inverse-CDF table's bins."""
+    w = np.array(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n)))
+    total = 1 << max(int(w.sum()) - 1, 0).bit_length()
+    w[draw(st.integers(0, n - 1))] += total - w.sum()
+    return w / total
+
+
+def _edge_draws(q):
+    """Each bin edge and cumulative sum, the doubles on either side, and 1^-."""
+    points = np.concatenate([np.arange(_BINS) / _BINS, np.cumsum(q), [1.0]])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _same_bits(a, b):
+    return (a.mean.hex(), a.stderr.hex()) == (b.mean.hex(), b.stderr.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_simulate_matches_the_gather_and_min_kernel_bit_for_bit(problem, data):
+    ny = problem.y_size
+    dyadic = Problem(problem.p_x, data.draw(dyadic_priors(ny)), problem.d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    chunk = data.draw(st.integers(1, 64))
+    for p in (problem, dyadic):
+        u = np.concatenate([_edge_draws(p.q_y), rng.random(1000)])
+        np.testing.assert_array_equal(_inverse_cdf(p.q_y)(u), inverse_cdf(p.q_y, u))
+        for m in {max(ny - 1, 1), ny, ny + 1}:
+            got = simulate_random_code(p, m, 150, seed)
+            assert _same_bits(got, simulate_gather_min(p, m, 150, seed))
+            assert _same_bits(got, simulate_random_code(p, m, 150, seed, chunk=chunk))
+
+
+def test_simulate_matches_the_gather_and_min_kernel_on_wide_sources():
+    # numpy sums a row of more than 8 letters pairwise, so the order of the
+    # sum over the source depends on the layout; with one trial per call
+    # the mean is that trial's value itself
+    rng = np.random.default_rng(9)
+    for nx, ny in ((9, 4), (40, 30), (70, 12)):
+        p = make_random_problem(rng, nx=nx, ny=ny)
+        for m in (ny - 1, ny, ny + 1):
+            for seed in range(10):
+                assert _same_bits(simulate_random_code(p, m, 1, seed),
+                                  simulate_gather_min(p, m, 1, seed))
+            assert _same_bits(simulate_random_code(p, m, 500, 0),
+                              simulate_gather_min(p, m, 500, 0))
