@@ -148,11 +148,17 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
 
     The minimum is the k-median LP relaxation at t = e^rate (repeated
     centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
-    sum_y r_y = t and z_xy <= r_y, solved by HiGHS with sparse
-    constraints; q_star = r / t. For t >= y_size the minimum is the floor
+    sum_y r_y = t and z_xy <= r_y; q_star = r / t. HiGHS solves it over
+    the distinct levels of each row of d instead of its letters: one
+    z_xk <= sum_{y at level k} r_y per (x, level). The two LPs have the
+    same optimum, since the letters of a level share the cost p_x d_xk,
+    so z_xk is the sum of their z_xy, and any z_xk splits back as
+    z_xy = z_xk r_y / sum_{y at level k} r_y. Each level is numbered by
+    its smallest row-major (x, y), so a d without ties gives the per-letter
+    LP column for column. For t >= y_size the minimum is the floor
     sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
-    recomputed in numpy from the equality duals alpha, without trusting
-    the solver's objective.
+    recomputed in numpy from the equality duals alpha against the full
+    p_x d matrix, without trusting the solver's objective.
     """
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
@@ -160,26 +166,43 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     nx, ny = problem.x_size, problem.y_size
     nz = nx * ny
     k = np.arange(nz)
-    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel(), np.zeros(ny)])
-    # rows 0..nx-1: sum_y z_xy = 1; row nx: sum_y r_y = t
+    # (x, y) in each row's ascending order; a level starts at each row's
+    # first letter and wherever the sorted row rises
+    ranked = (np.arange(nx)[:, None] * ny + problem.row_order).ravel()
+    d_ranked = np.take_along_axis(problem.d, problem.row_order, axis=1)
+    rise = np.ones((nx, ny), dtype=bool)
+    rise[:, 1:] = d_ranked[:, 1:] != d_ranked[:, :-1]
+    rise = rise.ravel()
+    # the stable row order lists a level's letters by y, so its first entry
+    # is its smallest (x, y); levels are numbered in that order
+    heads = ranked[rise]
+    by_head = np.argsort(heads)
+    level = np.empty(nz, dtype=np.intp)
+    level[ranked] = np.argsort(by_head)[np.cumsum(rise) - 1]
+    heads = heads[by_head]
+    g = heads.size
+    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel()[heads],
+                           np.zeros(ny)])
+    # rows 0..nx-1: sum_k z_xk = 1; row nx: sum_y r_y = t
     a_eq = sparse.csr_array(
-        (np.ones(nz + ny),
-         (np.concatenate([k // ny, np.full(ny, nx)]), np.arange(nz + ny))),
-        shape=(nx + 1, nz + ny))
-    # row (x, y): z_xy - r_y <= 0
+        (np.ones(g + ny),
+         (np.concatenate([heads // ny, np.full(ny, nx)]), np.arange(g + ny))),
+        shape=(nx + 1, g + ny))
+    # row (x, level k): z_xk - sum_{y at level k} r_y <= 0
     a_ub = sparse.csr_array(
-        (np.concatenate([np.ones(nz), -np.ones(nz)]),
-         (np.concatenate([k, k]), np.concatenate([k, nz + k % ny]))),
-        shape=(nz, nz + ny))
+        (np.concatenate([np.ones(g), -np.ones(nz)]),
+         (np.concatenate([np.arange(g), level]),
+          np.concatenate([np.arange(g), g + k % ny]))),
+        shape=(g, g + ny))
     # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
     # go unoptimized; 1e-10 is the tightest it accepts
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nz), A_eq=a_eq,
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(g), A_eq=a_eq,
                   b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"k-median LP failed: {res.message}")
-    q = np.clip(res.x[nz:], 0.0, None)
+    q = np.clip(res.x[g:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
     bound = _dual_bound(problem, t, res.eqlin.marginals[:nx])
@@ -224,7 +247,7 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
 
 # product_prior_experiment: multiplicative-weights steps per start, random
 # starts besides the uniform one, and the most channel entries
-# x_size**n * y_size**n (a 4x4 base at n = 4, which takes about 10 s)
+# x_size**n * y_size**n (a 4x4 base at n = 4, which takes about 8 s)
 PRODUCT_ITERATIONS = 300
 PRODUCT_RANDOM_STARTS = 4
 PRODUCT_MAX_ENTRIES = 1 << 16

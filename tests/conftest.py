@@ -33,23 +33,33 @@ def make_random_problem(rng, nx=None, ny=None, tie_prob=0.5, zero_mass_prob=0.3,
     return Problem(p_x, q_y, d)
 
 
+def _draw_simplex(draw, n):
+    """A probability vector of n entries, zero entries included."""
+    v = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n)))
+    assume(v.sum() > 1e-3)
+    return v / v.sum()
+
+
 @st.composite
 def problems(draw):
     """1x1 to 5x5 instances, 1xn and nx1 included, with zero masses and
     distortions on a coarse grid half the time, so levels tie."""
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-
-    def vec(n):
-        v = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
-                                   min_size=n, max_size=n)))
-        assume(v.sum() > 1e-3)
-        return v / v.sum()
-
-    p, q = vec(nx), vec(ny)
+    p, q = _draw_simplex(draw, nx), _draw_simplex(draw, ny)
     entry = (st.sampled_from([0.0, 0.5, 1.0, 2.0]) if draw(st.booleans())
              else st.floats(0.0, 4.0))
     d = draw(st.lists(entry, min_size=nx * ny, max_size=nx * ny))
     return Problem(p, q, np.reshape(d, (nx, ny)))
+
+
+@st.composite
+def quarter_problems(draw):
+    """1x1 to 8x8 instances with d on the quarters 0..2, so most rows tie."""
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    p, q = _draw_simplex(draw, nx), _draw_simplex(draw, ny)
+    d = draw(st.lists(st.integers(0, 8), min_size=nx * ny, max_size=nx * ny))
+    return Problem(p, q, np.reshape(d, (nx, ny)) / 4.0)
 
 
 def nonbreakpoint_w(problem, rng, lo=0.02, hi=0.999, margin=1e-6):

@@ -5,9 +5,10 @@ integrals, the piecewise-linear functional, the k-median LP). The routes
 here only cross-check it: the order-statistic kernel G_M and the law of the
 minimum of M uniforms, the CDF and quantile levels of the pairwise-correct
 variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
-row-sum check for channels, and the random-code simulator's plain kernel:
+row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
-codeword, then a min.
+codeword, then a min, and the prior LP with one variable per (x, y) pair
+rather than per distinct distortion level.
 
 The samplers draw from the library's own Philox streams and blocks (streams
 1 and 2; the random-code simulator uses stream 0), so they are seeded
@@ -21,10 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
+from scipy.optimize import linprog
 
 from oneshotrd import Channel, InvariantViolation, Problem, profile
-from oneshotrd.model import PROB_ATOL
+from oneshotrd.converse import PriorOptResult, _dual_bound, _lp_size
+from oneshotrd.dtilde import dtilde_for_prior
+from oneshotrd.model import PROB_ATOL, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
 )
@@ -172,3 +176,51 @@ def simulate_gather_min(problem: Problem, M: int, trials: int, seed: int,
         values[t0:t1] = np.sum(problem.p_x[:, None] * best, axis=0)
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MCEstimate(float(np.mean(values)), stderr, trials, seed)
+
+
+def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
+    """optimize_prior by the k-median LP over every (x, y) pair.
+
+    The minimum is the k-median LP relaxation at t = e^rate (repeated
+    centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
+    sum_y r_y = t and z_xy <= r_y, solved by HiGHS with sparse
+    constraints; q_star = r / t. For t >= y_size the minimum is the floor
+    sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
+    recomputed in numpy from the equality duals alpha, without trusting
+    the solver's objective.
+    """
+    if not rate >= 0:
+        raise ValueError(f"rate must be nonnegative, got {rate}")
+    t = _lp_size(problem, rate)
+    nx, ny = problem.x_size, problem.y_size
+    nz = nx * ny
+    k = np.arange(nz)
+    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel(), np.zeros(ny)])
+    # rows 0..nx-1: sum_y z_xy = 1; row nx: sum_y r_y = t
+    a_eq = sparse.csr_array(
+        (np.ones(nz + ny),
+         (np.concatenate([k // ny, np.full(ny, nx)]), np.arange(nz + ny))),
+        shape=(nx + 1, nz + ny))
+    # row (x, y): z_xy - r_y <= 0
+    a_ub = sparse.csr_array(
+        (np.concatenate([np.ones(nz), -np.ones(nz)]),
+         (np.concatenate([k, k]), np.concatenate([k, nz + k % ny]))),
+        shape=(nz, nz + ny))
+    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
+    # go unoptimized; 1e-10 is the tightest it accepts
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nz), A_eq=a_eq,
+                  b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"k-median LP failed: {res.message}")
+    q = np.clip(res.x[nz:], 0.0, None)
+    q = q / q.sum()
+    value = dtilde_for_prior(problem, 1.0 / t, q)
+    bound = _dual_bound(problem, t, res.eqlin.marginals[:nx])
+    return PriorOptResult(
+        q_star=_readonly(q),
+        value=value,
+        dual_bound=bound,
+        certificate_gap=value - bound,
+    )

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oneshotrd.converse as converse_mod
 from conftest import (
-    dense_prior_lp, make_random_problem, nonbreakpoint_w, problems, simplex_grid,
+    dense_prior_lp, make_random_problem, nonbreakpoint_w, problems, quarter_problems,
+    simplex_grid,
 )
 from oneshotrd import (
     Code,
@@ -26,6 +27,7 @@ from oneshotrd import (
     test_channel as packing_channel,
 )
 from oneshotrd.converse import EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size
+from oracles import kmedian_lp_per_letter
 
 
 def random_code(rng, problem, max_m=6):
@@ -235,6 +237,48 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
                  for s in SANDWICH_SLACKS}
         assert bounds.upper == min(cands.values()) == cands[bounds.slack]
         assert bounds.lower == optimize_prior(p, rate).dual_bound
+
+
+def _distinct_levels(problem):
+    return sum(np.unique(row).size for row in problem.d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=problems() | quarter_problems(),
+       rate=st.floats(0.0, 10.0) | st.sampled_from([math.log(m) for m in range(1, 9)]))
+def test_level_lp_matches_the_per_letter_lp(problem, rate):
+    res, ref = optimize_prior(problem, rate), kmedian_lp_per_letter(problem, rate)
+    # HiGHS stops within 1e-10 of a cost, so where costs differ by about
+    # that much either LP may end on a vertex up to its certified gap above
+    # the other's; both certified intervals hold the minimum, so they meet
+    tol = 1e-12 + max(res.certificate_gap, ref.certificate_gap)
+    assert abs(res.value - ref.value) <= tol
+    assert abs(res.dual_bound - ref.dual_bound) <= tol
+    assert res.dual_bound <= res.value + 1e-12
+    assert res.certificate_gap <= 1e-9
+    if _distinct_levels(problem) == problem.d.size:
+        # without ties the two LPs are the same LP, column for column
+        assert res.value == ref.value and res.dual_bound == ref.dual_bound
+        np.testing.assert_array_equal(res.q_star, ref.q_star)
+
+
+def test_level_lp_has_one_column_per_distinct_level(monkeypatch):
+    shapes = []
+    real = converse_mod.linprog
+
+    def recording(c, *args, **kwargs):
+        shapes.append((c.size, kwargs["A_ub"].shape))
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(converse_mod, "linprog", recording)
+    rng = np.random.default_rng(0)
+    p = Problem(rng.dirichlet(np.ones(45)), rng.dirichlet(np.ones(50)),
+                rng.integers(0, 5, (45, 50)).astype(float))
+    res = optimize_prior(p, 1.0)
+    g = _distinct_levels(p)
+    assert shapes == [(g + 50, (g, g + 50))]
+    assert g + 50 <= 275
+    assert res.certificate_gap <= 1e-9
 
 
 def test_converse_dominance_exhaustive(rng):

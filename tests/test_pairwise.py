@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_problem
+from conftest import make_random_problem, problems
 from oneshotrd import (
     InvariantViolation,
     Problem,
@@ -162,6 +164,19 @@ def test_pc_cdf_is_identity(rng, binary_hamming):
         for x in range(p.x_size):
             for w in np.linspace(0.0, 1.0, 101):
                 assert abs(pc_cdf(p, x, float(w)) - w) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), drawn=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_pc_uniformity_through_the_exact_cdf(problem, drawn):
+    # p_c(x, Y, U) is uniform: its CDF is w at every cumulative mass of the
+    # profile, on either side of it and between
+    for x in range(problem.x_size):
+        cum = profile(problem, x).cumulative
+        points = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+                                 drawn])
+        for w in np.clip(points, 0.0, 1.0):
+            assert abs(pc_cdf(problem, x, float(w)) - w) <= 1e-12
 
 
 def test_accept_probability_rows(binary_hamming):
