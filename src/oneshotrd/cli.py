@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -103,8 +104,8 @@ def _cmd_exact(args) -> int:
         bound = res.exact_distortion
         if m > 2:
             rate = math.log(m - 1)
-            bound = min(achievability_bound(problem, rate, lam).value
-                        for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))
+            lams = np.linspace(rate - 4.0, rate - 1e-3, 40)
+            bound = float(np.min(achievability_bound(problem, rate, lams).value))
         rows.append((m, res.exact_distortion, bound, mc.mean, mc.stderr))
     if args.out or args.csv:
         _write_csv(rows, ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"],
@@ -256,6 +257,9 @@ def _cmd_product_prior(args) -> int:
     return 0
 
 
+# built on the first run() and reused: parse_args leaves the parser as it
+# is and returns a fresh namespace, defaults included, on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oneshotrd",

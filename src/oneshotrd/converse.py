@@ -144,7 +144,7 @@ def _dual_bound(problem: Problem, t: float, alpha: np.ndarray) -> float:
 
 
 def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
-    """Minimize prior -> dtilde(exp(-rate), prior) over the simplex exactly.
+    """Minimize prior -> dtilde(exp(-rate), prior) over the simplex.
 
     The minimum is the k-median LP relaxation at t = e^rate (repeated
     centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
@@ -158,7 +158,10 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     LP column for column. For t >= y_size the minimum is the floor
     sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
     recomputed in numpy from the equality duals alpha against the full
-    p_x d matrix, without trusting the solver's objective.
+    p_x d matrix, without trusting the solver's objective. HiGHS stops
+    within its 1e-10 tolerances, so where costs p_x d_xy differ by about
+    1e-10, value can sit up to about 5e-10 above the minimum;
+    certificate_gap reports that distance, and dual_bound stays valid.
     """
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")

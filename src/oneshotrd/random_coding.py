@@ -30,9 +30,9 @@ class RandomCodingResult:
 
 @dataclass(eq=False)
 class AchievabilityBound:
-    value: float        # quantile form of the upper bound
-    dmax_value: float   # looser variant using d_max in place of dtilde(1)
-    w: float            # quantile at which dtilde was split
+    value: float | np.ndarray       # quantile form of the upper bound
+    dmax_value: float | np.ndarray  # looser variant using d_max in place of dtilde(1)
+    w: float | np.ndarray           # quantile at which dtilde was split
 
 
 @dataclass(eq=False)
@@ -122,22 +122,28 @@ def g_of(x):
     return _like(_g_of_log(np.log(xs)), x)
 
 
-def achievability_bound(problem: Problem, rate: float, lam: float) -> AchievabilityBound:
+def achievability_bound(problem: Problem, rate: float, lam) -> AchievabilityBound:
     """Split-quantile upper bound on the random-coding distortion at this rate.
 
     Requires lam < rate. Also reports the looser variant that replaces the
-    full-average term with d_max.
+    full-average term with d_max. lam is a scalar or an array; w and f(lam)
+    come from math.exp and f_of, not np.exp, which can differ by an ulp, so
+    each entry matches the scalar call bit for bit.
     """
-    if lam >= rate:
-        raise ValueError(f"lam must be below the rate, got lam={lam}, rate={rate}")
-    w = math.exp(lam - rate)
-    d_w = dtilde(problem, w)
+    lams = np.array(lam, dtype=float, ndmin=1)
+    bad = ~(lams < rate)
+    if bad.any():
+        raise ValueError(f"lam must be below the rate, got lam={lams[bad][0]}, rate={rate}")
+    w = np.array([math.exp(v - rate) for v in lams.flat]).reshape(lams.shape)
+    f = np.array([f_of(v) for v in lams.flat]).reshape(lams.shape)
+    pw = build_dtilde1(problem)
+    # dtilde at w = 0, where exp(lam - rate) underflows, is its right limit
+    d_w = np.divide(pw.value(w), w, out=np.full(w.shape, pw.slopes[0]), where=w > 0.0)
     d_1 = dtilde(problem, 1.0)
-    f = f_of(lam)
     return AchievabilityBound(
-        value=d_w + (d_1 - d_w) * f,
-        dmax_value=d_w + problem.d_max * f,
-        w=w,
+        value=_like(d_w + (d_1 - d_w) * f, lam),
+        dmax_value=_like(d_w + problem.d_max * f, lam),
+        w=_like(w, lam),
     )
 
 

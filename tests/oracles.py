@@ -7,8 +7,9 @@ minimum of M uniforms, the CDF and quantile levels of the pairwise-correct
 variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
-codeword, then a min, and the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level.
+codeword, then a min, the prior LP with one variable per (x, y) pair
+rather than per distinct distortion level, and exact's split-quantile
+bound as the minimum of 40 scalar achievability_bound calls.
 
 The samplers draw from the library's own Philox streams and blocks (streams
 1 and 2; the random-code simulator uses stream 0), so they are seeded
@@ -25,15 +26,15 @@ import numpy as np
 from scipy import sparse, stats
 from scipy.optimize import linprog
 
-from oneshotrd import Channel, InvariantViolation, Problem, profile
+from oneshotrd import Channel, InvariantViolation, Problem, f_of, profile
 from oneshotrd.converse import PriorOptResult, _dual_bound, _lp_size
-from oneshotrd.dtilde import dtilde_for_prior
+from oneshotrd.dtilde import dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
 )
 from oneshotrd.pairwise import _level_masses
-from oneshotrd.random_coding import _survival_pow
+from oneshotrd.random_coding import AchievabilityBound, _survival_pow
 
 KS_SIGNIFICANCE = 1e-3
 
@@ -224,3 +225,29 @@ def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
         dual_bound=bound,
         certificate_gap=value - bound,
     )
+
+
+def achievability_bound_scalar(problem: Problem, rate: float, lam: float) -> AchievabilityBound:
+    """achievability_bound for one scalar lam, in scalar arithmetic.
+
+    Requires lam < rate. Also reports the looser variant that replaces the
+    full-average term with d_max.
+    """
+    if lam >= rate:
+        raise ValueError(f"lam must be below the rate, got lam={lam}, rate={rate}")
+    w = math.exp(lam - rate)
+    d_w = dtilde(problem, w)
+    d_1 = dtilde(problem, 1.0)
+    f = f_of(lam)
+    return AchievabilityBound(
+        value=d_w + (d_1 - d_w) * f,
+        dmax_value=d_w + problem.d_max * f,
+        w=w,
+    )
+
+
+def exact_split_quantile_bound(problem: Problem, m: int) -> float:
+    """exact's bound[M=m] for m > 2, one scalar achievability_bound call per lam."""
+    rate = math.log(m - 1)
+    return min(achievability_bound_scalar(problem, rate, lam).value
+               for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))

@@ -211,6 +211,66 @@ def test_usage_errors_exit_1(binary_path, capsys):
     assert "--problem" in capsys.readouterr().out
 
 
+def _stdout(capsys, argv):
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_reused(binary_path, capsys):
+    calls = [
+        ["exact", "--problem", binary_path, "--M", "2,3", "--trials", "500", "--json"],
+        ["converse", "--problem", binary_path, "--code", "0,1"],
+        ["achieve", "--problem", binary_path, "--dreq", "0.25"],
+        ["dtilde", "--problem", binary_path, "--grid", "11"],
+        ["achieve", "--problem", binary_path, "--rate", "1", "--slack", "0.5", "--json"],
+        ["excess", "--problem", binary_path, "--m-functional"],
+        ["simulate", "--problem", binary_path, "--M", "3", "--trials", "100"],
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_stdout(capsys, argv))
+    _build_parser.cache_clear()
+    for _ in range(2):
+        assert [_stdout(capsys, argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
+    # after reuse, help still exits 0 and a usage error 1
+    assert run(["exact", "--help"]) == 0
+    assert "--trials" in capsys.readouterr().out
+    assert run(["exact", "--M", "3"]) == 1
+    assert ("error: the following arguments are required: --problem"
+            in capsys.readouterr().err)
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_does_not_leak_values(binary_path, capsys):
+    exact = ["exact", "--problem", binary_path, "--M", "3", "--trials", "300"]
+    _build_parser.cache_clear()
+    seed0 = _stdout(capsys, exact)
+    assert _stdout(capsys, exact + ["--seed", "5"]) != seed0
+    assert _stdout(capsys, exact) == seed0
+    # a --dreq given once must not turn a later --rate/--slack call into a
+    # rate query
+    _stdout(capsys, ["achieve", "--problem", binary_path, "--dreq", "0.25"])
+    out = _stdout(capsys, ["achieve", "--problem", binary_path, "--rate", "1", "--slack", "0.5"])
+    assert out.startswith("bound = ")
+
+
+def test_exact_bounds_each_m_in_one_call(binary_path, monkeypatch, capsys):
+    import oneshotrd.cli as cli_mod
+
+    calls = []
+    real = cli_mod.achievability_bound
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "achievability_bound", counting)
+    _stdout(capsys, ["exact", "--problem", binary_path, "--M", "1,2,3,9", "--trials", "100"])
+    assert calls == [40, 40]
+
+
 def test_product_problem_structure(binary_hamming):
     prod = product_problem(binary_hamming, 2)
     assert prod.x_size == 4 and prod.y_size == 4

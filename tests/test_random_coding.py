@@ -1,5 +1,10 @@
+import contextlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +24,21 @@ from oneshotrd import (
     f_inverse,
     f_of,
     g_of,
+    load_problem,
     rate_for_distortion,
     rtilde,
+    save_problem,
 )
+from oneshotrd.cli import run
 from oneshotrd.dtilde import build_dtilde1
 from oneshotrd.random_coding import _segment_integral
-from oracles import g_m, min_uniform_cdf, min_uniform_pdf
+from oracles import (
+    achievability_bound_scalar,
+    exact_split_quantile_bound,
+    g_m,
+    min_uniform_cdf,
+    min_uniform_pdf,
+)
 
 
 def brute_force_random_code(problem, M):
@@ -238,6 +252,46 @@ def test_achievability_degenerates_for_very_negative_slack(binary_hamming):
 def test_achievability_rejects_slack_at_rate(binary_hamming):
     with pytest.raises(ValueError):
         achievability_bound(binary_hamming, 1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_achievability_array_matches_scalar_calls(problem, data):
+    rate = data.draw(st.floats(0.0, 20.0))
+    gaps = data.draw(st.lists(st.floats(1e-3, 800.0), min_size=1, max_size=10))
+    # exact's grid, drawn slacks, and lam - rate where exp underflows to w = 0
+    lams = np.concatenate([np.linspace(rate - 4.0, rate - 1e-3, 40),
+                           rate - np.array(gaps), [rate - 800.0, -math.inf]])
+    res = achievability_bound(problem, rate, lams)
+    for k, lam in enumerate(lams.tolist()):
+        one = achievability_bound(problem, rate, lam)
+        old = achievability_bound_scalar(problem, rate, lam)
+        for name in ("value", "dmax_value", "w"):
+            assert type(getattr(one, name)) is float
+            want = getattr(old, name).hex()
+            assert getattr(one, name).hex() == want, (name, lam)
+            assert float(getattr(res, name)[k]).hex() == want, (name, lam)
+    # one lam at or above the rate, or nan, anywhere in the array
+    bad = data.draw(st.floats(rate, rate + 5.0) | st.just(math.inf) | st.just(math.nan))
+    at = data.draw(st.integers(0, lams.size))
+    with pytest.raises(ValueError, match="lam must be below the rate"):
+        achievability_bound(problem, rate, np.insert(lams, at, bad))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems(), ms=st.lists(st.integers(3, 5000), min_size=1, max_size=3))
+def test_exact_bound_matches_forty_scalar_calls(problem, ms):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        save_problem(problem, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["exact", "--problem", str(path), "--M", ",".join(map(str, ms)),
+                        "--trials", "2", "--json"]) == 0
+        loaded = load_problem(path)
+    got = {r["quantity"]: r["value"] for r in json.loads(out.getvalue())["records"]}
+    for m in ms:
+        assert got[f"bound[M={m}]"].hex() == exact_split_quantile_bound(loaded, m).hex()
 
 
 def test_achievability_dominates_exact(rng):
