@@ -8,8 +8,9 @@ force and Monte Carlo.
 
 Modules:
 
-- ``model``: problem data types, validation, JSON ingestion.
-- ``pairwise``: pairwise-correct probabilities and distortion profiles.
+- ``model``: problem data types, validation, JSON ingestion, and the
+  sorted-level table of each row of d that every level consumer reads.
+- ``pairwise``: per-letter distortion profiles and the acceptance matrix.
 - ``dtilde``: the piecewise-linear quantile functional, inverse, channel.
 - ``random_coding``: exact codebook averages and achievability bounds.
 - ``converse``: code equality, prior optimization, sandwich, product priors.
@@ -65,8 +66,6 @@ from .montecarlo import (
 )
 from .pairwise import (
     DistortionProfile,
-    find_level,
-    pairwise_correct,
     profile,
 )
 from .random_coding import (

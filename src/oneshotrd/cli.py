@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -341,7 +342,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes only the -1 and -.5 forms of a negative number for a value,
+# so run() joins any other negative float to its option ("--slack=-5e-05")
+_FLOAT_OPTIONS = ("--rate", "--slack", "--dreq", "--w", "--dth")
+_NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf")
+
+
 def run(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _FLOAT_OPTIONS and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -94,11 +94,10 @@ def optimal_encoder(problem: Problem, code: Code) -> Channel:
     copy, which matches the packing channel at w = 1/M under the code prior.
     """
     members = _members(problem, code)
+    dc = problem.d[:, members]
+    x, j = np.nonzero(dc == dc.min(axis=1, keepdims=True))
     rows = np.zeros((problem.x_size, problem.y_size))
-    for x in range(problem.x_size):
-        dc = problem.d[x, members]
-        winners = members[dc == dc.min()]
-        np.add.at(rows[x], winners, 1.0 / winners.size)
+    np.add.at(rows, (x, members[j]), 1.0 / np.bincount(x)[x])
     return Channel(rows)
 
 
@@ -169,19 +168,15 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     nx, ny = problem.x_size, problem.y_size
     nz = nx * ny
     k = np.arange(nz)
-    # (x, y) in each row's ascending order; a level starts at each row's
-    # first letter and wherever the sorted row rises
+    # (x, y) in each row's ascending order, and where each level starts
     ranked = (np.arange(nx)[:, None] * ny + problem.row_order).ravel()
-    d_ranked = np.take_along_axis(problem.d, problem.row_order, axis=1)
-    rise = np.ones((nx, ny), dtype=bool)
-    rise[:, 1:] = d_ranked[:, 1:] != d_ranked[:, :-1]
-    rise = rise.ravel()
+    head = problem.levels.head.ravel()
     # the stable row order lists a level's letters by y, so its first entry
     # is its smallest (x, y); levels are numbered in that order
-    heads = ranked[rise]
+    heads = ranked[head]
     by_head = np.argsort(heads)
     level = np.empty(nz, dtype=np.intp)
-    level[ranked] = np.argsort(by_head)[np.cumsum(rise) - 1]
+    level[ranked] = np.argsort(by_head)[np.cumsum(head) - 1]
     heads = heads[by_head]
     g = heads.size
     cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel()[heads],

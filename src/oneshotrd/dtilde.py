@@ -19,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Channel, Problem, _like
-from .pairwise import accept_probability, profile
+from .model import Channel, InvariantViolation, Problem, _like
+from .pairwise import accept_probability
 
-# Breakpoints closer than this are one breakpoint. Each row's profile adds
-# the prior masses in its own order, so cumulative sums that are equal in
-# exact arithmetic can differ by rounding, up to about ny * 2^-53; merging
-# them drops segments of rounding width. It bounds arithmetic error, not the
-# input: PROB_ATOL (model.py) is how far an input simplex may sum from 1,
-# and at that width real breakpoints of letters with mass below 1e-12 would
-# merge, so neither tolerance can be derived from the other.
+# Breakpoints closer than this are one breakpoint. Each row's cumulative
+# sum adds the prior masses in its own order, so cumulative sums that are
+# equal in exact arithmetic can differ by rounding, up to about ny * 2^-53;
+# merging them drops segments of rounding width. It bounds arithmetic
+# error, not the input: PROB_ATOL (model.py) is how far an input simplex
+# may sum from 1, and at that width real breakpoints of letters with mass
+# below 1e-12 would merge; neither tolerance follows from the other.
 BREAKPOINT_MERGE_TOL = 1e-14
 
 
@@ -57,32 +57,37 @@ class PiecewiseLinear:
 def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     """Exact piecewise-linear representation of w -> dtilde1(w).
 
-    Built on first use and kept on the instance.
+    One sweep over the level table: where a level of positive mass starts,
+    the slope rises by p_x times its step up from the row's level before it
+    (from 0 at the lowest). Built on first use and kept on the instance.
     """
     if problem._dtilde1 is not None:
         return problem._dtilde1
-    profs = [profile(problem, x) for x in range(problem.x_size)]
-    pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
-    pts = np.sort(pts)
+    table = problem.levels
+    x, k = np.nonzero(table.head & (table.mass > 0))
+    if x.size == 0:
+        raise InvariantViolation("q_y has empty support")
+    level, below = table.ds[x, k], table.below[x, k]
+    # a row's lowest level starts at below = 0; each row's total ends its
+    # top level and adds a breakpoint only
+    pts = np.concatenate((below, table.below[:, -1] + table.mass[:, -1], [1.0]))
+    rises = np.zeros(pts.size)
+    rises[:x.size] = problem.p_x[x] * np.where(below > 0, np.diff(level, prepend=0), level)
+    by_pt = np.argsort(pts, kind="stable")
+    pts = pts[by_pt]
     keep = np.concatenate(([True], np.diff(pts) > BREAKPOINT_MERGE_TOL))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
-
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    slopes = np.zeros(mids.size)
-    for x in range(problem.x_size):
-        prof = profs[x]
-        j = np.minimum(
-            np.searchsorted(prof.cumulative[1:], mids, side="left"),
-            prof.levels.size - 1,
-        )
-        slopes += problem.p_x[x] * prof.levels[j]
+    # each merged breakpoint adds its rises to the slope of the segments
+    # after it; the rises at w = 1 open no segment
+    rise = np.bincount(np.cumsum(keep) - 1, weights=rises[by_pt], minlength=bp.size)
+    slopes = np.cumsum(rise[:-1])
 
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
     intercepts = values[:-1] - slopes * bp[:-1]
-    # slopes are exact sums of levels and never decrease, so the flat
-    # segments are a prefix; rounding may still lift one of their right-end
-    # values above dtilde(0), hence the mask by slope
+    # slopes are running sums of nonnegative rises and never decrease, so
+    # the flat segments are a prefix; rounding may still lift one of their
+    # right-end values above dtilde(0), hence the mask by slope
     rvals = (intercepts + slopes * bp[1:]) / bp[1:]
     right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
     for a in (bp, intercepts, slopes, right_values):
@@ -151,28 +156,24 @@ def test_channel(problem: Problem, w: float) -> Channel:
 
     Row x averages exactly to dtilde(w) under the source distribution.
     """
-    if not 0.0 < w <= 1.0:
-        raise ValueError(f"w must be in (0, 1], got {w}")
+    if not np.finfo(float).tiny <= w <= 1.0:
+        raise ValueError(f"w must be a normal double in (0, 1], got {w}")
     rows = problem.q_y[None, :] * accept_probability(problem, w) / w
     return Channel(rows)
 
 
-# Direct fill-based evaluation for arbitrary priors. This is the fast path
-# used inside prior optimization and the second, profile-free route used to
-# cross-check the piecewise representation.
+# Direct fill-based evaluation for arbitrary priors: the fast path inside
+# prior optimization, and a second route that cross-checks build_dtilde1.
 
 def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
-    order = problem.row_order
-    ds = np.take_along_axis(problem.d, order, axis=1)
-    qs = np.asarray(prior, dtype=float)[order]
+    qs = np.asarray(prior, dtype=float)[problem.row_order]
     cum = np.cumsum(qs, axis=1)
-    alloc = np.clip(w - (cum - qs), 0.0, qs)
-    return ds, qs, cum, alloc
+    return problem.levels.ds, cum, np.clip(w - (cum - qs), 0.0, qs)
 
 
 def dtilde1_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde1(w) for an arbitrary (possibly unnormalized) prior vector."""
-    ds, _, _, alloc = _sorted_fill(problem, w, prior)
+    ds, _, alloc = _sorted_fill(problem, w, prior)
     return float(np.sum(problem.p_x * np.sum(ds * alloc, axis=1)))
 
 
@@ -185,6 +186,6 @@ def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
 
 def fill_thresholds(problem: Problem, w: float, prior) -> np.ndarray:
     """Per-letter distortion level at which the greedy mass-w fill stops."""
-    ds, _, cum, _ = _sorted_fill(problem, w, prior)
+    ds, cum, _ = _sorted_fill(problem, w, prior)
     idx = np.minimum(np.sum(cum < w, axis=1), problem.y_size - 1)
     return ds[np.arange(problem.x_size), idx]

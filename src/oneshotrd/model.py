@@ -9,6 +9,7 @@ functionals of such an instance.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -46,15 +47,18 @@ def _like(values: np.ndarray, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
+LevelTable = namedtuple("LevelTable", "ds head below mass")
+
+
 @dataclass(eq=False)
 class Problem:
     """Finite instance: source p_x, reproduction prior q_y, distortion d.
 
     Instances are immutable after construction (arrays are read-only), so
-    the two derived objects worth keeping live on the instance, are built on
-    first use and are freed with it: the per-row sort order of d and the
-    dtilde1 representation stored by :func:`oneshotrd.dtilde.build_dtilde1`.
-    No validation happens here; see :func:`validate` and :func:`load_problem`.
+    the derived objects worth keeping live on the instance, are built on
+    first use and are freed with it: the per-row sort order of d, its level
+    table and the dtilde1 representation stored by build_dtilde1. No
+    validation happens here; see :func:`validate` and :func:`load_problem`.
     """
 
     p_x: np.ndarray
@@ -89,6 +93,31 @@ class Problem:
         order = np.argsort(self.d, axis=1, kind="stable")
         order.setflags(write=False)
         return order
+
+    @cached_property
+    def levels(self) -> LevelTable:
+        """Each row of d in ascending order, split into its distinct levels.
+
+        Entry (x, k) is the letter row_order[x, k]: ds is its distortion,
+        head is True where a level starts, and below and mass are the prior
+        masses strictly below and at its level, from one sum per row.
+        """
+        ds = np.take_along_axis(self.d, self.row_order, axis=1)
+        head = np.ones(ds.shape, dtype=bool)
+        head[:, 1:] = ds[:, 1:] != ds[:, :-1]
+        cum = np.zeros((ds.shape[0], ds.shape[1] + 1))
+        np.cumsum(self.q_y[self.row_order], axis=1, out=cum[:, 1:])
+        # cum's flat index of (x, k) is x * ny + k + x; a level ends at the
+        # next head, so a row's last one at (x + 1) * ny + x, the row's end
+        starts = np.flatnonzero(head)
+        rows = starts // ds.shape[1]
+        below = cum.ravel()[starts + rows]
+        mass = cum.ravel()[np.append(starts[1:], head.size) + rows] - below
+        level = np.cumsum(head).reshape(ds.shape) - 1
+        table = LevelTable(ds, head, below[level], mass[level])
+        for a in table:
+            a.setflags(write=False)
+        return table
 
 
 @dataclass(eq=False)

@@ -125,7 +125,7 @@ def simulate_random_code(
     draw = _inverse_cdf(problem.q_y)
     order = problem.row_order
     cols = np.arange(nx)
-    dsorted = problem.d[cols[:, None], order]
+    dsorted = problem.levels.ds
     if M < ny:
         # rank[y, x]: the place of letter y in row x's sort order
         rank = np.empty((ny, nx), dtype=np.min_scalar_type(ny - 1))

@@ -22,7 +22,6 @@ import numpy as np
 
 from .dtilde import dtilde
 from .model import Channel, Problem, _readonly
-from .pairwise import find_level
 
 
 @dataclass(eq=False)
@@ -123,12 +122,12 @@ def witness_qx(problem: Problem, w: float) -> tuple[np.ndarray | None, float]:
     distortion of x's level-w reproduction. When that weight is identically
     zero, dtilde1(w) = 0 and no witness is needed: returns (None, 0.0).
     """
-    if not 0.0 < w <= 1.0:
-        raise ValueError(f"w must be in (0, 1], got {w}")
-    level_d = np.empty(problem.x_size)
-    for x in range(problem.x_size):
-        y, _ = find_level(problem, x, w)
-        level_d[x] = problem.d[x, y]
+    if not np.finfo(float).tiny <= w <= 1.0:
+        raise ValueError(f"w must be a normal double in (0, 1], got {w}")
+    # row x's level-w entry is its last of positive mass with below < w
+    table = problem.levels
+    hit = (table.mass > 0) & (table.below < w)
+    level_d = table.ds[np.arange(problem.x_size), -1 - np.argmax(hit[:, ::-1], axis=1)]
     lam = float(np.sum(problem.p_x * level_d))
     if lam == 0.0:
         return None, 0.0
@@ -169,25 +168,19 @@ def inf_form_value(problem: Problem, rate: float) -> InfFormResult:
     """Cheapest-first channel under the capacity cap exp(rate) * q_y.
 
     Fills each row with the lowest-distortion letters until it carries unit
-    mass, splitting partially filled levels proportionally to the prior.
+    mass, splitting partially filled levels proportionally to the prior:
+    a level takes min(1 - e^rate * below, e^rate * mass), clipped at 0.
     The resulting average distortion equals dtilde(exp(-rate)).
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    if not 0.0 <= rate <= math.log(np.finfo(float).max):
+        raise ValueError(f"rate must be in [0, log of the largest double], got {rate}")
     scale = math.exp(rate)
-    rows = np.zeros((problem.x_size, problem.y_size))
-    sup = problem.q_y > 0
-    for x in range(problem.x_size):
-        remaining = 1.0
-        for level in np.unique(problem.d[x, sup]):
-            if remaining <= 0.0:
-                break
-            members = sup & (problem.d[x] == level)
-            level_mass = float(np.sum(problem.q_y[members]))
-            cap = scale * level_mass
-            take = min(cap, remaining)
-            rows[x, members] = take * problem.q_y[members] / level_mass
-            remaining -= take
+    table = problem.levels
+    take = np.clip(1.0 - scale * table.below, 0.0, scale * table.mass)
+    sorted_rows = np.divide(take * problem.q_y[problem.row_order], table.mass,
+                            out=np.zeros(take.shape), where=table.mass > 0)
+    rows = np.empty(take.shape)
+    np.put_along_axis(rows, problem.row_order, sorted_rows, axis=1)
     value = float(np.sum(problem.p_x[:, None] * rows * problem.d))
     return InfFormResult(value, Channel(rows))
 

@@ -62,6 +62,20 @@ def quarter_problems(draw):
     return Problem(p, q, np.reshape(d, (nx, ny)) / 4.0)
 
 
+# named instances for the level table, as (p_x, q_y, d): one letter on each
+# side; a row at a single level; a zero-mass letter that ties a support
+# letter on the lowest level of each row and comes first in its order, so
+# that level's head entry has q_y = 0; and a prior that sums to 1 - 1e-13,
+# within validate()'s tolerance, so the top level ends at a breakpoint of
+# its own
+LEVEL_CASES = {
+    "1x1": ([1.0], [1.0], [[0.5]]),
+    "constant_row": ([0.3, 0.7], [0.25, 0.75], [[0.7, 0.7], [0.2, 0.9]]),
+    "zero_mass_head": ([0.4, 0.6], [0.0, 0.5, 0.5], [[0.1, 0.1, 0.8], [0.3, 0.5, 0.3]]),
+    "short_prior": ([1.0], [0.5, 0.5 - 1e-13], [[0.0, 1.0]]),
+}
+
+
 def nonbreakpoint_w(problem, rng, lo=0.02, hi=0.999, margin=1e-6):
     """A quantile bounded away from every profile breakpoint of the instance."""
     from oneshotrd import build_dtilde1

@@ -8,8 +8,13 @@ variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level, and exact's split-quantile
-bound as the minimum of 40 scalar achievability_bound calls.
+rather than per distinct distortion level, exact's split-quantile
+bound as the minimum of 40 scalar achievability_bound calls, and the
+per-row level routes that Problem.levels replaced: the np.unique profile,
+the strict-below and tie masses with the pairwise-correct probability and
+its inverse built on them, the acceptance matrix and witness built row by
+row, the piecewise-linear dtilde1 built from every row's profile, and the
+capacity-capped greedy channel filled level by level.
 
 The samplers draw from the library's own Philox streams and blocks (streams
 1 and 2; the random-code simulator uses stream 0), so they are seeded
@@ -26,17 +31,160 @@ import numpy as np
 from scipy import sparse, stats
 from scipy.optimize import linprog
 
-from oneshotrd import Channel, InvariantViolation, Problem, f_of, profile
+from oneshotrd import (
+    Channel, DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
+)
 from oneshotrd.converse import PriorOptResult, _dual_bound, _lp_size
-from oneshotrd.dtilde import dtilde, dtilde_for_prior
+from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
 )
-from oneshotrd.pairwise import _level_masses
 from oneshotrd.random_coding import AchievabilityBound, _survival_pow
+from oneshotrd.variational import InfFormResult
 
 KS_SIGNIFICANCE = 1e-3
+
+
+def profile_unique(problem: Problem, x: int) -> DistortionProfile:
+    """profile by one np.unique of row x on supp(q_y)."""
+    sup = problem.q_y > 0
+    if not sup.any():
+        raise InvariantViolation("q_y has empty support")
+    levels, inv = np.unique(problem.d[x, sup], return_inverse=True)
+    masses = np.bincount(inv, weights=problem.q_y[sup], minlength=levels.size)
+    cumulative = np.concatenate(([0.0], np.cumsum(masses)))
+    for a in (levels, masses, cumulative):
+        a.setflags(write=False)
+    return DistortionProfile(levels, masses, cumulative)
+
+
+def _level_masses(problem: Problem, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row x's strict-below and tie masses Q{d < d(x,y)}, Q{d = d(x,y)} for every y."""
+    row, order = problem.d[x], problem.row_order[x]
+    ds = row[order]
+    cum = np.concatenate(([0.0], np.cumsum(problem.q_y[order])))
+    below = cum[np.searchsorted(ds, row, side="left")]
+    return below, cum[np.searchsorted(ds, row, side="right")] - below
+
+
+def pairwise_correct(problem: Problem, x: int, y: int, u: float) -> float:
+    """p_c(x, y, u): prior mass strictly better than y plus u times the tie mass."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u must be in [0, 1], got {u}")
+    below, tie = _level_masses(problem, x)
+    return float(below[y] + u * tie[y])
+
+
+def find_level(problem: Problem, x: int, w: float) -> tuple[int, float]:
+    """Invert w -> (y, tau) with pairwise_correct(x, y, tau) == w.
+
+    Returns the smallest reproduction index on the active level; at exact
+    level boundaries the lower level is selected (tau = 1).
+    """
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
+    prof = profile_unique(problem, x)
+    j = min(int(np.searchsorted(prof.cumulative[1:], w, side="left")),
+            prof.levels.size - 1)
+    tau = (w - prof.cumulative[j]) / prof.masses[j]
+    tau = min(max(tau, 0.0), 1.0)
+    y = int(np.flatnonzero((problem.q_y > 0)
+                           & (problem.d[x] == prof.levels[j]))[0])
+    return y, float(tau)
+
+
+def accept_probability_by_rows(problem: Problem, w: float) -> np.ndarray:
+    """accept_probability from one _level_masses call per row.
+
+    Entries whose tie mass vanishes (only possible off the prior support)
+    degenerate to the step indicator of the strict-below mass.
+    """
+    below, tie = np.stack([_level_masses(problem, x)
+                           for x in range(problem.x_size)], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((w - below) / tie, 0.0, 1.0)
+    return np.where(tie > 0, frac, (below <= w).astype(float))
+
+
+def witness_qx_by_rows(problem: Problem, w: float) -> tuple[np.ndarray | None, float]:
+    """witness_qx from one find_level call per row.
+
+    Returns (q_x, lam) with q_x(x) proportional to p_x(x) times the
+    distortion of x's level-w reproduction. When that weight is identically
+    zero, dtilde1(w) = 0 and no witness is needed: returns (None, 0.0).
+    """
+    if not 0.0 < w <= 1.0:
+        raise ValueError(f"w must be in (0, 1], got {w}")
+    level_d = np.empty(problem.x_size)
+    for x in range(problem.x_size):
+        y, _ = find_level(problem, x, w)
+        level_d[x] = problem.d[x, y]
+    lam = float(np.sum(problem.p_x * level_d))
+    if lam == 0.0:
+        return None, 0.0
+    return _readonly(problem.p_x * level_d / lam), lam
+
+
+def build_dtilde1_by_rows(problem: Problem) -> PiecewiseLinear:
+    """build_dtilde1 from every row's profile, one searchsorted per row.
+
+    Builds anew on every call and keeps nothing on the instance.
+    """
+    profs = [profile_unique(problem, x) for x in range(problem.x_size)]
+    pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
+    pts = np.sort(pts)
+    keep = np.concatenate(([True], np.diff(pts) > BREAKPOINT_MERGE_TOL))
+    bp = pts[keep].copy()
+    bp[0], bp[-1] = 0.0, 1.0
+
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    slopes = np.zeros(mids.size)
+    for x in range(problem.x_size):
+        prof = profs[x]
+        j = np.minimum(
+            np.searchsorted(prof.cumulative[1:], mids, side="left"),
+            prof.levels.size - 1,
+        )
+        slopes += problem.p_x[x] * prof.levels[j]
+
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
+    intercepts = values[:-1] - slopes * bp[:-1]
+    # slopes are exact sums of levels and never decrease, so the flat
+    # segments are a prefix; rounding may still lift one of their right-end
+    # values above dtilde(0), hence the mask by slope
+    rvals = (intercepts + slopes * bp[1:]) / bp[1:]
+    right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
+    for a in (bp, intercepts, slopes, right_values):
+        a.setflags(write=False)
+    return PiecewiseLinear(bp, intercepts, slopes, right_values)
+
+
+def inf_form_by_rows(problem: Problem, rate: float) -> InfFormResult:
+    """inf_form_value by a Python loop over rows and their np.unique levels.
+
+    Fills each row with the lowest-distortion letters until it carries unit
+    mass, splitting partially filled levels proportionally to the prior.
+    The resulting average distortion equals dtilde(exp(-rate)).
+    """
+    if rate < 0:
+        raise ValueError(f"rate must be nonnegative, got {rate}")
+    scale = math.exp(rate)
+    rows = np.zeros((problem.x_size, problem.y_size))
+    sup = problem.q_y > 0
+    for x in range(problem.x_size):
+        remaining = 1.0
+        for level in np.unique(problem.d[x, sup]):
+            if remaining <= 0.0:
+                break
+            members = sup & (problem.d[x] == level)
+            level_mass = float(np.sum(problem.q_y[members]))
+            cap = scale * level_mass
+            take = min(cap, remaining)
+            rows[x, members] = take * problem.q_y[members] / level_mass
+            remaining -= take
+    value = float(np.sum(problem.p_x[:, None] * rows * problem.d))
+    return InfFormResult(value, Channel(rows))
 
 
 def g_m(w: float, M: int) -> float:
@@ -70,7 +218,7 @@ def dtilde_of_u(problem: Problem, x: int, u: float) -> float:
     """Distortion level sitting at quantile u of the pairwise-correct variable."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must be in [0, 1], got {u}")
-    prof = profile(problem, x)
+    prof = profile_unique(problem, x)
     j = min(int(np.searchsorted(prof.cumulative[1:], u, side="left")),
             prof.levels.size - 1)
     return float(prof.levels[j])
@@ -80,7 +228,7 @@ def pc_cdf(problem: Problem, x: int, w: float) -> float:
     """CDF of p_c(x, Y, U) at w; equals w exactly by the uniformity property."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
-    prof = profile(problem, x)
+    prof = profile_unique(problem, x)
     filled = np.minimum(prof.masses, np.maximum(0.0, w - prof.cumulative[:-1]))
     return float(np.sum(filled))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneshotrd
 import oneshotrd.converse as converse_mod
@@ -18,7 +22,7 @@ from oneshotrd import (
     optimize_prior,
     save_problem,
 )
-from oneshotrd.cli import _build_parser, run
+from oneshotrd.cli import _FLOAT_OPTIONS, _build_parser, run
 from oneshotrd.converse import product_prior_experiment, product_problem
 
 
@@ -347,6 +351,67 @@ def test_every_option_is_read():
              - {"-h", "--help"}
              for name, p in sub.choices.items()}
     assert found == expected
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# each float option with a call that reads it; {} is the value
+FLOAT_CALLS = {
+    "--rate": ["achieve", "--rate", "{}", "--slack", "0.5"],
+    "--slack": ["achieve", "--rate", "1", "--slack", "{}"],
+    "--dreq": ["achieve", "--dreq", "{}"],
+    "--w": ["variational", "--w", "{}"],
+    "--dth": ["excess", "--dth", "{}", "--delta-grid", "3"],
+}
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_float_calls_cover_every_float_option():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    floats = {opt for p in sub.choices.values() for action in p._actions
+              if action.type is float for opt in action.option_strings}
+    assert floats == set(_FLOAT_OPTIONS) == set(FLOAT_CALLS)
+
+
+def _float_call(option, value, joined):
+    call = FLOAT_CALLS[option]
+    i = call.index("{}")
+    given_value = [f"{option}={value!r}"] if joined else [option, repr(value)]
+    return [call[0], "--problem", str(GOLDEN / "binary_hamming.json"),
+            *call[1:i - 1], *given_value, *call[i + 1:]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(option=st.sampled_from(sorted(FLOAT_CALLS)),
+       value=st.floats(allow_nan=False, allow_subnormal=True)
+       | st.sampled_from([-0.0, -5.847884867882236e-05, -1e-300, -5e-324]))
+def test_float_options_read_every_repr_as_a_value(option, value):
+    # "--opt -5e-05" must be read as "--opt=-5e-05", never as a second option
+    result = _run_captured(_float_call(option, value, joined=False))
+    assert result == _run_captured(_float_call(option, value, joined=True))
+    assert "expected one argument" not in result[2]
+
+
+@pytest.mark.parametrize("w", ["1e-310", "1e-320", "5e-324"])
+@pytest.mark.parametrize("golden", ["binary_hamming", "integer_6x5"])
+def test_variational_rejects_subnormal_w(golden, w):
+    status, out, err = _run_captured(
+        ["variational", "--problem", str(GOLDEN / f"{golden}.json"), "--w", w])
+    assert (status, out) == (1, "")
+    assert err == f"error: w must be a normal double in (0, 1], got {float(w)!r}\n"
+
+
+@pytest.mark.parametrize("golden", ["binary_hamming", "integer_6x5"])
+def test_variational_accepts_the_smallest_normal_w(golden):
+    status, out, _ = _run_captured(
+        ["variational", "--problem", str(GOLDEN / f"{golden}.json"),
+         "--w", repr(sys.float_info.min)])
+    assert status == 0 and "channel_gap" in out
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_problem, nonbreakpoint_w, problems
+from conftest import LEVEL_CASES, make_random_problem, nonbreakpoint_w, problems, quarter_problems
 from oneshotrd import (
     Problem,
     build_dtilde1,
@@ -18,7 +18,7 @@ from oneshotrd import (
     test_channel as packing_channel,
 )
 from oneshotrd.dtilde import fill_thresholds
-from oracles import dtilde_of_u, validate_channel
+from oracles import build_dtilde1_by_rows, dtilde_of_u, validate_channel
 
 
 def dtilde1_direct(problem, w):
@@ -254,3 +254,31 @@ def test_fill_thresholds_match_quantile_levels(rng):
         theta = fill_thresholds(p, w, p.q_y)
         for x in range(p.x_size):
             assert theta[x] == dtilde_of_u(p, x, w)
+
+
+def _assert_sweep_matches_rows(problem):
+    new, old = build_dtilde1(problem), build_dtilde1_by_rows(problem)
+    assert new.breakpoints.size == old.breakpoints.size
+    for name in ("breakpoints", "slopes", "intercepts"):
+        np.testing.assert_allclose(getattr(new, name), getattr(old, name),
+                                   rtol=0.0, atol=1e-13, err_msg=name)
+    assert np.all(np.diff(new.slopes) >= 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems())
+def test_sweep_matches_the_per_row_build(problem):
+    _assert_sweep_matches_rows(problem)
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_sweep_matches_the_per_row_build_on_named_cases(case):
+    _assert_sweep_matches_rows(Problem(*LEVEL_CASES[case]))
+
+
+def test_sweep_on_a_zero_mass_head():
+    # row 0 sits at 0.1 up to w = 0.5, row 1 at 0.3; both then rise
+    pw = build_dtilde1(Problem(*LEVEL_CASES["zero_mass_head"]))
+    np.testing.assert_array_equal(pw.breakpoints, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(pw.slopes, [0.4 * 0.1 + 0.6 * 0.3, 0.4 * 0.8 + 0.6 * 0.5],
+                               rtol=0.0, atol=1e-15)

@@ -15,7 +15,6 @@ from oneshotrd import (
     dtilde_for_prior,
     dtilde_inverse,
     exact_expected_distortion,
-    find_level,
     load_problem,
     profile,
     save_problem,
@@ -23,7 +22,7 @@ from oneshotrd import (
     test_channel as packing_channel,
     validate,
 )
-from oracles import validate_channel
+from oracles import find_level, validate_channel
 
 
 def write_json(tmp_path, doc, name="prob.json"):

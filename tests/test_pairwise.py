@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_problem, problems
-from oneshotrd import (
-    InvariantViolation,
-    Problem,
-    find_level,
-    pairwise_correct,
-    profile,
-)
+from conftest import LEVEL_CASES, make_random_problem, problems, quarter_problems
+from oneshotrd import InvariantViolation, Problem, profile
 from oneshotrd.pairwise import accept_probability
-from oracles import dtilde_of_u, pc_cdf
+from oracles import (
+    accept_probability_by_rows, dtilde_of_u, find_level, pairwise_correct, pc_cdf,
+    profile_unique,
+)
 
 
 def pairwise_direct(problem, x, y, u):
@@ -191,3 +188,41 @@ def test_accept_probability_step_for_zero_tie_mass():
     assert a[0, 0] == pytest.approx(0.4)
     assert a[0, 1] == 0.0  # strict-below mass is 1 > w, step rejects
     assert accept_probability(p, 1.0)[0, 1] == 1.0
+
+
+def _assert_table_matches_rows(problem, ws):
+    for w in ws:
+        # the oracle divides by a subnormal tie mass without silencing overflow
+        with np.errstate(over="ignore"):
+            old = accept_probability_by_rows(problem, w)
+        new = accept_probability(problem, w)
+        assert new.tobytes() == old.tobytes(), w
+    for x in range(problem.x_size):
+        new, old = profile(problem, x), profile_unique(problem, x)
+        np.testing.assert_array_equal(new.levels, old.levels)
+        np.testing.assert_allclose(new.masses, old.masses, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(new.cumulative, old.cumulative, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(), data=st.data())
+def test_level_table_matches_the_per_row_oracles(problem, data):
+    # drawn quantiles, and every strict-below mass of the table, where the
+    # acceptance steps
+    below = problem.levels.below.ravel().tolist()
+    ws = data.draw(st.lists(st.floats(0.0, 1.0), max_size=4)) + below
+    _assert_table_matches_rows(problem, ws)
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_level_table_matches_the_per_row_oracles_on_named_cases(case):
+    _assert_table_matches_rows(Problem(*LEVEL_CASES[case]), np.linspace(0.0, 1.0, 9))
+
+
+def test_level_table_zero_mass_head():
+    table = Problem(*LEVEL_CASES["zero_mass_head"]).levels
+    np.testing.assert_array_equal(table.ds, [[0.1, 0.1, 0.8], [0.3, 0.3, 0.5]])
+    np.testing.assert_array_equal(table.head, [[True, False, True], [True, False, True]])
+    np.testing.assert_array_equal(table.below, [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+    np.testing.assert_array_equal(table.mass, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+    assert not table.ds.flags.writeable and not table.mass.flags.writeable

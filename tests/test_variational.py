@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_problem, nonbreakpoint_w
+from conftest import LEVEL_CASES, make_random_problem, nonbreakpoint_w, problems, quarter_problems
 from oneshotrd import (
     Channel,
     Problem,
@@ -19,7 +22,7 @@ from oneshotrd import (
     test_channel as packing_channel,
     witness_qx,
 )
-from oracles import validate_channel
+from oracles import inf_form_by_rows, profile_unique, validate_channel, witness_qx_by_rows
 
 
 def feasible_channel(rng, problem, rate):
@@ -237,3 +240,43 @@ def test_info_spectrum_random_stress(rng):
         delta = float(rng.uniform(0.0, 0.3))
         res = info_spectrum_check(p, chan, thresh + delta, delta)
         assert res.holds
+
+
+def _assert_level_routes_match_rows(problem, w):
+    new, old = inf_form_value(problem, -math.log(w)), inf_form_by_rows(problem, -math.log(w))
+    np.testing.assert_allclose(new.channel.w, old.channel.w, rtol=0.0, atol=1e-14)
+    # at a level boundary the two routes may round the cumulative mass apart
+    cums = np.concatenate([profile_unique(problem, x).cumulative
+                           for x in range(problem.x_size)])
+    if np.min(np.abs(cums - w)) > 1e-12:
+        (q_new, lam_new), (q_old, lam_old) = witness_qx(problem, w), witness_qx_by_rows(problem, w)
+        assert lam_new == lam_old
+        assert (q_new is None and q_old is None) or q_new.tobytes() == q_old.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(), w=st.floats(sys.float_info.min, 1.0))
+def test_witness_and_capped_channel_match_the_per_row_oracles(problem, w):
+    _assert_level_routes_match_rows(problem, w)
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_witness_and_capped_channel_on_named_cases(case):
+    for w in (1e-300, 0.2, 0.5, 0.7, 1.0):
+        _assert_level_routes_match_rows(Problem(*LEVEL_CASES[case]), w)
+
+
+def test_inf_form_rejects_rates_it_cannot_evaluate(binary_hamming):
+    for rate in (-1.0, 709.8, 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rate"):
+            inf_form_value(binary_hamming, rate)
+    assert inf_form_value(binary_hamming, 709.78).value == 0.0
+
+
+def test_subnormal_w_is_rejected(binary_hamming):
+    for w in (1e-310, 5e-324):
+        for fn in (witness_qx, sup_form_value, packing_channel):
+            with pytest.raises(ValueError, match="normal double"):
+                fn(binary_hamming, w)
+    witness_qx(binary_hamming, sys.float_info.min)
+    packing_channel(binary_hamming, sys.float_info.min)
