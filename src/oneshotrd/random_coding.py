@@ -174,7 +174,9 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
         y = (d_req - z) / (hi - z)
         ok = (lo < z) & (z < d_req) & (0.0 < y) & (y < 1.0)
         vals = np.full(z.size, math.inf)
-        vals[ok] = rtilde(problem, z[ok]) + (g_of(1.0 / y[ok]) if use_g else f_inverse(y[ok]))
+        # 1/y overflows to inf for a subnormal y, where g is inf too
+        with np.errstate(over="ignore"):
+            vals[ok] = rtilde(problem, z[ok]) + (g_of(1.0 / y[ok]) if use_g else f_inverse(y[ok]))
         return vals
 
     results = []
