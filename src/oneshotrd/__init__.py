@@ -11,7 +11,7 @@ Modules:
 - ``model``: problem data types, validation, JSON ingestion, and the
   sorted-level table of each row of d that every level consumer reads.
 - ``pairwise``: per-letter distortion profiles and the acceptance matrix.
-- ``dtilde``: the piecewise-linear quantile functional, inverse, channel.
+- ``dtilde``: the quantile functional for q_y and for any prior, inverse, channel.
 - ``random_coding``: exact codebook averages and achievability bounds.
 - ``converse``: code equality, prior optimization, sandwich, product priors.
 - ``variational``: Neyman-Pearson and max-divergence forms.

@@ -8,6 +8,7 @@ usage error, and 2 when an exact identity fails its tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -72,25 +73,18 @@ class BoundReport:
 
 
 def _write_csv(rows, header, out: str | None) -> None:
-    handle = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
+    with (open(out, "w", newline="", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
             writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
-    finally:
-        if out:
-            handle.close()
 
 
 def _cmd_dtilde(args) -> int:
     problem = load_problem(args.problem)
-    pwl = build_dtilde1(problem)
-    grid = np.union1d(np.linspace(0.0, 1.0, args.grid), pwl.breakpoints)
-    vals = pwl.value(grid)
-    # dtilde at w = 0 is its right limit, the first slope
-    ratios = np.divide(vals, grid, out=np.full_like(vals, pwl.slopes[0]), where=grid > 0)
-    rows = zip(grid.tolist(), vals.tolist(), ratios.tolist())
+    grid = np.union1d(np.linspace(0.0, 1.0, args.grid), build_dtilde1(problem).breakpoints)
+    rows = zip(grid.tolist(), dtilde1(problem, grid).tolist(), dtilde(problem, grid).tolist())
     _write_csv(rows, ["w", "dtilde1", "dtilde"], args.out)
     return 0
 

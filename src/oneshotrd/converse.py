@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog, minimize
 
-from .dtilde import dtilde, dtilde_for_prior, fill_thresholds
+from .dtilde import dtilde_for_prior, fill_thresholds
 from .model import Channel, Code, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
 
@@ -104,8 +104,7 @@ def optimal_encoder(problem: Problem, code: Code) -> Channel:
 def converse_equality_check(problem: Problem, code: Code) -> ConverseEquality:
     """Verify code distortion == dtilde(1/M, code prior); raise beyond EQUALITY_TOL."""
     lhs = code_distortion(problem, code)
-    prior = code_prior(problem, code)
-    rhs = dtilde(Problem(problem.p_x, prior, problem.d), 1.0 / code.M)
+    rhs = dtilde_for_prior(problem, 1.0 / code.M, code_prior(problem, code))
     gap = abs(lhs - rhs)
     if gap > EQUALITY_TOL:
         raise EqualityCheckError(

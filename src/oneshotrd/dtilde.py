@@ -22,13 +22,14 @@ import numpy as np
 from .model import Channel, InvariantViolation, Problem, _like
 from .pairwise import accept_probability
 
-# Breakpoints closer than this are one breakpoint. Each row's cumulative
-# sum adds the prior masses in its own order, so cumulative sums that are
-# equal in exact arithmetic can differ by rounding, up to about ny * 2^-53;
-# merging them drops segments of rounding width. It bounds arithmetic
-# error, not the input: PROB_ATOL (model.py) is how far an input simplex
-# may sum from 1, and at that width real breakpoints of letters with mass
-# below 1e-12 would merge; neither tolerance follows from the other.
+# Breakpoints closer than this, relative to the larger, are one breakpoint:
+# each row's cumulative sum adds the prior masses in its own order, so sums
+# equal in exact arithmetic can differ by rounding, up to about ny * 2^-53 of
+# their value. Relative, so that a real mass of 1e-300 at the bottom of a row
+# still opens a segment and dtilde(0) stays the minimum over the prior's
+# support; but never below the smallest normal double, since a segment from a
+# subnormal b has an intercept -s * b that underflows. PROB_ATOL (model.py),
+# how far an input simplex may sum from 1, is a separate quantity.
 BREAKPOINT_MERGE_TOL = 1e-14
 
 
@@ -37,10 +38,10 @@ class PiecewiseLinear:
     """Continuous piecewise-linear function on [0, 1].
 
     value(w) = intercepts[i] + slopes[i] * w on the i-th segment
-    [breakpoints[i], breakpoints[i+1]]. right_values[i] is value(w) / w at
-    the segment's right end, -inf on the segments of slope slopes[0] and
-    kept nondecreasing by a running maximum, so that searchsorted finds the
-    first rising segment that reaches a given level.
+    [breakpoints[i], breakpoints[i+1]], where value(w) / w is read as
+    intercepts[i] / w + slopes[i]. right_values[i] is that at the right end,
+    -inf on the segments of slope slopes[0] and nondecreasing by a running
+    maximum, so that searchsorted finds the first rising segment at a level.
     """
 
     breakpoints: np.ndarray
@@ -48,10 +49,19 @@ class PiecewiseLinear:
     slopes: np.ndarray
     right_values: np.ndarray
 
+    def pieces(self, w):
+        """w in [0, 1] as an array, with the intercept and slope of the segment
+        holding each entry; a breakpoint belongs to the segment it opens."""
+        ws = np.array(w, dtype=float, ndmin=1)
+        bad = ~((0.0 <= ws) & (ws <= 1.0))
+        if bad.any():
+            raise ValueError(f"w must be in [0, 1], got {ws[bad][0]}")
+        i = np.minimum(np.searchsorted(self.breakpoints, ws, side="right"), self.slopes.size) - 1
+        return ws, self.intercepts[i], self.slopes[i]
+
     def value(self, w):
-        i = np.clip(np.searchsorted(self.breakpoints, w, side="right") - 1,
-                    0, self.slopes.size - 1)
-        return self.intercepts[i] + self.slopes[i] * np.asarray(w, dtype=float)
+        ws, c, s = self.pieces(w)
+        return _like(c + s * ws, w)
 
 
 def build_dtilde1(problem: Problem) -> PiecewiseLinear:
@@ -75,7 +85,8 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     rises[:x.size] = problem.p_x[x] * np.where(below > 0, np.diff(level, prepend=0), level)
     by_pt = np.argsort(pts, kind="stable")
     pts = pts[by_pt]
-    keep = np.concatenate(([True], np.diff(pts) > BREAKPOINT_MERGE_TOL))
+    gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
+    keep = np.concatenate(([True], np.diff(pts) > gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
     # each merged breakpoint adds its rises to the slope of the segments
@@ -88,7 +99,7 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     # slopes are running sums of nonnegative rises and never decrease, so
     # the flat segments are a prefix; rounding may still lift one of their
     # right-end values above dtilde(0), hence the mask by slope
-    rvals = (intercepts + slopes * bp[1:]) / bp[1:]
+    rvals = intercepts / bp[1:] + slopes
     right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
     for a in (bp, intercepts, slopes, right_values):
         a.setflags(write=False)
@@ -96,25 +107,20 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     return problem._dtilde1
 
 
-def dtilde1(problem: Problem, w: float) -> float:
-    """Unnormalized functional: w * dtilde(w)."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    return float(build_dtilde1(problem).value(w))
+def dtilde1(problem: Problem, w):
+    """Unnormalized functional w * dtilde(w), for a scalar or elementwise for an array."""
+    return build_dtilde1(problem).value(w)
 
 
-def dtilde(problem: Problem, w: float) -> float:
-    """Normalized quantile distortion dtilde1(w) / w.
+def dtilde(problem: Problem, w):
+    """Normalized quantile distortion dtilde1(w) / w, for a scalar or an array.
 
-    w = 0 returns the right limit, the expected minimum distortion over the
-    prior support.
+    The first segment is flat with intercept 0, so w = 0 and every w in it,
+    subnormal ones too, give exactly the right limit at 0: the expected
+    minimum distortion over the prior support.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
-    pw = build_dtilde1(problem)
-    if w == 0.0:
-        return float(pw.slopes[0])
-    return float(pw.value(w)) / w
+    ws, c, s = build_dtilde1(problem).pieces(w)
+    return _like(c / np.where(c == 0.0, 1.0, ws) + s, w)
 
 
 def dtilde_inverse(problem: Problem, z):
@@ -162,26 +168,36 @@ def test_channel(problem: Problem, w: float) -> Channel:
     return Channel(rows)
 
 
-# Direct fill-based evaluation for arbitrary priors: the fast path inside
-# prior optimization, and a second route that cross-checks build_dtilde1.
+# Fill-based evaluation for any prior: the one route for priors other than q_y
+# (code priors, channel marginals, prior search), and a check of build_dtilde1.
 
 def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
     qs = np.asarray(prior, dtype=float)[problem.row_order]
     cum = np.cumsum(qs, axis=1)
-    return problem.levels.ds, cum, np.clip(w - (cum - qs), 0.0, qs)
+    # the mass before each entry as a sum, not cum - qs: (1 + 1e-14) - 1 != 1e-14
+    below = np.concatenate((np.zeros((qs.shape[0], 1)), cum[:, :-1]), axis=1)
+    return problem.levels.ds, cum, np.clip(w - below, 0.0, qs)
 
 
 def dtilde1_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde1(w) for an arbitrary (possibly unnormalized) prior vector."""
-    ds, _, alloc = _sorted_fill(problem, w, prior)
-    return float(np.sum(problem.p_x * np.sum(ds * alloc, axis=1)))
+    return w * dtilde_for_prior(problem, w, prior)
 
 
 def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
-    """dtilde(w) for an arbitrary prior vector (w > 0)."""
-    if w <= 0.0:
-        raise ValueError("w must be positive; use the profile route for limits")
-    return dtilde1_for_prior(problem, w, prior) / w
+    """dtilde(w) for any prior vector, normalized or not; w = 0 gives the right
+    limit, sum_x p_x min over the prior's support of d(x, y). A prior without
+    support raises InvariantViolation, as build_dtilde1 does for q_y."""
+    if not w >= 0.0:
+        raise ValueError(f"w must be nonnegative, got {w}")
+    support = np.asarray(prior) > 0
+    if not support.any():
+        raise InvariantViolation("prior has empty support")
+    if w == 0.0:
+        return float(np.sum(problem.p_x * problem.d[:, support].min(axis=1)))
+    # alloc / w before the sums: a subnormal w reads its first letter exactly
+    ds, _, alloc = _sorted_fill(problem, w, prior)
+    return float(np.sum(problem.p_x * np.sum(ds * (alloc / w), axis=1)))
 
 
 def fill_thresholds(problem: Problem, w: float, prior) -> np.ndarray:

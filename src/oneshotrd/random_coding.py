@@ -13,11 +13,12 @@ closed form, with no quadrature error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dtilde import build_dtilde1, dtilde, rtilde
+from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde
 from .model import Problem, _like
 
 
@@ -43,35 +44,27 @@ class RateForDistortion:
     z_g: float
 
 
-def _survival_pow(w: float, expo: float) -> float:
-    """(1 - w)^expo computed in the log domain; exact 0 at w >= 1."""
-    if w >= 1.0:
-        return 0.0
-    return math.exp(expo * math.log1p(-w))
-
-
 def _segment_integral(pwl, M: float) -> np.ndarray:
     """Per-segment values of the integral of (c/w + s) * G'_M(w) dw."""
-    a = pwl.breakpoints[:-1]
-    b = pwl.breakpoints[1:]
-    surv_a = np.array([_survival_pow(w, M - 1) for w in a])
-    surv_b = np.array([_survival_pow(w, M - 1) for w in b])
-    g_a = -surv_a * ((M - 1) * a + 1.0)
-    g_b = -surv_b * ((M - 1) * b + 1.0)
-    terms = pwl.intercepts * M * (surv_a - surv_b) + pwl.slopes * (g_b - g_a)
+    bp = pwl.breakpoints
+    # (1 - w)^(M-1) in one pass; an exponent of -inf (at w = 1 or past overflow) gives 0
+    with np.errstate(divide="ignore", over="ignore"):
+        surv = np.exp((M - 1) * np.log1p(-bp))
+    g = -surv * ((M - 1) * bp + 1.0)
+    # M * (a difference of survivals) stays finite where intercepts * M would overflow
+    terms = pwl.intercepts * (M * (surv[:-1] - surv[1:])) + pwl.slopes * np.diff(g)
     terms[np.abs(terms) < 1e-300] = 0.0
     return terms
 
 
 def exact_expected_distortion(problem: Problem, M: int) -> RandomCodingResult:
     """Exact average distortion of M codewords drawn i.i.d. from the prior."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    pwl = build_dtilde1(problem)
+    if not 0 <= M - 1 <= sys.float_info.max:
+        raise ValueError(f"M must be at least 1 and M - 1 at most the largest double, got {M}")
     if M == 1:
-        value = float(pwl.value(1.0))
+        value = dtilde1(problem, 1.0)
         return RandomCodingResult(1, value, [value])
-    terms = _segment_integral(pwl, M)
+    terms = _segment_integral(build_dtilde1(problem), M)
     return RandomCodingResult(int(M), float(np.sum(terms)), [float(t) for t in terms])
 
 
@@ -136,9 +129,7 @@ def achievability_bound(problem: Problem, rate: float, lam) -> AchievabilityBoun
         raise ValueError(f"lam must be below the rate, got lam={lams[bad][0]}, rate={rate}")
     w = np.array([math.exp(v - rate) for v in lams.flat]).reshape(lams.shape)
     f = np.array([f_of(v) for v in lams.flat]).reshape(lams.shape)
-    pw = build_dtilde1(problem)
-    # dtilde at w = 0, where exp(lam - rate) underflows, is its right limit
-    d_w = np.divide(pw.value(w), w, out=np.full(w.shape, pw.slopes[0]), where=w > 0.0)
+    d_w = dtilde(problem, w)
     d_1 = dtilde(problem, 1.0)
     return AchievabilityBound(
         value=_like(d_w + (d_1 - d_w) * f, lam),
@@ -157,14 +148,14 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     beside the latest argmin, shrinking that bracket by 2/63 a round
     (about 3e-17 in all); the smallest value seen is the rate. The same
     minimization with the relaxation g in place of f_inverse gives rate_g.
+    Where no split strictly inside (dtilde(0), d_req) gives a finite value,
+    as for d_req a few ulps above dtilde(0), it raises ValueError.
     """
-    lo = dtilde(problem, 0.0)
-    hi = dtilde(problem, 1.0)
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
     if not lo < d_req < hi:
         raise ValueError(f"d_req must be inside ({lo}, {hi}), got {d_req}")
 
-    pwl = build_dtilde1(problem)
-    bp_vals = pwl.value(pwl.breakpoints[1:]) / pwl.breakpoints[1:]
+    bp_vals = dtilde(problem, build_dtilde1(problem).breakpoints[1:])
     grid = np.unique(np.concatenate([
         bp_vals[(lo < bp_vals) & (bp_vals < d_req)],
         np.linspace(lo, d_req, 258)[1:-1],
@@ -174,9 +165,9 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
         y = (d_req - z) / (hi - z)
         ok = (lo < z) & (z < d_req) & (0.0 < y) & (y < 1.0)
         vals = np.full(z.size, math.inf)
-        # 1/y overflows to inf for a subnormal y, where g is inf too
-        with np.errstate(over="ignore"):
-            vals[ok] = rtilde(problem, z[ok]) + (g_of(1.0 / y[ok]) if use_g else f_inverse(y[ok]))
+        # g(1/y) as g of log(1/y) = -log(y), finite for a subnormal y too
+        rate_y = _g_of_log(-np.log(y[ok])) if use_g else f_inverse(y[ok])
+        vals[ok] = rtilde(problem, z[ok]) + rate_y
         return vals
 
     results = []
@@ -189,6 +180,9 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
                 z_star, v_star = float(z[k]), float(vals[k])
             z = np.linspace(z[k - 1] if k > 0 else lo,
                             z[k + 1] if k + 1 < z.size else d_req, 64)
+        if v_star == math.inf:
+            raise ValueError(f"no distortion split strictly inside (dtilde(0), d_req) = "
+                             f"({lo!r}, {d_req!r}) gives a finite rate")
         results.append((max(v_star, 0.0), z_star))
 
     (rate, z), (rate_g, z_g) = results

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtilde import dtilde
+from .dtilde import dtilde_for_prior
 from .model import Channel, Problem, _readonly
 
 
@@ -206,13 +206,9 @@ def info_spectrum_check(
                         - np.log(np.where(q_y > 0, q_y, 1.0))[None, :],
                         -math.inf)
     pr = float(np.sum(joint[dens <= rate - delta]))
-    marg_problem = Problem(problem.p_x, q_y, problem.d)
     expected = float(np.sum(joint * problem.d))
-    if pr <= 0.0:
-        lhs = dtilde(marg_problem, 0.0)
-        return InfoSpectrumCheck(lhs, math.inf, True)
-    lam = -math.log(pr)
-    w_arg = min(math.exp(-(rate - delta) - lam), 1.0)
-    lhs = dtilde(marg_problem, w_arg)
-    rhs = expected * math.exp(lam)
+    # a probability-zero event makes lam infinite: w = 0, dtilde's right limit
+    lam = -math.log(pr) if pr > 0.0 else math.inf
+    lhs = dtilde_for_prior(problem, min(math.exp(-(rate - delta) - lam), 1.0), q_y)
+    rhs = expected * math.exp(lam) if pr > 0.0 else math.inf
     return InfoSpectrumCheck(lhs, rhs, lhs <= rhs + 1e-10)

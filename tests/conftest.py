@@ -143,3 +143,17 @@ def binary_hamming():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def problems_built(monkeypatch):
+    """Every Problem constructed while the test runs, counted at
+    __post_init__ as perfbench's tracer counts them."""
+    built = []
+    post_init = Problem.__post_init__
+
+    def counted(obj):
+        built.append(obj)
+        post_init(obj)
+    monkeypatch.setattr(Problem, "__post_init__", counted)
+    return built

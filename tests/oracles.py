@@ -9,7 +9,8 @@ row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, the prior LP with one variable per (x, y) pair
 rather than per distinct distortion level, exact's split-quantile
-bound as the minimum of 40 scalar achievability_bound calls, and the
+bound as the minimum of 40 scalar achievability_bound calls, the exact
+integral with a scalar power at both ends of every segment, and the
 per-row level routes that Problem.levels replaced: the np.unique profile,
 the strict-below and tie masses with the pairwise-correct probability and
 its inverse built on them, the acceptance matrix and witness built row by
@@ -40,7 +41,7 @@ from oneshotrd.model import PROB_ATOL, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
 )
-from oneshotrd.random_coding import AchievabilityBound, _survival_pow
+from oneshotrd.random_coding import AchievabilityBound
 from oneshotrd.variational import InfFormResult
 
 KS_SIGNIFICANCE = 1e-3
@@ -134,7 +135,8 @@ def build_dtilde1_by_rows(problem: Problem) -> PiecewiseLinear:
     profs = [profile_unique(problem, x) for x in range(problem.x_size)]
     pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
     pts = np.sort(pts)
-    keep = np.concatenate(([True], np.diff(pts) > BREAKPOINT_MERGE_TOL))
+    gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
+    keep = np.concatenate(([True], np.diff(pts) > gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
 
@@ -187,13 +189,34 @@ def inf_form_by_rows(problem: Problem, rate: float) -> InfFormResult:
     return InfFormResult(value, Channel(rows))
 
 
+def survival_pow(w: float, expo: float) -> float:
+    """(1 - w)^expo computed in the log domain; exact 0 at w >= 1."""
+    if w >= 1.0:
+        return 0.0
+    return math.exp(expo * math.log1p(-w))
+
+
+def segment_integral_by_ends(pwl: PiecewiseLinear, M: int) -> np.ndarray:
+    """The exact integral's per-segment terms, with survival_pow called at
+    both ends of every segment, so each interior breakpoint twice."""
+    a = pwl.breakpoints[:-1]
+    b = pwl.breakpoints[1:]
+    surv_a = np.array([survival_pow(w, M - 1) for w in a])
+    surv_b = np.array([survival_pow(w, M - 1) for w in b])
+    g_a = -surv_a * ((M - 1) * a + 1.0)
+    g_b = -surv_b * ((M - 1) * b + 1.0)
+    terms = pwl.intercepts * M * (surv_a - surv_b) + pwl.slopes * (g_b - g_a)
+    terms[np.abs(terms) < 1e-300] = 0.0
+    return terms
+
+
 def g_m(w: float, M: int) -> float:
     """Survival-side kernel G_M(w) = -(1-w)^(M-1) ((M-1) w + 1)."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
     if M < 1:
         raise ValueError("M must be at least 1")
-    return -_survival_pow(w, M - 1) * ((M - 1) * w + 1.0)
+    return -survival_pow(w, M - 1) * ((M - 1) * w + 1.0)
 
 
 def min_uniform_pdf(w: float, M: int) -> float:
@@ -202,7 +225,7 @@ def min_uniform_pdf(w: float, M: int) -> float:
         raise ValueError(f"w must be in [0, 1], got {w}")
     if M < 1:
         raise ValueError("M must be at least 1")
-    return M * _survival_pow(w, M - 1) if M > 1 else 1.0
+    return M * survival_pow(w, M - 1) if M > 1 else 1.0
 
 
 def min_uniform_cdf(w: float, M: int) -> float:
@@ -211,7 +234,7 @@ def min_uniform_cdf(w: float, M: int) -> float:
         raise ValueError(f"w must be in [0, 1], got {w}")
     if M < 1:
         raise ValueError("M must be at least 1")
-    return 1.0 - _survival_pow(w, M)
+    return 1.0 - survival_pow(w, M)
 
 
 def dtilde_of_u(problem: Problem, x: int, u: float) -> float:

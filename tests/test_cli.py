@@ -422,3 +422,68 @@ def test_import_leaves_scipy_stats_unloaded():
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, oneshotrd, oneshotrd.cli; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _golden_argv(call, golden="integer_6x5"):
+    return [call[0], "--problem", str(GOLDEN / f"{golden}.json"), *call[1:]]
+
+
+def test_achieve_reads_the_right_limit_at_a_subnormal_split():
+    # rate - lam = 740 or 745 puts the split quantile e^(lam - rate) among the
+    # subnormals, where (c + s w) / w lost digits: 1.85891527372 at 740
+    lines = []
+    for rate in ("700", "740", "745"):
+        status, out, err = _run_captured(
+            _golden_argv(["achieve", "--rate", rate, "--slack", "0"]))
+        assert (status, err) == (0, "")
+        lines.append(out.splitlines()[0])
+    assert lines == ["bound = 1.8586374503  [split-quantile form]"] * 3
+
+
+def test_achieve_dreq_at_a_subnormal_split_prints_a_finite_rate_g():
+    status, out, err = _run_captured(
+        _golden_argv(["achieve", "--dreq", "1e-323"], "binary_hamming"))
+    assert (status, err) == (0, "")
+    assert "rate_g = 7.59403926586  [closed-form g relaxation]" in out
+
+
+@pytest.mark.parametrize("call, message", [
+    (["achieve", "--dreq", "5e-324"], "no distortion split strictly inside"),
+    (["exact", "--M", str(10**400)], "M must be at least 1"),
+    (["achieve", "--rate", "1"], "provide either --dreq or both --rate and --slack"),
+    (["converse"], "provide --code or --rate"),
+])
+def test_input_errors_print_one_error_line(call, message):
+    status, out, err = _run_captured(_golden_argv(call, "binary_hamming"))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+OUT_CALLS = {
+    "dtilde": ["dtilde", "--grid", "11"],
+    "exact": ["exact", "--M", "1,3,7", "--trials", "500", "--seed", "2", "--csv"],
+    "converse": ["converse", "--rate", "0.9", "--csv"],
+    "excess": ["excess", "--dth", "1", "--delta-grid", "7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_CALLS))
+def test_out_writes_the_bytes_the_call_prints(case, tmp_path):
+    argv = _golden_argv(OUT_CALLS[case])
+    status, printed, err = _run_captured(argv)
+    assert (status, err) == (0, "") and printed.startswith(("w,", "M,", "R,", "delta,"))
+    path = tmp_path / "out.csv"
+    assert _run_captured([*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
+
+
+def test_out_in_a_missing_directory_exits_1(tmp_path):
+    status, out, err = _run_captured(
+        _golden_argv(["dtilde", "--out", str(tmp_path / "missing" / "out.csv")]))
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_product_prior_experiment_rejects_n_below_1(binary_hamming):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        product_prior_experiment(binary_hamming, 0, 0.5)

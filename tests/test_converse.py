@@ -354,3 +354,11 @@ def test_dual_bound_below_every_code(data):
     assert res.value <= best + 1e-9
     assert res.certificate_gap <= 1e-9
     assert best <= exact_expected_distortion(problem, m).exact_distortion + 1e-12
+
+
+def test_equality_check_reads_the_code_prior_through_the_fill(binary_hamming, problems_built):
+    before = len(problems_built)
+    check = converse_equality_check(binary_hamming, Code((0, 1, 1)))
+    assert len(problems_built) == before
+    assert check.rhs == dtilde_for_prior(binary_hamming, 1.0 / 3.0, [1 / 3, 2 / 3])
+    assert check.lhs == check.rhs == 0.0

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import LEVEL_CASES, make_random_problem, nonbreakpoint_w, problems, quarter_problems
 from oneshotrd import (
+    InvariantViolation,
     Problem,
     build_dtilde1,
     dtilde,
@@ -14,6 +17,7 @@ from oneshotrd import (
     dtilde1_for_prior,
     dtilde_for_prior,
     dtilde_inverse,
+    load_problem,
     rtilde,
     test_channel as packing_channel,
 )
@@ -282,3 +286,62 @@ def test_sweep_on_a_zero_mass_head():
     np.testing.assert_array_equal(pw.breakpoints, [0.0, 0.5, 1.0])
     np.testing.assert_allclose(pw.slopes, [0.4 * 0.1 + 0.6 * 0.3, 0.4 * 0.8 + 0.6 * 0.5],
                                rtol=0.0, atol=1e-15)
+
+
+def _quantile_grid(problem, data):
+    """Sorted quantiles: 0, subnormals, a point inside the first segment,
+    every breakpoint with its neighbours, drawn points and 1."""
+    bp = build_dtilde1(problem).breakpoints
+    ws = [0.0, 5e-324, 1e-310, sys.float_info.min, bp[1] / 2, 1.0]
+    ws += [v for b in bp for v in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0))]
+    ws += data.draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+    return np.unique(np.clip(ws, 0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=problems() | quarter_problems(), data=st.data())
+def test_one_evaluation_route_for_dtilde(problem, data):
+    ws = _quantile_grid(problem, data)
+    vals, vals1 = dtilde(problem, ws), dtilde1(problem, ws)
+    # the array call is the scalar call, entry by entry, bit for bit
+    assert [dtilde(problem, float(w)) for w in ws] == vals.tolist()
+    assert [dtilde1(problem, float(w)) for w in ws] == vals1.tolist()
+    # the right limit is exact at 0, at subnormal w and inside the first segment
+    pw = build_dtilde1(problem)
+    for w in (0.0, 5e-324, 1e-310, float(pw.breakpoints[1] / 2)):
+        assert dtilde(problem, w) == pw.slopes[0], w
+    # nondecreasing up to the rounding of the intercepts' cumulative sum,
+    # about (segments) * 2^-53 * max d: with slopes 5e-192 and 1 the value
+    # 5e-192 before w = 0.5 reads 0 after it, at the parent too
+    assert np.all(np.diff(vals) >= -1e-13 * problem.d.max())
+    # the fill for q_y is the same function, w = 0 included, for priors
+    # without subnormal masses, which build_dtilde1 merges (see
+    # BREAKPOINT_MERGE_TOL) and the fill does not
+    if np.all((problem.q_y == 0.0) | (problem.q_y >= sys.float_info.min)):
+        fill = [dtilde_for_prior(problem, float(w), problem.q_y) for w in ws]
+        np.testing.assert_allclose(fill, vals, rtol=0.0, atol=1e-12)
+
+
+def test_dtilde_reads_the_right_limit_at_a_subnormal_w():
+    # (c + s w) / w loses digits at w = 4.2e-322; c / w + s does not
+    problem = load_problem(Path(__file__).parent / "golden" / "integer_6x5.json")
+    assert dtilde(problem, 4.2e-322) == dtilde(problem, 0.0) == 0.6224780106231073
+
+
+def test_for_prior_checks_w_and_support(binary_hamming):
+    with pytest.raises(ValueError, match="nonnegative"):
+        dtilde_for_prior(binary_hamming, -1e-300, binary_hamming.q_y)
+    for w in (0.0, 0.5):
+        with pytest.raises(InvariantViolation):
+            dtilde_for_prior(binary_hamming, w, np.zeros(2))
+
+
+def test_for_prior_right_limit_is_the_min_over_its_support():
+    p = Problem([0.5, 0.5], [0.5, 0.5], [[0.2, 0.8], [0.6, 0.4]])
+    assert dtilde_for_prior(p, 0.0, [0.0, 2.0]) == 0.5 * 0.8 + 0.5 * 0.4
+    assert dtilde_for_prior(p, 0.0, p.q_y) == dtilde(p, 0.0)
+
+
+def test_build_rejects_a_prior_without_support():
+    with pytest.raises(InvariantViolation, match="empty support"):
+        build_dtilde1(Problem([1.0], [0.0, 0.0], [[0.1, 0.2]]))

@@ -164,3 +164,8 @@ def test_gap_comparison_sweep_below_one_nat():
     # the crossover below which the gap exceeds one nat sits near x = 1.70
     assert bound_gap_comparison(1.6).diff > 1.0
     assert bound_gap_comparison(1.8).diff < 1.0
+
+
+def test_excess_dtilde_rejects_a_negative_rate(binary_hamming):
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        excess_dtilde(binary_hamming, -0.1, 0.0)

@@ -181,3 +181,11 @@ def test_problem_is_freed_with_its_last_reference(rng):
     del problem
     gc.collect()
     assert ref() is None
+
+
+def test_load_rejects_a_list_and_a_missing_key(tmp_path):
+    with pytest.raises(ProblemFormatError, match="top level must be an object"):
+        load_problem(write_json(tmp_path, [BINARY]))
+    without_d = {k: v for k, v in BINARY.items() if k != "d"}
+    with pytest.raises(ProblemFormatError, match="missing key 'd'"):
+        load_problem(write_json(tmp_path, without_d))

@@ -3,16 +3,17 @@ import io
 import itertools
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import make_random_problem, problems
+from conftest import make_random_problem, problems, quarter_problems
 from oneshotrd import (
     Code,
     Problem,
@@ -38,7 +39,10 @@ from oracles import (
     g_m,
     min_uniform_cdf,
     min_uniform_pdf,
+    segment_integral_by_ends,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def brute_force_random_code(problem, M):
@@ -369,3 +373,71 @@ def test_min_uniform_pdf_cdf():
         assert val == pytest.approx(1.0, abs=1e-12)
         assert min_uniform_cdf(1.0, M) == 1.0
         assert min_uniform_cdf(0.0, M) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(),
+       m=st.integers(2, 64) | st.integers(2, 10**18))
+def test_one_pass_integral_matches_the_scalar_ends(problem, m):
+    pw = build_dtilde1(problem)
+    terms = _segment_integral(pw, m)
+    oracle = segment_integral_by_ends(pw, m)
+    np.testing.assert_allclose(terms, oracle, rtol=0.0, atol=1e-15)
+    assert abs(float(np.sum(terms)) - float(np.sum(oracle))) <= 1e-15
+
+
+def test_exact_reaches_the_largest_m():
+    # M - 1 up to the largest double: the survival powers underflow to 0,
+    # and intercepts * M, which overflows for intercepts beyond 1.8, is not
+    # formed, so the average is dtilde(0) and not nan
+    base = load_problem(GOLDEN / "integer_6x5.json")
+    problem = Problem(base.p_x, base.q_y, base.d * 1e3)
+    for m in (10**308, int(sys.float_info.max) + 1):
+        assert exact_expected_distortion(problem, m).exact_distortion == pytest.approx(
+            dtilde(problem, 0.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [0, -3, int(sys.float_info.max) + 2, 10**400],
+                         ids=["0", "-3", "max+2", "10**400"])
+def test_exact_rejects_m_out_of_range(binary_hamming, m):
+    with pytest.raises(ValueError, match="M must be at least 1"):
+        exact_expected_distortion(binary_hamming, m)
+
+
+def test_rate_g_is_finite_where_y_is_subnormal(binary_hamming):
+    # y = (1e-323 - 5e-324) / (0.5 - 5e-324) is subnormal and 1/y overflows
+    res = rate_for_distortion(binary_hamming, 1e-323)
+    assert math.isfinite(res.rate) and math.isfinite(res.rate_g)
+    assert res.z == 5e-324
+    assert res.rate_g == pytest.approx(7.594039265, abs=1e-9)
+
+
+@pytest.mark.parametrize("golden", ["binary_hamming", "integer_6x5"])
+def test_rate_for_distortion_rejects_a_target_with_no_split_inside(golden):
+    # the next double above dtilde(0) (5e-324 on binary_hamming) leaves no
+    # split strictly between
+    problem = load_problem(GOLDEN / f"{golden}.json")
+    d_req = math.nextafter(dtilde(problem, 0.0), 1.0)
+    with pytest.raises(ValueError, match=f"no distortion split.*{d_req!r}"):
+        rate_for_distortion(problem, d_req)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_rate_for_distortion_raises_or_is_finite(problem, data):
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    assume(lo < hi)
+    ulps = data.draw(st.integers(1, 8))
+    near = lo
+    for _ in range(ulps):
+        near = math.nextafter(near, math.inf)
+    across = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
+    for d_req in (near, across):
+        if not lo < d_req < hi:
+            continue
+        try:
+            res = rate_for_distortion(problem, d_req)
+        except ValueError as exc:
+            assert "no distortion split" in str(exc)
+            continue
+        assert math.isfinite(res.rate) and math.isfinite(res.rate_g), d_req

@@ -15,6 +15,7 @@ from oneshotrd import (
     distortion_measure,
     dtilde,
     dtilde1,
+    dtilde_for_prior,
     inf_form_value,
     info_spectrum_check,
     np_beta,
@@ -280,3 +281,30 @@ def test_subnormal_w_is_rejected(binary_hamming):
                 fn(binary_hamming, w)
     witness_qx(binary_hamming, sys.float_info.min)
     packing_channel(binary_hamming, sys.float_info.min)
+
+
+def test_info_spectrum_reads_the_marginal_through_the_fill(binary_hamming, problems_built):
+    before = len(problems_built)
+    chan = Channel([[0.9, 0.1], [0.3, 0.7]])
+    q = 0.5 * (chan.w[0] + chan.w[1])
+    for rate, w in ((math.log(1.9), None), (math.log(0.1), 0.0)):
+        res = info_spectrum_check(binary_hamming, chan, rate, 0.0)
+        assert res.holds
+        if w is not None:
+            assert res.lhs == dtilde_for_prior(binary_hamming, w, q)
+    assert len(problems_built) == before
+
+
+def test_np_beta_rejects_bad_inputs(binary_hamming):
+    mu = distortion_measure(binary_hamming)
+    p = np.full((2, 2), 0.25)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        np_beta(0.5, np.ones(3), mu)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        np_beta(1.5, p, mu)
+    with pytest.raises(ValueError, match="exceeds the total p mass"):
+        np_beta(0.9, 0.5 * p, mu)
+
+
+def test_d_inf_of_all_zero_arrays():
+    assert d_inf(np.zeros((2, 3)), np.zeros((2, 3))) == -math.inf
