@@ -35,7 +35,6 @@ from .dtilde import (
     build_dtilde1,
     dtilde,
     dtilde1,
-    dtilde1_for_prior,
     dtilde_for_prior,
     dtilde_inverse,
     rtilde,

@@ -242,10 +242,9 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     return SandwichBounds(at_rate.dual_bound, upper, at_rate.q_star, slack)
 
 
-# product_prior_experiment: multiplicative-weights steps per start, random
-# starts besides the uniform one, and the most channel entries
-# x_size**n * y_size**n (a 4x4 base at n = 4, which takes about 8 s)
-PRODUCT_ITERATIONS = 300
+# product_prior_experiment: random starts besides the uniform one, and the
+# most channel entries x_size**n * y_size**n (a 4x4 base at n = 4, which
+# takes about 8 s)
 PRODUCT_RANDOM_STARTS = 4
 PRODUCT_MAX_ENTRIES = 1 << 16
 
@@ -254,18 +253,19 @@ def _product_power(vec: np.ndarray, n: int) -> np.ndarray:
     return reduce(np.kron, [vec] * n)
 
 
-def _single_letter_grid(ny: int, step: float):
-    """Compositions of 1.0 at resolution `step` over ny letters."""
-    n = round(1.0 / step)
+def _nelder_mead(objective, q0: np.ndarray, free: np.ndarray):
+    """Nelder-Mead from q0 over softmax weights of the letters in free, every
+    other letter held at exactly 0; returns (value, prior)."""
+    def prior(theta: np.ndarray) -> np.ndarray:
+        q = np.zeros(q0.size)
+        e = np.exp(theta - theta.max())
+        q[free] = e / e.sum()
+        return q
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield np.array(prefix + [remaining]) / n
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    yield from rec([], n, ny)
+    nm = minimize(lambda theta: objective(prior(theta)),
+                  np.log(np.clip(q0[free], 1e-12, None)), method="Nelder-Mead",
+                  options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
+    return nm.fun, prior(nm.x)
 
 
 def product_problem(base: Problem, n: int) -> Problem:
@@ -284,10 +284,15 @@ def product_prior_experiment(
 ) -> ProductPriorReport:
     """Best memoryless prior vs the unrestricted prior on the n-fold source.
 
-    Optimizes the single-letter prior through the product map by
-    multiplicative weights, then solves the full-simplex LP exactly, so
-    full_value <= product_value holds up to solver tolerance. Exploratory:
-    the sign and size of the remaining gap are reported, not asserted.
+    Searches the single-letter prior q, through q -> q^{(x)n}, by softmax
+    Nelder-Mead from the uniform prior and PRODUCT_RANDOM_STARTS Dirichlet
+    draws. The optimum often lies on a face of the simplex, which softmax
+    only approaches, so the search then restarts from the incumbent on each
+    face that drops one letter of its support (that letter held at exactly
+    0), takes the first that improves and rescans; each step drops a letter,
+    so the scan ends. The full-simplex LP is solved exactly, so full_value
+    <= product_value holds up to solver tolerance. Exploratory: the sign
+    and size of the remaining gap are reported, not asserted.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -304,52 +309,25 @@ def product_prior_experiment(
 
     w = math.exp(-total_rate)
     ny = base.y_size
-    digits = (np.arange(prod.y_size)[:, None] // ny ** np.arange(n)[None, :]) % ny
-    counts = np.stack([(digits == y).sum(axis=1) for y in range(ny)]).astype(float)
 
-    def single_objective(q: np.ndarray) -> tuple[float, np.ndarray]:
-        qn = _product_power(q, n)
-        val = dtilde_for_prior(prod, w, qn)
-        g_full = dtilde_subgradient(prod, w, qn)
-        g = counts @ (g_full * qn) / np.maximum(q, 1e-300)
-        return val, g
+    def objective(q: np.ndarray) -> float:
+        return dtilde_for_prior(prod, w, _product_power(q, n))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(ny, 1.0 / ny)]
     starts += [rng.dirichlet(np.ones(ny)) for _ in range(PRODUCT_RANDOM_STARTS)]
-    eta0 = 1.0 / (1.0 + prod.d_max / w)
-    best_val, best_q = math.inf, starts[0]
-    for q0 in starts:
-        q = np.clip(q0, 1e-300, None)
-        q = q / q.sum()
-        for t in range(1, PRODUCT_ITERATIONS + 1):
-            val, g = single_objective(q)
-            if val < best_val:
-                best_val, best_q = val, q.copy()
-            q = q * np.exp(-(eta0 / math.sqrt(t)) * (g - g.min()))
-            q = q / q.sum()
-
-    # descent through the product map stalls on kinks; sweep a coarse
-    # single-letter grid and polish before trusting the memoryless value
-    if ny <= 4:
-        step = 0.02 if ny <= 3 else 0.05
-        for q in _single_letter_grid(ny, step):
-            val = dtilde_for_prior(prod, w, _product_power(q, n))
+    best_val, best_q = min((_nelder_mead(objective, q0, np.arange(ny))
+                            for q0 in starts), key=lambda r: r[0])
+    support = np.flatnonzero(best_q > 0)
+    while support.size > 1:
+        for y in support:
+            val, q = _nelder_mead(objective, best_q, support[support != y])
             if val < best_val:
                 best_val, best_q = val, q
-
-    def softmax_objective(theta: np.ndarray) -> float:
-        e = np.exp(theta - theta.max())
-        return dtilde_for_prior(prod, w, _product_power(e / e.sum(), n))
-
-    theta0 = np.log(np.clip(best_q, 1e-12, None))
-    nm = minimize(softmax_objective, theta0, method="Nelder-Mead",
-                  options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
-    e = np.exp(nm.x - nm.x.max())
-    q_nm = e / e.sum()
-    val_nm = dtilde_for_prior(prod, w, _product_power(q_nm, n))
-    if val_nm < best_val:
-        best_val, best_q = val_nm, q_nm
+                break
+        else:
+            break
+        support = np.flatnonzero(best_q > 0)
 
     full = optimize_prior(prod, total_rate)
     gap = full.value - best_val

@@ -179,11 +179,6 @@ def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
     return problem.levels.ds, cum, np.clip(w - below, 0.0, qs)
 
 
-def dtilde1_for_prior(problem: Problem, w: float, prior) -> float:
-    """dtilde1(w) for an arbitrary (possibly unnormalized) prior vector."""
-    return w * dtilde_for_prior(problem, w, prior)
-
-
 def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde(w) for any prior vector, normalized or not; w = 0 gives the right
     limit, sum_x p_x min over the prior's support of d(x, y). A prior without

@@ -157,6 +157,9 @@ def validate(problem: Problem) -> None:
         s = float(np.sum(v))
         if abs(s - 1.0) > PROB_ATOL:
             raise InvariantViolation(f"{name} sums to {s:.12g}")
+    # a subnormal mass would make the level table and the fill disagree
+    if np.any((q > 0) & (q < np.finfo(float).tiny)):
+        raise InvariantViolation("q_y has subnormal entries")
     if d.shape != (p.size, q.size):
         raise InvariantViolation(
             f"distortion matrix has shape {d.shape}, expected {(p.size, q.size)}"

@@ -70,6 +70,19 @@ def _blocks(trials: int, per_trial: int, chunk: int):
         yield t0, min(t0 + block, trials)
 
 
+def _codeword_uniforms(seed: int, M: int, t0: int, t1: int):
+    """The block's codeword draws as (t1 - t0, count) arrays: the whole block
+    at once, or a trial of more than BUDGET codewords (alone in its block)
+    in slices of half a budget, since a draw holds three arrays of a slice's
+    size. The slices start at multiples of 4, so they are the same doubles."""
+    if M <= BUDGET:
+        yield _trial_uniforms(seed, 0, M, t0, t1)
+        return
+    step = _stride(BUDGET // 2)
+    for j in range(0, M, step):
+        yield _uniform_block(seed, 0, t0 * _stride(M) + j, min(step, M - j))[None]
+
+
 def _inverse_cdf(q: np.ndarray):
     """The prior's inverse CDF, as a function of an array of draws in [0, 1).
 
@@ -110,7 +123,8 @@ def simulate_random_code(
     The expectation over the source is a finite sum and is computed exactly
     per trial, so the only sampling noise comes from the codewords. Trials
     run in blocks of at most chunk, fewer when M is large, so that the
-    largest temporary stays near BUDGET elements.
+    largest temporary stays near BUDGET elements; a trial of more than
+    BUDGET codewords is drawn in slices.
 
     A trial's minimum for letter x is dsorted[x, k], where k is the lowest
     rank, in x's sort order of d, of any codeword. With fewer codewords than
@@ -132,12 +146,13 @@ def simulate_random_code(
         rank[order, cols[:, None]] = np.arange(ny)
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, nx * M, chunk):
-        codes = draw(_trial_uniforms(seed, 0, M, t0, t1))
         if M < ny:
-            k = rank[codes].min(axis=1)
+            k = rank[draw(_trial_uniforms(seed, 0, M, t0, t1))].min(axis=1)
         else:
             held = np.zeros((t1 - t0, ny), dtype=bool)
-            held.ravel()[codes + ny * np.arange(t1 - t0)[:, None]] = True
+            rows = ny * np.arange(t1 - t0)[:, None]
+            for codes in map(draw, _codeword_uniforms(seed, M, t0, t1)):
+                held.ravel()[codes + rows] = True
             k = np.take(held, order, axis=1).argmax(axis=2)
         # best is (block, nx) and C-ordered, so numpy sums each trial's row
         # pairwise along contiguous memory, as it sums the trial-major

@@ -14,8 +14,10 @@ integral with a scalar power at both ends of every segment, and the
 per-row level routes that Problem.levels replaced: the np.unique profile,
 the strict-below and tie masses with the pairwise-correct probability and
 its inverse built on them, the acceptance matrix and witness built row by
-row, the piecewise-linear dtilde1 built from every row's profile, and the
-capacity-capped greedy channel filled level by level.
+row, the piecewise-linear dtilde1 built from every row's profile, the
+capacity-capped greedy channel filled level by level, and the three-stage
+search for the best memoryless prior (multiplicative weights, a grid and
+a softmax polish) that Nelder-Mead on the faces of the simplex replaced.
 
 The samplers draw from the library's own Philox streams and blocks (streams
 1 and 2; the random-code simulator uses stream 0), so they are seeded
@@ -30,14 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse, stats
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from oneshotrd import (
     Channel, DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
 )
-from oneshotrd.converse import PriorOptResult, _dual_bound, _lp_size
+from oneshotrd.converse import (
+    PRODUCT_RANDOM_STARTS, ProductPriorReport, PriorOptResult, _dual_bound, _lp_size,
+    _product_power, dtilde_subgradient, optimize_prior, product_problem,
+)
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
-from oneshotrd.model import PROB_ATOL, _readonly
+from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
 )
@@ -422,3 +427,95 @@ def exact_split_quantile_bound(problem: Problem, m: int) -> float:
     rate = math.log(m - 1)
     return min(achievability_bound_scalar(problem, rate, lam).value
                for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))
+
+
+# product_prior_three_stage: multiplicative-weights steps per start
+PRODUCT_ITERATIONS = 300
+
+
+def _single_letter_grid(ny: int, step: float):
+    """Compositions of 1.0 at resolution `step` over ny letters."""
+    n = round(1.0 / step)
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield np.array(prefix + [remaining]) / n
+            return
+        for k in range(remaining + 1):
+            yield from rec(prefix + [k], remaining - k, slots - 1)
+
+    yield from rec([], n, ny)
+
+
+def product_prior_three_stage(
+    base: Problem, n: int, rate: float, *, seed: int = 0
+) -> ProductPriorReport:
+    """product_prior_experiment by the search it replaced: multiplicative
+    weights driven by dtilde_subgradient through the product map from the
+    same starts, a single-letter grid when ny <= 4, then one softmax
+    Nelder-Mead polish of the incumbent."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    prod = product_problem(base, n)
+    total_rate = n * rate
+    if n == 1:
+        # identical search spaces; one optimization answers both questions
+        res = optimize_prior(base, total_rate)
+        return ProductPriorReport(1, rate, res.value, res.q_star, res.value, 0.0)
+
+    w = math.exp(-total_rate)
+    ny = base.y_size
+    digits = (np.arange(prod.y_size)[:, None] // ny ** np.arange(n)[None, :]) % ny
+    counts = np.stack([(digits == y).sum(axis=1) for y in range(ny)]).astype(float)
+
+    def single_objective(q: np.ndarray) -> tuple[float, np.ndarray]:
+        qn = _product_power(q, n)
+        val = dtilde_for_prior(prod, w, qn)
+        g_full = dtilde_subgradient(prod, w, qn)
+        g = counts @ (g_full * qn) / np.maximum(q, 1e-300)
+        return val, g
+
+    rng = np.random.default_rng(seed)
+    starts = [np.full(ny, 1.0 / ny)]
+    starts += [rng.dirichlet(np.ones(ny)) for _ in range(PRODUCT_RANDOM_STARTS)]
+    eta0 = 1.0 / (1.0 + prod.d_max / w)
+    best_val, best_q = math.inf, starts[0]
+    for q0 in starts:
+        q = np.clip(q0, 1e-300, None)
+        q = q / q.sum()
+        for t in range(1, PRODUCT_ITERATIONS + 1):
+            val, g = single_objective(q)
+            if val < best_val:
+                best_val, best_q = val, q.copy()
+            q = q * np.exp(-(eta0 / math.sqrt(t)) * (g - g.min()))
+            q = q / q.sum()
+
+    # descent through the product map stalls on kinks; sweep a coarse
+    # single-letter grid and polish before trusting the memoryless value
+    if ny <= 4:
+        step = 0.02 if ny <= 3 else 0.05
+        for q in _single_letter_grid(ny, step):
+            val = dtilde_for_prior(prod, w, _product_power(q, n))
+            if val < best_val:
+                best_val, best_q = val, q
+
+    def softmax_objective(theta: np.ndarray) -> float:
+        e = np.exp(theta - theta.max())
+        return dtilde_for_prior(prod, w, _product_power(e / e.sum(), n))
+
+    theta0 = np.log(np.clip(best_q, 1e-12, None))
+    nm = minimize(softmax_objective, theta0, method="Nelder-Mead",
+                  options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
+    e = np.exp(nm.x - nm.x.max())
+    q_nm = e / e.sum()
+    val_nm = dtilde_for_prior(prod, w, _product_power(q_nm, n))
+    if val_nm < best_val:
+        best_val, best_q = val_nm, q_nm
+
+    full = optimize_prior(prod, total_rate)
+    gap = full.value - best_val
+    if gap > 1e-9:
+        raise EqualityCheckError(
+            "full-simplex optimum exceeded the product-prior value"
+        )
+    return ProductPriorReport(n, rate, float(best_val), best_q, full.value, float(gap))

@@ -182,6 +182,14 @@ def test_cli_reports_validation_errors(tmp_path, capsys):
     assert "negative distortion" in capsys.readouterr().err
 
 
+def test_cli_rejects_subnormal_prior_mass(tmp_path, capsys):
+    bad = tmp_path / "subnormal.json"
+    bad.write_text(json.dumps({"p_x": [1.0], "q_y": [1.0, 2.2e-313],
+                               "d": [[0.25, 0.0]]}))
+    assert run(["achieve", "--problem", str(bad), "--dreq", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: q_y has subnormal entries\n"
+
+
 def test_cli_rejects_out_of_range_code(binary_path, capsys):
     assert run(["converse", "--problem", binary_path, "--code", "5"]) == 1
     assert "error: code member out of range" in capsys.readouterr().err

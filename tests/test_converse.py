@@ -26,8 +26,10 @@ from oneshotrd import (
     optimize_prior,
     test_channel as packing_channel,
 )
-from oneshotrd.converse import EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size
-from oracles import kmedian_lp_per_letter
+from oneshotrd.converse import (
+    EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size, product_prior_experiment,
+)
+from oracles import kmedian_lp_per_letter, product_prior_three_stage
 
 
 def random_code(rng, problem, max_m=6):
@@ -362,3 +364,50 @@ def test_equality_check_reads_the_code_prior_through_the_fill(binary_hamming, pr
     assert len(problems_built) == before
     assert check.rhs == dtilde_for_prior(binary_hamming, 1.0 / 3.0, [1 / 3, 2 / 3])
     assert check.lhs == check.rhs == 0.0
+
+
+def gate_base(seed: int, index: int) -> tuple[Problem, float]:
+    """Base `index` of the product-prior gate recipe: 1-7 x 2-7 letters,
+    Dirichlet(1) p and q, d uniform on [0, 1) and rounded to quarters half
+    the time, rate uniform on [0.1, 1.5)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        nx, ny = int(rng.integers(1, 8)), int(rng.integers(2, 8))
+        p, q = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+        d = rng.uniform(0.0, 1.0, (nx, ny))
+        if rng.random() < 0.5:
+            d = np.round(d * 4.0) / 4.0
+        rate = float(rng.uniform(0.1, 1.5))
+    return Problem(p, q, d), rate
+
+
+def test_product_prior_search_never_loses_to_three_stages():
+    rng = np.random.default_rng(2024)
+    for nx, ny, rate in ((2, 2, 0.3), (3, 3, 0.9), (1, 4, 0.5), (2, 5, 0.4),
+                         (3, 6, 1.2), (2, 7, 0.7)):
+        base = make_random_problem(rng, nx=nx, ny=ny)
+        got = product_prior_experiment(base, 2, rate)
+        want = product_prior_three_stage(base, 2, rate)
+        assert got.product_value <= want.product_value + 1e-12
+        assert got.full_value == want.full_value
+
+
+def test_product_prior_search_reaches_a_face():
+    # the 2x5 continuous base 265 of the seed-12345 gate: the best memoryless
+    # prior drops three letters, which the three stages only approach
+    base, rate = gate_base(12345, 265)
+    assert base.d.shape == (2, 5) and rate == 0.37089533227245797
+    rep = product_prior_experiment(base, 2, rate)
+    assert rep.product_value < 0.2984328898486249 - 1e-6
+    assert np.count_nonzero(rep.product_prior) < 5
+    assert rep.product_value == dtilde_for_prior(
+        converse_mod.product_problem(base, 2), math.exp(-2 * rate),
+        np.kron(rep.product_prior, rep.product_prior))
+
+
+def test_product_prior_search_is_deterministic_per_seed(rng):
+    base = make_random_problem(rng, nx=3, ny=5)
+    a = product_prior_experiment(base, 2, 0.6, seed=11)
+    b = product_prior_experiment(base, 2, 0.6, seed=11)
+    assert a.product_value == b.product_value
+    np.testing.assert_array_equal(a.product_prior, b.product_prior)

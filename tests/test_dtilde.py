@@ -14,7 +14,6 @@ from oneshotrd import (
     build_dtilde1,
     dtilde,
     dtilde1,
-    dtilde1_for_prior,
     dtilde_for_prior,
     dtilde_inverse,
     load_problem,
@@ -84,7 +83,7 @@ def test_dtilde1_matches_direct_sum(rng):
         for w in rng.random(4):
             w = float(w)
             assert dtilde1(p, w) == pytest.approx(dtilde1_direct(p, w), abs=1e-12)
-            assert dtilde1_for_prior(p, w, p.q_y) == pytest.approx(
+            assert w * dtilde_for_prior(p, w, p.q_y) == pytest.approx(
                 dtilde1_direct(p, w), abs=1e-12
             )
 

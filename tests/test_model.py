@@ -92,6 +92,13 @@ def test_load_reports_invariant_violations_as_format_errors(tmp_path, change, me
         load_problem(write_json(tmp_path, dict(BINARY, **change)))
 
 
+def test_load_rejects_subnormal_prior_mass(tmp_path):
+    # the level table would read dtilde(0) = 0.25 and the fill the right 0
+    doc = {"p_x": [1.0], "q_y": [1.0, 2.2e-313], "d": [[0.25, 0.0]]}
+    with pytest.raises(ProblemFormatError, match="subnormal"):
+        load_problem(write_json(tmp_path, doc))
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

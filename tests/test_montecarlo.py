@@ -80,6 +80,35 @@ def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
 
 
+def test_simulate_memory_does_not_grow_with_m(monkeypatch):
+    # a trial of 2^18 codewords, four budgets, is drawn in slices; drawn
+    # whole it would peak at about 8 MB
+    p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    tracemalloc.start()
+    simulate_random_code(p, 1 << 18, 2, seed=3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * 8 * montecarlo_mod.BUDGET
+    monkeypatch.undo()
+    assert _same_bits(simulate_random_code(p, 1 << 18, 2, seed=3),
+                      simulate_gather_min(p, 1 << 18, 2, seed=3))
+
+
+def test_simulate_in_slices_matches_the_gather_and_min_kernel_bit_for_bit(monkeypatch):
+    # a budget of 8 elements slices every trial of more than 8 codewords and
+    # at least as many codewords as letters into draws of 4; the oracle
+    # draws each trial whole
+    rng = np.random.default_rng(12)
+    for nx, ny in ((3, 5), (6, 40)):
+        p = make_random_problem(rng, nx=nx, ny=ny)
+        for m in (9, 21, 64):
+            want = simulate_gather_min(p, m, 200, seed=m)
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo_mod, "BUDGET", 8)
+                assert _same_bits(simulate_random_code(p, m, 200, seed=m), want)
+
+
 def test_min_uniform_memory_does_not_grow_with_m(monkeypatch):
     # at a budget of 2^16 elements the blocks hold 256 trials at M = 256
     # and 32 at M = 2048; unbounded, the second would hold 16 MiB

@@ -288,10 +288,15 @@ def test_exact_bound_matches_forty_scalar_calls(problem, ms):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.json"
         save_problem(problem, path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert run(["exact", "--problem", str(path), "--M", ",".join(map(str, ms)),
-                        "--trials", "2", "--json"]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["exact", "--problem", str(path), "--M", ",".join(map(str, ms)),
+                        "--trials", "2", "--json"])
+        # a file with a subnormal prior mass is refused on load
+        if np.any((problem.q_y > 0) & (problem.q_y < np.finfo(float).tiny)):
+            assert (code, err.getvalue()) == (1, "error: q_y has subnormal entries\n")
+            return
+        assert code == 0
         loaded = load_problem(path)
     got = {r["quantity"]: r["value"] for r in json.loads(out.getvalue())["records"]}
     for m in ms:
