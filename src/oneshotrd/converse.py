@@ -118,7 +118,8 @@ def dtilde_subgradient(problem: Problem, w: float, prior) -> np.ndarray:
 
     Raising the mass of letter y displaces fill mass from each letter's
     threshold level theta_x down to d(x, y) where that is an improvement,
-    at exchange rate 1/w.
+    at exchange rate 1/w. No search in the package uses it: it is kept as
+    a public export and as the converse.dtilde_subgradient trace point.
     """
     theta = fill_thresholds(problem, w, prior)
     gain = np.maximum(theta[:, None] - problem.d, 0.0)
@@ -243,8 +244,9 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
 
 
 # product_prior_experiment: random starts besides the uniform one, and the
-# most channel entries x_size**n * y_size**n (a 4x4 base at n = 4, which
-# takes about 8 s)
+# most channel entries x_size**n * y_size**n; at that size a call took 1-4 s
+# for a 4x4 base at n = 4 and 9-16 s for a 16x16 base at n = 2 (three
+# random bases each, on one core of a 2-CPU Xeon), up to 8.5 s of it in the LP
 PRODUCT_RANDOM_STARTS = 4
 PRODUCT_MAX_ENTRIES = 1 << 16
 
@@ -287,10 +289,11 @@ def product_prior_experiment(
     Searches the single-letter prior q, through q -> q^{(x)n}, by softmax
     Nelder-Mead from the uniform prior and PRODUCT_RANDOM_STARTS Dirichlet
     draws. The optimum often lies on a face of the simplex, which softmax
-    only approaches, so the search then restarts from the incumbent on each
-    face that drops one letter of its support (that letter held at exactly
-    0), takes the first that improves and rescans; each step drops a letter,
-    so the scan ends. The full-simplex LP is solved exactly, so full_value
+    only approaches, so the search then sweeps the incumbent's support once:
+    for each letter in turn it restarts from the incumbent on the face that
+    drops that letter (held at exactly 0) and keeps the result if it
+    improves. That is at most y_size + PRODUCT_RANDOM_STARTS + 1
+    Nelder-Mead runs. The full-simplex LP is solved exactly, so full_value
     <= product_value holds up to solver tolerance. Exploratory: the sign
     and size of the remaining gap are reported, not asserted.
     """
@@ -318,16 +321,12 @@ def product_prior_experiment(
     starts += [rng.dirichlet(np.ones(ny)) for _ in range(PRODUCT_RANDOM_STARTS)]
     best_val, best_q = min((_nelder_mead(objective, q0, np.arange(ny))
                             for q0 in starts), key=lambda r: r[0])
-    support = np.flatnonzero(best_q > 0)
-    while support.size > 1:
-        for y in support:
-            val, q = _nelder_mead(objective, best_q, support[support != y])
+    for y in np.flatnonzero(best_q > 0):
+        rest = np.flatnonzero((best_q > 0) & (np.arange(ny) != y))
+        if rest.size:
+            val, q = _nelder_mead(objective, best_q, rest)
             if val < best_val:
                 best_val, best_q = val, q
-                break
-        else:
-            break
-        support = np.flatnonzero(best_q > 0)
 
     full = optimize_prior(prod, total_rate)
     gap = full.value - best_val

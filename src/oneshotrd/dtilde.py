@@ -196,7 +196,8 @@ def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
 
 
 def fill_thresholds(problem: Problem, w: float, prior) -> np.ndarray:
-    """Per-letter distortion level at which the greedy mass-w fill stops."""
+    """Per-letter distortion level at which the greedy mass-w fill stops;
+    read only by converse.dtilde_subgradient."""
     ds, cum, _ = _sorted_fill(problem, w, prior)
     idx = np.minimum(np.sum(cum < w, axis=1), problem.y_size - 1)
     return ds[np.arange(problem.x_size), idx]

@@ -27,6 +27,9 @@ _MASK64 = (1 << 64) - 1
 # BUDGET elements unless a single trial needs more
 CHUNK = 16384
 BUDGET = 1 << 22
+# the largest codebook simulated: a trial whose draws never hold the best
+# letter of every row draws all of them, 2^36 at about 30 ns each
+MAX_M = 1 << 36
 # bins of the inverse-CDF table; a power of two, so that u * _BINS is exact
 _BINS = 4096
 
@@ -73,14 +76,17 @@ def _blocks(trials: int, per_trial: int, chunk: int):
 def _codeword_uniforms(seed: int, M: int, t0: int, t1: int):
     """The block's codeword draws as (t1 - t0, count) arrays: the whole block
     at once, or a trial of more than BUDGET codewords (alone in its block)
-    in slices of half a budget, since a draw holds three arrays of a slice's
-    size. The slices start at multiples of 4, so they are the same doubles."""
+    in slices that double from 4 to half a budget, since a draw holds three
+    arrays of a slice's size. The slices start at multiples of 4, so they
+    are the same doubles; the caller may stop reading at any slice."""
     if M <= BUDGET:
         yield _trial_uniforms(seed, 0, M, t0, t1)
         return
-    step = _stride(BUDGET // 2)
-    for j in range(0, M, step):
+    j, step = 0, 4
+    while j < M:
         yield _uniform_block(seed, 0, t0 * _stride(M) + j, min(step, M - j))[None]
+        j += step
+        step = min(2 * step, _stride(BUDGET // 2))
 
 
 def _inverse_cdf(q: np.ndarray):
@@ -124,15 +130,17 @@ def simulate_random_code(
     per trial, so the only sampling noise comes from the codewords. Trials
     run in blocks of at most chunk, fewer when M is large, so that the
     largest temporary stays near BUDGET elements; a trial of more than
-    BUDGET codewords is drawn in slices.
+    BUDGET codewords is drawn in slices, and only until it holds the best
+    letter the inverse CDF can draw for every row, when its minimum is
+    final. M is at most MAX_M.
 
     A trial's minimum for letter x is dsorted[x, k], where k is the lowest
     rank, in x's sort order of d, of any codeword. With fewer codewords than
     letters k is a min over the codewords' ranks; otherwise it is the first
     held letter of a presence mask, read in each row's order.
     """
-    if M < 1:
-        raise ValueError("M must be at least 1")
+    if not 1 <= M <= MAX_M:
+        raise ValueError(f"M must be between 1 and {MAX_M}, got {M}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     nx, ny = problem.d.shape
@@ -144,6 +152,12 @@ def simulate_random_code(
         # rank[y, x]: the place of letter y in row x's sort order
         rank = np.empty((ny, nx), dtype=np.min_scalar_type(ny - 1))
         rank[order, cols[:, None]] = np.arange(ny)
+    else:
+        # a letter can be drawn only where its interval of [0, 1) is not
+        # empty; a trial holding each row's first such letter is final
+        edges = np.append(0.0, np.cumsum(problem.q_y))
+        edges[np.flatnonzero(problem.q_y)[-1] + 1:] = 1.0
+        final = order[cols, (np.diff(edges) > 0)[order].argmax(axis=1)]
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, nx * M, chunk):
         if M < ny:
@@ -153,6 +167,8 @@ def simulate_random_code(
             rows = ny * np.arange(t1 - t0)[:, None]
             for codes in map(draw, _codeword_uniforms(seed, M, t0, t1)):
                 held.ravel()[codes + rows] = True
+                if held[:, final].all():
+                    break
             k = np.take(held, order, axis=1).argmax(axis=2)
         # best is (block, nx) and C-ordered, so numpy sums each trial's row
         # pairwise along contiguous memory, as it sums the trial-major

@@ -460,6 +460,8 @@ def test_achieve_dreq_at_a_subnormal_split_prints_a_finite_rate_g():
     (["exact", "--M", str(10**400)], "M must be at least 1"),
     (["achieve", "--rate", "1"], "provide either --dreq or both --rate and --slack"),
     (["converse"], "provide --code or --rate"),
+    (["exact", "--M", str(10**20)], "M must be between 1 and 68719476736"),
+    (["simulate", "--M", str(10**20)], "M must be between 1 and 68719476736"),
 ])
 def test_input_errors_print_one_error_line(call, message):
     status, out, err = _run_captured(_golden_argv(call, "binary_hamming"))

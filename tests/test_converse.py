@@ -405,6 +405,23 @@ def test_product_prior_search_reaches_a_face():
         np.kron(rep.product_prior, rep.product_prior))
 
 
+def test_product_prior_search_tries_each_face_once(monkeypatch):
+    # base 103 of the seed-12345 gate (2x3): one Nelder-Mead run per start
+    # and at most one per letter of the support; rescanning after each
+    # improvement took 9 runs here
+    base, rate = gate_base(12345, 103)
+    runs = []
+    nelder_mead = converse_mod._nelder_mead
+
+    def counted(*args):
+        runs.append(args)
+        return nelder_mead(*args)
+
+    monkeypatch.setattr(converse_mod, "_nelder_mead", counted)
+    product_prior_experiment(base, 2, rate)
+    assert len(runs) <= converse_mod.PRODUCT_RANDOM_STARTS + 1 + base.y_size
+
+
 def test_product_prior_search_is_deterministic_per_seed(rng):
     base = make_random_problem(rng, nx=3, ny=5)
     a = product_prior_experiment(base, 2, 0.6, seed=11)

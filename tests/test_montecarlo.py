@@ -82,17 +82,46 @@ def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
 
 def test_simulate_memory_does_not_grow_with_m(monkeypatch):
     # a trial of 2^18 codewords, four budgets, is drawn in slices; drawn
-    # whole it would peak at about 8 MB
-    p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    # whole it would peak at about 8 MB. Letter 7 has mass 1e-12 and is the
+    # best letter of row 3, so no trial holds it and none stops early
+    q = np.concatenate([np.full(7, (1 - 1e-12) / 7), [1e-12]])
+    d = np.arange(32.0).reshape(4, 8)
+    d[3, 7] = 0.0
+    p = Problem(np.full(4, 0.25), q, d)
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     tracemalloc.start()
-    simulate_random_code(p, 1 << 18, 2, seed=3)
+    sliced = simulate_random_code(p, 1 << 18, 2, seed=3)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3 * 8 * montecarlo_mod.BUDGET
+    assert _same_bits(sliced, simulate_gather_min(p, 1 << 18, 2, seed=3))
+
+
+def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch):
+    # letter 2's mass rounds away in the CDF, so it can never be drawn and
+    # a trial is final once it holds letters 0 and 1; one trial reads the
+    # same doubles at any M, so 2^36 codewords give the value of the first
+    # 4096, after a few slices
+    p = Problem(np.full(3, 1 / 3), np.array([0.5, 0.5, 1e-300]),
+                np.array([[0.5, 1.0, 0.0], [1.0, 0.5, 0.0], [1.0, 1.0, 0.75]]))
+    slices = []
+    block = montecarlo_mod._uniform_block
+
+    def counted(*args):
+        slices.append(args)
+        assert len(slices) <= 8
+        return block(*args)
+
+    monkeypatch.setattr(montecarlo_mod, "_uniform_block", counted)
+    got = simulate_random_code(p, montecarlo_mod.MAX_M, 1, seed=5)
     monkeypatch.undo()
-    assert _same_bits(simulate_random_code(p, 1 << 18, 2, seed=3),
-                      simulate_gather_min(p, 1 << 18, 2, seed=3))
+    assert _same_bits(got, simulate_gather_min(p, 1 << 12, 1, seed=5))
+
+
+@pytest.mark.parametrize("m", [0, montecarlo_mod.MAX_M + 1, 10**20])
+def test_simulate_rejects_m_out_of_range(binary_hamming, m):
+    with pytest.raises(ValueError, match="M must be between 1 and 68719476736"):
+        simulate_random_code(binary_hamming, m, 1, seed=0)
 
 
 def test_simulate_in_slices_matches_the_gather_and_min_kernel_bit_for_bit(monkeypatch):
