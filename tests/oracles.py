@@ -19,10 +19,10 @@ capacity-capped greedy channel filled level by level, and the three-stage
 search for the best memoryless prior (multiplicative weights, a grid and
 a softmax polish) that Nelder-Mead on the faces of the simplex replaced.
 
-The samplers draw from the library's own Philox streams and blocks (streams
-1 and 2; the random-code simulator uses stream 0), so they are seeded
-exactly as the library is, and a patched ``oneshotrd.montecarlo.BUDGET``
-bounds their memory too.
+The samplers read the library's own Philox words and blocks (streams 1 and
+2; the random-code simulator uses stream 0) and turn each word into numpy's
+double, so they are seeded exactly as the library is, and a patched
+``oneshotrd.montecarlo.BUDGET`` bounds their memory too.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from oneshotrd.converse import (
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
 from oneshotrd.montecarlo import (
-    CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_uniforms,
+    CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_words,
 )
 from oneshotrd.random_coding import AchievabilityBound
 from oneshotrd.variational import InfFormResult
@@ -306,6 +306,18 @@ def _ks_summary(sample: np.ndarray, cdf, seed: int) -> KSSummary:
     )
 
 
+def words_to_doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's double of each 64-bit word, as every Generator makes it."""
+    return (words >> 11) * 2.0**-53
+
+
+def _trial_uniforms(seed, stream, per_trial, t0, t1):
+    # shifted in place, so that a block holds two arrays of its size, not three
+    words = _trial_words(seed, stream, per_trial, t0, t1)
+    words >>= 11
+    return words * 2.0**-53
+
+
 def sample_min_uniform(M: int, trials: int, seed: int) -> KSSummary:
     """Empirical law of the minimum of M uniforms against 1 - (1-w)^M."""
     if M < 1:
@@ -328,9 +340,9 @@ def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KS
     pc = np.empty(trials)
     draw = _inverse_cdf(problem.q_y)
     for t0, t1 in _blocks(trials, _stride(2), CHUNK):
-        u = _trial_uniforms(seed, 2, 2, t0, t1)
-        y = draw(u[:, 0])
-        pc[t0:t1] = below[y] + u[:, 1] * tie[y]
+        w = _trial_words(seed, 2, 2, t0, t1)
+        y = draw(w[:, 0])
+        pc[t0:t1] = below[y] + words_to_doubles(w[:, 1]) * tie[y]
     return _ks_summary(pc, "uniform", seed)
 
 

@@ -12,28 +12,55 @@ from oneshotrd import (
     exact_expected_distortion,
     simulate_random_code,
 )
-from oneshotrd.montecarlo import _BINS, _inverse_cdf, _uniform_block
+from oneshotrd.montecarlo import _BINS, _inverse_cdf, _word_block
 from oracles import (
     inverse_cdf,
     sample_min_uniform,
     sample_pc_uniformity,
     simulate_gather_min,
+    words_to_doubles,
 )
 
 
 def test_uniform_block_counter_semantics():
-    full = _uniform_block(123, 0, 0, 64)
-    np.testing.assert_array_equal(full[16:40], _uniform_block(123, 0, 16, 24))
+    full = _word_block(123, 0, 0, 64)
+    assert full.dtype == np.uint64
+    np.testing.assert_array_equal(full[16:40], _word_block(123, 0, 16, 24))
     with pytest.raises(ValueError):
-        _uniform_block(123, 0, 2, 4)
+        _word_block(123, 0, 2, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2),
+       blocks=st.integers(0, 2**40), count=st.integers(1, 40))
+def test_words_are_the_generators_doubles(seed, stream, blocks, count):
+    # every numpy Generator makes its double from a word w as (w >> 11) * 2^-53
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance(blocks)
+    want = np.random.Generator(bg).random(count)
+    got = words_to_doubles(_word_block(seed, stream, 4 * blocks, count))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_streams_differ_by_seed_and_stream():
-    a = _uniform_block(1, 0, 0, 16)
-    b = _uniform_block(2, 0, 0, 16)
-    c = _uniform_block(1, 1, 0, 16)
+    a = _word_block(1, 0, 0, 16)
+    b = _word_block(2, 0, 0, 16)
+    c = _word_block(1, 1, 0, 16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_simulate_takes_numpy_integers_and_names_a_float(binary_hamming):
+    want = simulate_random_code(binary_hamming, 3, 10, 7)
+    for got in (simulate_random_code(binary_hamming, np.int64(3), 10, 7, chunk=np.int8(1)),
+                simulate_random_code(binary_hamming, 3, np.int32(10), np.int64(7)),
+                simulate_random_code(binary_hamming, 3, 10, np.uint64(7))):
+        assert _same_bits(got, want)
+        assert type(got.seed) is int and got.seed == 7
+    for args, name in (((3.0, 10, 7), "M"), ((3, 10.0, 7), "trials"),
+                       ((3, 10, np.float64(7)), "seed"), ((3, 10, 7, 4.0), "chunk")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            simulate_random_code(binary_hamming, *args)
 
 
 def test_simulate_deterministic_and_chunk_invariant(binary_hamming):
@@ -100,22 +127,67 @@ def test_simulate_memory_does_not_grow_with_m(monkeypatch):
 def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch):
     # letter 2's mass rounds away in the CDF, so it can never be drawn and
     # a trial is final once it holds letters 0 and 1; one trial reads the
-    # same doubles at any M, so 2^36 codewords give the value of the first
+    # same words at any M, so 2^36 codewords give the value of the first
     # 4096, after a few slices
     p = Problem(np.full(3, 1 / 3), np.array([0.5, 0.5, 1e-300]),
                 np.array([[0.5, 1.0, 0.0], [1.0, 0.5, 0.0], [1.0, 1.0, 0.75]]))
     slices = []
-    block = montecarlo_mod._uniform_block
+    block = montecarlo_mod._word_block
 
     def counted(*args):
         slices.append(args)
         assert len(slices) <= 8
         return block(*args)
 
-    monkeypatch.setattr(montecarlo_mod, "_uniform_block", counted)
+    monkeypatch.setattr(montecarlo_mod, "_word_block", counted)
     got = simulate_random_code(p, montecarlo_mod.MAX_M, 1, seed=5)
     monkeypatch.undo()
     assert _same_bits(got, simulate_gather_min(p, 1 << 12, 1, seed=5))
+
+
+def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypatch):
+    # letters 0 and 1, of mass 1/2 each, are the best letters of rows 0 and
+    # 1, so a trial is final once it holds both; its first four slices, 60
+    # codewords, miss one of them with probability 2^-59. The 500 trials
+    # of 4096 codewords form one block, whose words come from one Philox
+    # call; only the slices a trial reads go through the inverse CDF
+    p = Problem(np.full(2, 0.5), np.full(2, 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    read = []
+    inverse = montecarlo_mod._inverse_cdf
+
+    def counted(q):
+        draw = inverse(q)
+
+        def counting_draw(w):
+            read.append(w.size)
+            return draw(w)
+        return counting_draw
+
+    monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
+    got = simulate_random_code(p, 4096, 500, seed=9)
+    monkeypatch.undo()
+    assert 0 < sum(read) <= 500 * 60
+    assert _same_bits(got, simulate_gather_min(p, 4096, 500, seed=9))
+
+
+@pytest.mark.parametrize("m", [4 * 4 + 3, 257])
+def test_simulate_blocks_where_some_trials_stop_early_and_others_never(m):
+    # letter 2, of mass 2^-7, is the best letter of row 2: at these M some
+    # trials hold it and stop early while the rest read every codeword.
+    # Letter 3, of mass 1e-12, is never drawn: it comes second in row 2's
+    # order, so a trial without letter 2 reads that row's mask past it, and
+    # with a fourth row it is that row's best letter, so no trial stops
+    q = np.array([0.5 - 2**-8 - 5e-13, 0.5 - 2**-8 - 5e-13, 2**-7, 1e-12])
+    d = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                  [0.75, 0.5, 0.0, 0.25], [1.0, 1.0, 0.5, 0.0]])
+    codes = inverse_cdf(q, words_to_doubles(montecarlo_mod._trial_words(4, 0, m, 0, 300)))
+    assert 0 < (codes == 2).any(axis=1).sum() < 300
+    assert not (codes == 3).any()
+    for nx in (3, 4):
+        p = Problem(np.full(nx, 1 / nx), q, d[:nx])
+        want = simulate_gather_min(p, m, 300, seed=4)
+        for chunk in (7, 64, montecarlo_mod.CHUNK):
+            assert _same_bits(simulate_random_code(p, m, 300, 4, chunk=chunk), want)
 
 
 @pytest.mark.parametrize("m", [0, montecarlo_mod.MAX_M + 1, 10**20])
@@ -179,6 +251,10 @@ def test_simulate_validates_inputs(binary_hamming):
         simulate_random_code(binary_hamming, 0, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_random_code(binary_hamming, 2, 0, seed=0)
+    # a chunk below 1 made no blocks and returned uninitialised memory
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            simulate_random_code(binary_hamming, 2, 10, seed=0, chunk=chunk)
 
 
 def test_min_uniform_ks_passes():
@@ -227,9 +303,10 @@ def test_inverse_cdf_never_draws_a_zero_mass_letter():
     # there is not below any cumulative sum; it must land on letter 2, the
     # last one with mass, not on letter 3
     q = np.array([0.7, 0.2, 0.1, 0.0])
-    u = np.array([np.nextafter(1.0, 0.0), 0.95])
-    assert np.cumsum(q)[-1] == u[0]
-    np.testing.assert_array_equal(_inverse_cdf(q)(u), [2, 2])
+    w = (np.array([2**53 - 1, int(0.95 * 2**53)], dtype=np.uint64) << 11) | 2047
+    u = words_to_doubles(w)
+    assert np.cumsum(q)[-1] == u[0] == np.nextafter(1.0, 0.0) and u[1] == 0.95
+    np.testing.assert_array_equal(_inverse_cdf(q)(w), [2, 2])
     np.testing.assert_array_equal(inverse_cdf(q, u), [2, 2])
 
 
@@ -243,11 +320,14 @@ def dyadic_priors(draw, n):
     return w / total
 
 
-def _edge_draws(q):
-    """Each bin edge and cumulative sum, the doubles on either side, and 1^-."""
+def _edge_words(q, rng):
+    """Words on the draw lattice at and on either side of each bin edge,
+    cumulative sum and 1, with random low 11 bits, which no draw reads."""
     points = np.concatenate([np.arange(_BINS) / _BINS, np.cumsum(q), [1.0]])
-    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
-    return u[(u >= 0.0) & (u < 1.0)]
+    lattice = np.floor(points * 2.0**53).astype(np.int64)
+    lattice = np.concatenate([lattice - 1, lattice, lattice + 1])
+    lattice = lattice[(lattice >= 0) & (lattice < 2**53)].astype(np.uint64)
+    return (lattice << 11) | rng.integers(0, 2**11, lattice.size, dtype=np.uint64)
 
 
 def _same_bits(a, b):
@@ -263,9 +343,11 @@ def test_simulate_matches_the_gather_and_min_kernel_bit_for_bit(problem, data):
     seed = data.draw(st.integers(0, 2**63 - 1))
     chunk = data.draw(st.integers(1, 64))
     for p in (problem, dyadic):
-        u = np.concatenate([_edge_draws(p.q_y), rng.random(1000)])
-        np.testing.assert_array_equal(_inverse_cdf(p.q_y)(u), inverse_cdf(p.q_y, u))
-        for m in {max(ny - 1, 1), ny, ny + 1}:
+        w = np.concatenate([_edge_words(p.q_y, rng), rng.integers(0, 2**64, 1000, np.uint64)])
+        draw = _inverse_cdf(p.q_y)
+        np.testing.assert_array_equal(draw(w), inverse_cdf(p.q_y, words_to_doubles(w)))
+        np.testing.assert_array_equal(draw(w), draw(w >> 11 << 11))
+        for m in {max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, 257}:
             got = simulate_random_code(p, m, 150, seed)
             assert _same_bits(got, simulate_gather_min(p, m, 150, seed))
             assert _same_bits(got, simulate_random_code(p, m, 150, seed, chunk=chunk))
