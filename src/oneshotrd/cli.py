@@ -1,8 +1,11 @@
 """Command-line toolkit routing every computation in the package.
 
-Each subcommand is a thin adapter around the library: identical numbers to
-direct calls. Exit status is 0 on success, 1 on a validation, input or
-usage error, and 2 when an exact identity fails its tolerance.
+run() parses the arguments, loads the problem once and hands it to the
+subcommand's adapter, which calls the library and returns a BoundReport or
+a CSV table; run() prints the report (text or --json) or writes the table
+(--out or stdout). The numbers are those of direct library calls. Exit
+status is 0 on success, 1 on a validation, input or usage error, and 2
+when an exact identity fails its tolerance, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .random_coding import (
     exact_expected_distortion,
     rate_for_distortion,
 )
-from .variational import inf_form_value, sup_form_value
+from .variational import VARIATIONAL_TOL, inf_form_value, sup_form_value
 
 FMT = "%.12g"  # 12 significant digits everywhere
 
@@ -72,7 +75,7 @@ class BoundReport:
                 print(f"{r.quantity} = {FMT % r.value}  [{r.method}]{tol}")
 
 
-def _write_csv(rows, header, out: str | None) -> None:
+def _write_csv(header, rows, out: str | None) -> None:
     with (open(out, "w", newline="", encoding="utf-8") if out
           else contextlib.nullcontext(sys.stdout)) as handle:
         writer = csv.writer(handle)
@@ -81,16 +84,16 @@ def _write_csv(rows, header, out: str | None) -> None:
             writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
 
 
-def _cmd_dtilde(args) -> int:
-    problem = load_problem(args.problem)
+# Each _cmd_* adapter takes the loaded problem and the parsed arguments and
+# returns a BoundReport or a CSV table (header, rows); run() prints it.
+
+def _cmd_dtilde(problem, args):
     grid = np.union1d(np.linspace(0.0, 1.0, args.grid), build_dtilde1(problem).breakpoints)
-    rows = zip(grid.tolist(), dtilde1(problem, grid).tolist(), dtilde(problem, grid).tolist())
-    _write_csv(rows, ["w", "dtilde1", "dtilde"], args.out)
-    return 0
+    return ["w", "dtilde1", "dtilde"], zip(
+        grid.tolist(), dtilde1(problem, grid).tolist(), dtilde(problem, grid).tolist())
 
 
-def _cmd_exact(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_exact(problem, args):
     ms = [int(m) for m in args.M.split(",")]
     rows = []
     for m in ms:
@@ -103,41 +106,35 @@ def _cmd_exact(args) -> int:
             bound = float(np.min(achievability_bound(problem, rate, lams).value))
         rows.append((m, res.exact_distortion, bound, mc.mean, mc.stderr))
     if args.out or args.csv:
-        _write_csv(rows, ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"],
-                   args.out)
-    else:
-        report = BoundReport("exact-random-coding")
-        for m, exact, bound, mean, stderr in rows:
-            report.add(f"exact[M={m}]", exact, "closed-form segment integral")
-            report.add(f"bound[M={m}]", bound, "split-quantile upper bound" if m > 2
-                       else "exact value (split-quantile bound needs M > 2)")
-            report.add(f"mc[M={m}]", mean, f"monte carlo ({args.trials} trials)")
-            report.add(f"mc_stderr[M={m}]", stderr, "sample standard error")
-        report.emit(args.json)
-    return 0
+        return ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"], rows
+    report = BoundReport("exact-random-coding")
+    for m, exact, bound, mean, stderr in rows:
+        report.add(f"exact[M={m}]", exact, "closed-form segment integral")
+        report.add(f"bound[M={m}]", bound, "split-quantile upper bound" if m > 2
+                   else "exact value (split-quantile bound needs M > 2)")
+        report.add(f"mc[M={m}]", mean, f"monte carlo ({args.trials} trials)")
+        report.add(f"mc_stderr[M={m}]", stderr, "sample standard error")
+    return report
 
 
-def _cmd_achieve(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_achieve(problem, args):
     report = BoundReport("achievability")
     if args.dreq is not None:
         res = rate_for_distortion(problem, args.dreq)
         report.add("rate", res.rate, "exact f-inverse minimization")
         report.add("rate_g", res.rate_g, "closed-form g relaxation")
         report.add("z", res.z, "one minimizing distortion split, fixed to about 1e-4")
-    else:
-        if args.rate is None or args.slack is None:
-            raise ValueError("provide either --dreq or both --rate and --slack")
-        res = achievability_bound(problem, args.rate, args.slack)
-        report.add("bound", res.value, "split-quantile form")
-        report.add("bound_dmax", res.dmax_value, "d_max form")
-        report.add("w", res.w, "split quantile")
-    report.emit(args.json)
-    return 0
+        return report
+    if args.rate is None or args.slack is None:
+        raise ValueError("provide either --dreq or both --rate and --slack")
+    res = achievability_bound(problem, args.rate, args.slack)
+    report.add("bound", res.value, "split-quantile form")
+    report.add("bound_dmax", res.dmax_value, "d_max form")
+    report.add("w", res.w, "split quantile")
+    return report
 
 
-def _cmd_converse(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_converse(problem, args):
     if args.code is not None:
         code = Code(tuple(int(i) for i in args.code.split(",")))
         check = converse_equality_check(problem, code)
@@ -145,29 +142,24 @@ def _cmd_converse(args) -> int:
         report.add("lhs", check.lhs, "optimal-encoding distortion")
         report.add("rhs", check.rhs, "dtilde at 1/M under the code prior")
         report.add("gap", check.gap, "absolute difference", tolerance=EQUALITY_TOL)
-        report.emit(args.json)
-        return 0
+        return report
     if args.rate is None:
         raise ValueError("provide --code or --rate")
     bounds = dhat_sandwich(problem, args.rate)
     if args.out or args.csv:
-        row = (args.rate, bounds.lower, bounds.upper,
-               *[float(v) for v in bounds.q_star])
         header = ["R", "dhat_lower", "dhat_upper"] + [
             f"q_star_{y}" for y in range(problem.y_size)
         ]
-        _write_csv([row], header, args.out)
-    else:
-        report = BoundReport("dhat-sandwich")
-        report.add("dhat_lower", bounds.lower, "k-median LP dual bound")
-        report.add("dhat_upper", bounds.upper, "k-median LP floor (no slack below the rate)"
-                   if bounds.slack is None else "achievability over the slack grid")
-        report.emit(args.json)
-    return 0
+        return header, [(args.rate, bounds.lower, bounds.upper,
+                         *[float(v) for v in bounds.q_star])]
+    report = BoundReport("dhat-sandwich")
+    report.add("dhat_lower", bounds.lower, "k-median LP dual bound")
+    report.add("dhat_upper", bounds.upper, "k-median LP floor (no slack below the rate)"
+               if bounds.slack is None else "achievability over the slack grid")
+    return report
 
 
-def _cmd_optimize_prior(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_optimize_prior(problem, args):
     res = optimize_prior(problem, args.rate)
     report = BoundReport("optimize-prior")
     report.add("value", res.value, "k-median LP, HiGHS")
@@ -175,12 +167,10 @@ def _cmd_optimize_prior(args) -> int:
     report.add("certificate_gap", res.certificate_gap, "value minus dual_bound")
     for y, q in enumerate(res.q_star):
         report.add(f"q_star[{y}]", float(q), "optimized prior mass")
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def _cmd_variational(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_variational(problem, args):
     w = args.w
     direct1 = dtilde1(problem, w)
     direct = dtilde(problem, w)
@@ -189,30 +179,28 @@ def _cmd_variational(args) -> int:
     chan_gap = float(np.max(np.abs(
         inf_res.channel.w - test_channel(problem, w).w
     )))
+    if (abs(sup_val - direct1) > VARIATIONAL_TOL
+            or abs(inf_res.value - direct) > VARIATIONAL_TOL):
+        raise EqualityCheckError(
+            f"variational forms disagree: sup_form={sup_val!r} dtilde1={direct1!r} "
+            f"inf_form={inf_res.value!r} dtilde={direct!r}")
+    if chan_gap > VARIATIONAL_TOL:
+        raise EqualityCheckError(
+            f"greedy channel disagrees with the packing channel: channel_gap={chan_gap!r}")
     report = BoundReport("variational-forms")
     report.add("dtilde1", direct1, "piecewise representation")
     report.add("sup_form", sup_val, "optimal-test power at the witness")
     report.add("dtilde", direct, "piecewise representation")
     report.add("inf_form", inf_res.value, "capacity-capped greedy channel")
-    report.add("channel_gap", chan_gap, "max entry difference", tolerance=1e-9)
-    report.emit(args.json)
-    if abs(sup_val - direct1) > 1e-9 or abs(inf_res.value - direct) > 1e-9:
-        raise EqualityCheckError("variational forms disagree beyond 1e-9")
-    if chan_gap > 1e-9:
-        raise EqualityCheckError("greedy channel disagrees with the packing channel")
-    return 0
+    report.add("channel_gap", chan_gap, "max entry difference", tolerance=VARIATIONAL_TOL)
+    return report
 
 
-def _cmd_excess(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_excess(problem, args):
     if args.gap_sweep:
         xs = np.geomspace(2.0, 1e6, args.sweep_points)
-        rows = []
-        for x in xs:
-            cmp_ = bound_gap_comparison(float(x))
-            rows.append((float(x), cmp_.ours, cmp_.theirs, cmp_.diff))
-        _write_csv(rows, ["x", "g", "loglog", "diff"], args.out)
-        return 0
+        return ["x", "g", "loglog", "diff"], np.column_stack(
+            [xs, *bound_gap_comparison(xs)]).tolist()
     if args.m_functional:
         w = math.exp(-args.rate)
         channel = test_channel(problem, w)
@@ -222,34 +210,27 @@ def _cmd_excess(args) -> int:
         report.add("m", math.exp(check.rhs), "column-max sum")
         report.add("lhs", check.lhs, "max-divergence at the explicit minimizer")
         report.add("rhs", check.rhs, "log column-max sum", tolerance=LEMMA4_TOL)
-        report.emit(args.json)
-        return 0
+        return report
     ep = excess_problem(problem, args.dth)
     deltas = np.linspace(0.0, dtilde(ep, 1.0), args.delta_grid)
-    rows = zip(deltas.tolist(), rtilde(ep, deltas).tolist())
-    _write_csv(rows, ["delta", "excess_rate"], args.out)
-    return 0
+    return ["delta", "excess_rate"], zip(deltas.tolist(), rtilde(ep, deltas).tolist())
 
 
-def _cmd_simulate(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_simulate(problem, args):
     mc = simulate_random_code(problem, args.M, args.trials, args.seed)
     report = BoundReport("simulate")
     report.add("mean", mc.mean, f"monte carlo ({mc.trials} trials, seed {mc.seed})")
     report.add("stderr", mc.stderr, "sample standard error")
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def _cmd_product_prior(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_product_prior(problem, args):
     rep = product_prior_experiment(problem, args.n, args.rate, seed=args.seed)
     report = BoundReport("product-prior-experiment")
     report.add("product_value", rep.product_value, "best memoryless prior")
     report.add("full_value", rep.full_value, "unrestricted prior")
     report.add("gap", rep.gap, "full minus product (<= 0 expected)")
-    report.emit(args.json)
-    return 0
+    return report
 
 
 # built on the first run() and reused: parse_args leaves the parser as it
@@ -354,13 +335,18 @@ def run(argv=None) -> int:
         # would end with status 2, the status of a failed identity here
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        result = args.func(load_problem(args.problem), args)
+        if isinstance(result, BoundReport):
+            result.emit(args.json)
+        else:
+            _write_csv(*result, args.out)
     except EqualityCheckError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -299,6 +299,8 @@ def product_prior_experiment(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not rate >= 0:
+        raise ValueError(f"rate must be nonnegative, got {rate}")
     entries = base.x_size ** n * base.y_size ** n
     if entries > PRODUCT_MAX_ENTRIES:
         raise ValueError(f"product instance has {entries} channel entries, "

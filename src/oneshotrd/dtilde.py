@@ -183,8 +183,8 @@ def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
     """dtilde(w) for any prior vector, normalized or not; w = 0 gives the right
     limit, sum_x p_x min over the prior's support of d(x, y). A prior without
     support raises InvariantViolation, as build_dtilde1 does for q_y."""
-    if not w >= 0.0:
-        raise ValueError(f"w must be nonnegative, got {w}")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1], got {w}")
     support = np.asarray(prior) > 0
     if not support.any():
         raise InvariantViolation("prior has empty support")

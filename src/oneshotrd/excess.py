@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dtilde import dtilde, dtilde1, rtilde
-from .model import EqualityCheckError, Problem
+from .model import EqualityCheckError, Problem, _like
 from .random_coding import g_of
 from .variational import d_inf
 
@@ -107,10 +107,9 @@ def lemma4_check(joint) -> Lemma4Result:
     return Lemma4Result(lhs, rhs, gap)
 
 
-def bound_gap_comparison(x: float) -> GapComparison:
-    """Our closed-form rate penalty g(x) against the reference log log x."""
-    if x <= 1.0:
-        raise ValueError(f"x must be greater than 1, got {x}")
+def bound_gap_comparison(x) -> GapComparison:
+    """Our closed-form rate penalty g(x) against the reference log log x, for
+    x > 1: a scalar (each field a float) or an array."""
     ours = g_of(x)
-    theirs = math.log(math.log(x))
+    theirs = _like(np.log(np.log(np.array(x, dtype=float, ndmin=1))), x)
     return GapComparison(ours, theirs, ours - theirs)

@@ -23,6 +23,8 @@ import numpy as np
 from .dtilde import dtilde_for_prior
 from .model import Channel, Problem, _readonly
 
+VARIATIONAL_TOL = 1e-9  # CLI variational check: largest gap between the forms accepted
+
 
 @dataclass(eq=False)
 class WeightedMeasure:

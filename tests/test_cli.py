@@ -16,13 +16,16 @@ import oneshotrd
 import oneshotrd.converse as converse_mod
 from conftest import dense_prior_lp, make_random_problem
 from oneshotrd import (
+    Channel,
     EqualityCheckError,
     dtilde,
+    dtilde1,
     exact_expected_distortion,
+    load_problem,
     optimize_prior,
     save_problem,
 )
-from oneshotrd.cli import _FLOAT_OPTIONS, _build_parser, run
+from oneshotrd.cli import _FLOAT_OPTIONS, BoundReport, _build_parser, _write_csv, run
 from oneshotrd.converse import product_prior_experiment, product_problem
 
 
@@ -497,3 +500,76 @@ def test_out_in_a_missing_directory_exits_1(tmp_path):
 def test_product_prior_experiment_rejects_n_below_1(binary_hamming):
     with pytest.raises(ValueError, match="n must be at least 1"):
         product_prior_experiment(binary_hamming, 0, 0.5)
+
+
+# every adapter in every mode; only run() loads the problem and prints
+ADAPTER_CALLS = [
+    ["dtilde", "--grid", "11"],
+    ["exact", "--M", "1,3", "--trials", "300"],
+    ["exact", "--M", "3", "--trials", "300", "--csv"],
+    ["achieve", "--dreq", "1.2", "--json"],
+    ["achieve", "--rate", "1", "--slack", "0.5"],
+    ["converse", "--code", "0,4,2"],
+    ["converse", "--rate", "0.9"],
+    ["converse", "--rate", "0.9", "--csv"],
+    ["optimize-prior", "--rate", "0.9"],
+    ["variational", "--w", "0.37"],
+    ["excess", "--dth", "1", "--delta-grid", "5"],
+    ["excess", "--gap-sweep", "--sweep-points", "5"],
+    ["excess", "--m-functional", "--rate", "0.9"],
+    ["simulate", "--M", "3", "--trials", "300"],
+    ["product-prior-experiment", "--n", "1", "--rate", "0.9"],
+]
+
+
+@pytest.mark.parametrize("call", ADAPTER_CALLS, ids=" ".join)
+def test_adapters_return_what_run_prints(call, capsys):
+    argv = _golden_argv(call)
+    args = _build_parser().parse_args(argv)
+    result = args.func(load_problem(args.problem), args)
+    assert capsys.readouterr() == ("", "")
+    if isinstance(result, BoundReport):
+        result.emit(args.json)
+    else:
+        _write_csv(*result, None)
+    printed = capsys.readouterr().out
+    assert _run_captured(argv) == (0, printed, "")
+
+
+def _uniform_channel(problem, w):
+    return Channel(np.full((problem.x_size, problem.y_size), 1.0 / problem.y_size))
+
+
+# each identity subcommand with one side of its identity made wrong, and the
+# values its assertion line must name
+DTILDE1_AT_037 = dtilde1(load_problem(GOLDEN / "integer_6x5.json"), 0.37)
+IDENTITY_FAILURES = {
+    "converse": (["converse", "--code", "0,4,2"], "oneshotrd.converse.code_distortion",
+                 lambda *args: 0.5, ["lhs=0.5 ", "rhs="]),
+    "variational": (["variational", "--w", "0.37"], "oneshotrd.cli.sup_form_value",
+                    lambda *args: 0.5, ["sup_form=0.5 ", f"dtilde1={DTILDE1_AT_037!r} "]),
+    "channel": (["variational", "--w", "0.37"], "oneshotrd.cli.test_channel",
+                _uniform_channel, ["channel_gap="]),
+    "m-functional": (["excess", "--m-functional", "--rate", "0.9"], "oneshotrd.excess.d_inf",
+                     lambda *args: 0.5, ["lhs=0.5 ", "rhs="]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_FAILURES))
+def test_identity_failures_print_nothing_on_stdout(case, monkeypatch):
+    # a failed identity leaves stdout empty: no report of unchecked values
+    call, target, wrong, named = IDENTITY_FAILURES[case]
+    monkeypatch.setattr(target, wrong)
+    status, out, err = _run_captured(_golden_argv(call))
+    assert (status, out) == (2, "")
+    assert err.startswith("assertion failure: ") and err.count("\n") == 1
+    assert all(value in err for value in named)
+
+
+def test_product_prior_rejects_a_negative_rate_before_searching(monkeypatch):
+    runs = []
+    monkeypatch.setattr(converse_mod, "_nelder_mead", lambda *args: runs.append(args))
+    status, out, err = _run_captured(
+        _golden_argv(["product-prior-experiment", "--rate", "-0.5"]))
+    assert (status, out, runs) == (1, "", [])
+    assert err == "error: rate must be nonnegative, got -0.5\n"

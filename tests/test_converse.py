@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oneshotrd import (
     dtilde_subgradient,
     exact_expected_distortion,
     f_of,
+    load_problem,
     optimal_encoder,
     optimize_prior,
     test_channel as packing_channel,
@@ -420,6 +422,18 @@ def test_product_prior_search_tries_each_face_once(monkeypatch):
     monkeypatch.setattr(converse_mod, "_nelder_mead", counted)
     product_prior_experiment(base, 2, rate)
     assert len(runs) <= converse_mod.PRODUCT_RANDOM_STARTS + 1 + base.y_size
+
+
+@pytest.mark.parametrize("rate", [-0.5, -1e-300, math.nan])
+def test_product_prior_rejects_a_bad_rate_before_searching(monkeypatch, rate):
+    # the whole search ran before optimize_prior raised: 0.25 s on this 6x5
+    base = load_problem(Path(__file__).parent / "golden" / "integer_6x5.json")
+    runs = []
+    monkeypatch.setattr(converse_mod, "_nelder_mead", lambda *args: runs.append(args))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="rate must be nonnegative"):
+            product_prior_experiment(base, n, rate)
+    assert runs == []
 
 
 def test_product_prior_search_is_deterministic_per_seed(rng):

@@ -328,11 +328,20 @@ def test_dtilde_reads_the_right_limit_at_a_subnormal_w():
 
 
 def test_for_prior_checks_w_and_support(binary_hamming):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"w must be in \[0, 1\]"):
         dtilde_for_prior(binary_hamming, -1e-300, binary_hamming.q_y)
     for w in (0.0, 0.5):
         with pytest.raises(InvariantViolation):
             dtilde_for_prior(binary_hamming, w, np.zeros(2))
+
+
+@pytest.mark.parametrize("w", [2.0, math.inf, math.nan])
+def test_for_prior_rejects_w_outside_the_unit_interval(w):
+    # the fill read 1.1513 at w = 2 and 0 at w = inf on this instance
+    problem = load_problem(Path(__file__).parent / "golden" / "integer_6x5.json")
+    for evaluate in (dtilde, lambda p, v: dtilde_for_prior(p, v, p.q_y)):
+        with pytest.raises(ValueError, match=rf"w must be in \[0, 1\], got {w}"):
+            evaluate(problem, w)
 
 
 def test_for_prior_right_limit_is_the_min_over_its_support():

@@ -166,6 +166,18 @@ def test_gap_comparison_sweep_below_one_nat():
     assert bound_gap_comparison(1.8).diff < 1.0
 
 
+def test_gap_comparison_takes_an_array():
+    # the CLI's sweep: one array call, each entry the scalar call's bits
+    xs = np.geomspace(2.0, 1e6, 200)
+    res = bound_gap_comparison(xs)
+    for i, x in enumerate(xs.tolist()):
+        one = bound_gap_comparison(x)
+        assert all(type(v) is float for v in one)
+        assert one == (res.ours[i], res.theirs[i], res.diff[i])
+    with pytest.raises(ValueError, match="x must be greater than 1, got 1.0"):
+        bound_gap_comparison(np.array([2.0, 1.0]))
+
+
 def test_excess_dtilde_rejects_a_negative_rate(binary_hamming):
     with pytest.raises(ValueError, match="rate must be nonnegative"):
         excess_dtilde(binary_hamming, -0.1, 0.0)
