@@ -70,6 +70,7 @@ from .pairwise import (
 from .random_coding import (
     RandomCodingResult,
     achievability_bound,
+    best_achievability,
     exact_expected_distortion,
     f_inverse,
     f_of,

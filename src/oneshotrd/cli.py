@@ -36,6 +36,7 @@ from .model import Code, EqualityCheckError, load_problem
 from .montecarlo import simulate_random_code
 from .random_coding import (
     achievability_bound,
+    best_achievability,
     exact_expected_distortion,
     rate_for_distortion,
 )
@@ -99,11 +100,8 @@ def _cmd_exact(problem, args):
     for m in ms:
         res = exact_expected_distortion(problem, m)
         mc = simulate_random_code(problem, m, args.trials, args.seed)
-        bound = res.exact_distortion
-        if m > 2:
-            rate = math.log(m - 1)
-            lams = np.linspace(rate - 4.0, rate - 1e-3, 40)
-            bound = float(np.min(achievability_bound(problem, rate, lams).value))
+        bound = (best_achievability(problem, math.log(m - 1)).value if m > 2
+                 else res.exact_distortion)
         rows.append((m, res.exact_distortion, bound, mc.mean, mc.stderr))
     if args.out or args.csv:
         return ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"], rows
@@ -335,7 +333,9 @@ def run(argv=None) -> int:
         # would end with status 2, the status of a failed identity here
         return 1 if exc.code else 0
     try:
-        result = args.func(load_problem(args.problem), args)
+        # the gap sweep is the one mode that reads no problem
+        problem = None if getattr(args, "gap_sweep", False) else load_problem(args.problem)
+        result = args.func(problem, args)
         if isinstance(result, BoundReport):
             result.emit(args.json)
         else:

@@ -34,7 +34,7 @@ class GapComparison(NamedTuple):
 
 def excess_problem(problem: Problem, d_th: float) -> Problem:
     """Same instance with distortion replaced by the indicator of d > d_th."""
-    if d_th < 0:
+    if not d_th >= 0:
         raise ValueError(f"d_th must be nonnegative, got {d_th}")
     return Problem(
         problem.p_x,
@@ -47,7 +47,7 @@ def excess_problem(problem: Problem, d_th: float) -> Problem:
 
 def excess_dtilde(problem: Problem, rate: float, d_th: float) -> float:
     """Excess mass at quantile exp(-rate): dtilde1 of the thresholded instance."""
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     return dtilde1(excess_problem(problem, d_th), math.exp(-rate))
 

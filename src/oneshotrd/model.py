@@ -56,8 +56,8 @@ class Problem:
 
     Instances are immutable after construction (arrays are read-only), so
     the derived objects worth keeping live on the instance, are built on
-    first use and are freed with it: the per-row sort order of d, its level
-    table and the dtilde1 representation stored by build_dtilde1. No
+    first use and are freed with it: d_max, the per-row sort order of d, its
+    level table and the dtilde1 representation stored by build_dtilde1. No
     validation happens here; see :func:`validate` and :func:`load_problem`.
     """
 
@@ -81,7 +81,7 @@ class Problem:
     def y_size(self) -> int:
         return self.q_y.shape[0]
 
-    @property
+    @cached_property
     def d_max(self) -> float:
         """Largest distortion over the supports of p_x and q_y."""
         sub = self.d[np.ix_(self.p_x > 0, self.q_y > 0)]

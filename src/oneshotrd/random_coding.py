@@ -37,6 +37,12 @@ class AchievabilityBound:
 
 
 @dataclass(eq=False)
+class BestAchievability:
+    value: float     # least split-quantile bound found at the rate
+    lam: float       # the lam, below the rate, that gives it
+
+
+@dataclass(eq=False)
 class RateForDistortion:
     rate: float      # via the exact inverse of f
     z: float
@@ -70,7 +76,9 @@ def exact_expected_distortion(problem: Problem, M: int) -> RandomCodingResult:
 
 def f_of(lam: float) -> float:
     """f(lam) = exp(-e^lam) * (e^lam + 1), strictly decreasing from 1 to 0."""
-    t = min(math.exp(min(lam, 700.0)), 1e300)
+    # conditionals, not min(): achievability_bound calls this once per lam
+    t = math.exp(700.0 if lam > 700.0 else lam)
+    t = 1e300 if t > 1e300 else t
     return math.exp(math.log1p(t) - t)
 
 
@@ -127,15 +135,53 @@ def achievability_bound(problem: Problem, rate: float, lam) -> AchievabilityBoun
     bad = ~(lams < rate)
     if bad.any():
         raise ValueError(f"lam must be below the rate, got lam={lams[bad][0]}, rate={rate}")
-    w = np.array([math.exp(v - rate) for v in lams.flat]).reshape(lams.shape)
-    f = np.array([f_of(v) for v in lams.flat]).reshape(lams.shape)
-    d_w = dtilde(problem, w)
-    d_1 = dtilde(problem, 1.0)
+    flat = lams.ravel().tolist()
+    ws = np.array([math.exp(v - rate) for v in flat] + [1.0])  # dtilde(1) rides along
+    f = np.array([f_of(v) for v in flat]).reshape(lams.shape)
+    d = dtilde(problem, ws)
+    w, d_w, d_1 = ws[:-1].reshape(lams.shape), d[:-1].reshape(lams.shape), d[-1]
     return AchievabilityBound(
         value=_like(d_w + (d_1 - d_w) * f, lam),
         dmax_value=_like(d_w + problem.d_max * f, lam),
         w=_like(w, lam),
     )
+
+
+def _grid_min(fn, grid, lo: float, hi: float, rounds: int, points: int):
+    """(x, fn(x)) at the least value seen: one array call of fn on the grid,
+    then rounds - 1 calls on points spanning the two intervals beside the
+    latest argmin (reaching lo or hi past an end), a bracket that shrinks
+    by 2 / (points - 1) a round."""
+    x, x_star, v_star = grid, math.nan, math.inf
+    for _ in range(rounds):
+        vals = fn(x)
+        k = int(np.argmin(vals))
+        if vals[k] <= v_star:
+            x_star, v_star = float(x[k]), float(vals[k])
+        x = np.linspace(x[k - 1] if k > 0 else lo,
+                        x[k + 1] if k + 1 < x.size else hi, points)
+    return x_star, v_star
+
+
+def best_achievability(problem: Problem, rate: float) -> BestAchievability:
+    """Least achievability_bound(problem, rate, lam).value over lam, and its lam.
+
+    The grid: lam = rate + log w at every interior breakpoint w of dtilde,
+    and 32 points up to the last double below the rate from the later of
+    -10 (below it f(lam) > 1 - 1e-9) and the middle of dtilde's flat first
+    segment: the bound only rises as lam falls there, and dtilde is exact
+    there, while at the segment's end c / w + s cancels to rounding. Then
+    7 rounds of 16 points.
+    """
+    hi = math.nextafter(rate, -math.inf)
+    bp = build_dtilde1(problem).breakpoints[1:-1]
+    first = rate + math.log(bp[0] / 2) if bp.size else hi
+    lo = min(max(-10.0, first), hi)
+    grid = np.unique(np.concatenate([np.minimum(rate + np.log(bp), hi),
+                                     np.linspace(lo, hi, 32)]))
+    lam, value = _grid_min(lambda lams: achievability_bound(problem, rate, lams).value,
+                           grid, grid[0], hi, 8, 16)
+    return BestAchievability(value=value, lam=lam)
 
 
 def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
@@ -144,10 +190,9 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     Minimizes rtilde(z) + f_inverse((d_req - z) / (dtilde(1) - z)) over
     dtilde(0) < z < d_req. One array call evaluates a deterministic grid:
     every breakpoint value of dtilde plus 256 uniform points. Then 11
-    rounds each evaluate 64 evenly spaced points across the two intervals
-    beside the latest argmin, shrinking that bracket by 2/63 a round
-    (about 3e-17 in all); the smallest value seen is the rate. The same
-    minimization with the relaxation g in place of f_inverse gives rate_g.
+    rounds of 64 points shrink around the argmin (about 3e-17 in all);
+    the smallest value seen is the rate. The same minimization with the
+    relaxation g in place of f_inverse gives rate_g.
     Where no split strictly inside (dtilde(0), d_req) gives a finite value,
     as for d_req a few ulps above dtilde(0), it raises ValueError.
     """
@@ -172,14 +217,7 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
 
     results = []
     for use_g in (False, True):
-        z, z_star, v_star = grid, math.nan, math.inf
-        for _ in range(12):  # the grid, then 11 rounds of 64 points
-            vals = minimand(z, use_g)
-            k = int(np.argmin(vals))
-            if vals[k] <= v_star:
-                z_star, v_star = float(z[k]), float(vals[k])
-            z = np.linspace(z[k - 1] if k > 0 else lo,
-                            z[k + 1] if k + 1 < z.size else d_req, 64)
+        z_star, v_star = _grid_min(lambda z: minimand(z, use_g), grid, lo, d_req, 12, 64)
         if v_star == math.inf:
             raise ValueError(f"no distortion split strictly inside (dtilde(0), d_req) = "
                              f"({lo!r}, {d_req!r}) gives a finite rate")

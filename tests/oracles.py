@@ -8,9 +8,10 @@ variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level, exact's split-quantile
-bound as the minimum of 40 scalar achievability_bound calls, the exact
-integral with a scalar power at both ends of every segment, and the
+rather than per distinct distortion level, the 40-point slack grid of
+scalar achievability_bound calls that exact's split-quantile bound must
+never exceed, the exact integral with a scalar power at both ends of
+every segment, and the
 per-row level routes that Problem.levels replaced: the np.unique profile,
 the strict-below and tie masses with the pairwise-correct probability and
 its inverse built on them, the acceptance matrix and witness built row by
@@ -435,7 +436,9 @@ def achievability_bound_scalar(problem: Problem, rate: float, lam: float) -> Ach
 
 
 def exact_split_quantile_bound(problem: Problem, m: int) -> float:
-    """exact's bound[M=m] for m > 2, one scalar achievability_bound call per lam."""
+    """Least split-quantile bound at rate log(m - 1) over 40 slacks in
+    [rate - 4, rate - 1e-3], one scalar achievability_bound call each: an
+    upper end for exact's bound[M=m], m > 2."""
     rate = math.log(m - 1)
     return min(achievability_bound_scalar(problem, rate, lam).value
                for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))

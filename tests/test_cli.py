@@ -202,6 +202,13 @@ def test_cli_reports_missing_file(capsys):
     assert run(["exact", "--problem", "/nonexistent.json", "--M", "2"]) == 1
 
 
+def test_gap_sweep_reads_no_problem(binary_path):
+    sweep = ["excess", "--gap-sweep", "--sweep-points", "5"]
+    missing = _run_captured([sweep[0], "--problem", "/nonexistent.json", *sweep[1:]])
+    assert missing == _run_captured([sweep[0], "--problem", binary_path, *sweep[1:]])
+    assert missing[0] == 0 and missing[1].startswith("x,g,loglog,diff")
+
+
 def test_cli_assertion_failures_exit_2(binary_path, monkeypatch, capsys):
     import oneshotrd.cli as cli_mod
 
@@ -275,15 +282,16 @@ def test_exact_bounds_each_m_in_one_call(binary_path, monkeypatch, capsys):
     import oneshotrd.cli as cli_mod
 
     calls = []
-    real = cli_mod.achievability_bound
+    real = cli_mod.best_achievability
 
     def counting(*args, **kwargs):
-        calls.append(np.size(args[2]))
+        calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "achievability_bound", counting)
+    monkeypatch.setattr(cli_mod, "best_achievability", counting)
     _stdout(capsys, ["exact", "--problem", binary_path, "--M", "1,2,3,9", "--trials", "100"])
-    assert calls == [40, 40]
+    # one search per M > 2, at the rate log(M - 1); M <= 2 reports the exact value
+    assert calls == [math.log(2), math.log(8)]
 
 
 def test_product_problem_structure(binary_hamming):
@@ -465,6 +473,7 @@ def test_achieve_dreq_at_a_subnormal_split_prints_a_finite_rate_g():
     (["converse"], "provide --code or --rate"),
     (["exact", "--M", str(10**20)], "M must be between 1 and 68719476736"),
     (["simulate", "--M", str(10**20)], "M must be between 1 and 68719476736"),
+    (["excess", "--dth", "nan", "--delta-grid", "3"], "d_th must be nonnegative, got nan"),
 ])
 def test_input_errors_print_one_error_line(call, message):
     status, out, err = _run_captured(_golden_argv(call, "binary_hamming"))

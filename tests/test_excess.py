@@ -181,3 +181,13 @@ def test_gap_comparison_takes_an_array():
 def test_excess_dtilde_rejects_a_negative_rate(binary_hamming):
     with pytest.raises(ValueError, match="rate must be nonnegative"):
         excess_dtilde(binary_hamming, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf])
+def test_excess_rejects_a_nan_or_negative_threshold_and_rate(binary_hamming, bad):
+    with pytest.raises(ValueError, match="d_th must be nonnegative"):
+        excess_problem(binary_hamming, bad)
+    with pytest.raises(ValueError, match="d_th must be nonnegative"):
+        excess_rate(binary_hamming, 0.1, bad)
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        excess_dtilde(binary_hamming, bad, 0.0)

@@ -166,6 +166,15 @@ def test_d_max_restricted_to_supports():
     assert p.d_max == 1.0
 
 
+def test_d_max_is_built_once_per_instance(monkeypatch):
+    p = Problem([0.5, 0.5], [0.25, 0.75], [[5.0, 1.0], [9.0, 7.0]])
+    calls = []
+    real = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *a: calls.append(1) or real(*a))
+    assert [p.d_max, p.d_max, p.d_max] == [9.0] * 3
+    assert len(calls) == 1
+
+
 def test_channel_validation():
     validate_channel(Channel([[0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(InvariantViolation, match="row 1"):

@@ -18,6 +18,7 @@ from oneshotrd import (
     Code,
     Problem,
     achievability_bound,
+    best_achievability,
     code_distortion,
     dtilde,
     dtilde_inverse,
@@ -284,7 +285,7 @@ def test_achievability_array_matches_scalar_calls(problem, data):
 
 @settings(max_examples=60, deadline=None)
 @given(problem=problems(), ms=st.lists(st.integers(3, 5000), min_size=1, max_size=3))
-def test_exact_bound_matches_forty_scalar_calls(problem, ms):
+def test_exact_bound_lies_between_exact_and_the_forty_point_grid(problem, ms):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.json"
         save_problem(problem, path)
@@ -300,7 +301,50 @@ def test_exact_bound_matches_forty_scalar_calls(problem, ms):
         loaded = load_problem(path)
     got = {r["quantity"]: r["value"] for r in json.loads(out.getvalue())["records"]}
     for m in ms:
-        assert got[f"bound[M={m}]"].hex() == exact_split_quantile_bound(loaded, m).hex()
+        bound = got[f"bound[M={m}]"]
+        assert bound.hex() == best_achievability(loaded, math.log(m - 1)).value.hex()
+        # at a breakpoint b, dtilde's c / b + s cancels to the rounding of s,
+        # so the bound may read a few ulps below the exact average it dominates
+        assert bound >= got[f"exact[M={m}]"] - 1e-12
+        # the old 40-point grid over [rate - 4, rate - 1e-3] stays the reference
+        assert bound <= exact_split_quantile_bound(loaded, m) + 1e-15 * max(1.0, bound)
+
+
+def _exact_bound(path, m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["exact", "--problem", str(path), "--M", str(m), "--trials", "2",
+                    "--json"]) == 0
+    return {r["quantity"]: r["value"]
+            for r in json.loads(out.getvalue())["records"]}[f"bound[M={m}]"]
+
+
+def test_exact_bound_at_m3_on_binary_hamming_is_one_over_e():
+    # the breakpoint w = 1/2 at lam = 0 gives f(0) / 2 = 1/e; the 40-point
+    # grid read 0.37253198647492114
+    bound = _exact_bound(GOLDEN / "binary_hamming.json", 3)
+    assert abs(bound - math.exp(-1.0)) <= math.ulp(math.exp(-1.0))
+
+
+def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
+    # the best slack, about 4.6 = -log 0.01 below the rate, lies past the
+    # old grid's 4: that grid read 0.8128, the exact average is 0.05
+    path = tmp_path / "p.json"
+    save_problem(Problem([0.11, 0.84, 0.05], [0.01, 0.48, 0.51],
+                         [[0.0, 0.0, 3.0], [0.0, 2.0, 2.0], [2.0, 1.0, 3.0]]), path)
+    problem = load_problem(path)
+    bound = _exact_bound(path, 4096)
+    assert exact_split_quantile_bound(problem, 4096) > bound + 0.1
+    assert exact_expected_distortion(problem, 4096).exact_distortion <= bound < 0.0501
+
+
+def test_best_achievability_returns_the_bound_at_its_lam(rng):
+    for _ in range(20):
+        p = make_random_problem(rng)
+        rate = float(rng.uniform(0.1, 8.0))
+        best = best_achievability(p, rate)
+        assert best.lam < rate
+        assert best.value == achievability_bound(p, rate, best.lam).value
 
 
 def test_achievability_dominates_exact(rng):
