@@ -58,12 +58,15 @@ class PriorOptResult:
     value is dtilde(w, q_star), attained by q_star; dual_bound is a
     certified lower bound on the minimum; certificate_gap = value -
     dual_bound, so the minimum lies within certificate_gap below value.
+    alpha holds the LP's equality duals, one per source letter, from which
+    dual_bound is computed.
     """
 
     q_star: np.ndarray
     value: float
     dual_bound: float
     certificate_gap: float
+    alpha: np.ndarray
 
 
 def _members(problem: Problem, code: Code) -> np.ndarray:
@@ -203,12 +206,14 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     q = np.clip(res.x[g:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
-    bound = _dual_bound(problem, t, res.eqlin.marginals[:nx])
+    alpha = res.eqlin.marginals[:nx]
+    bound = _dual_bound(problem, t, alpha)
     return PriorOptResult(
         q_star=_readonly(q),
         value=value,
         dual_bound=bound,
         certificate_gap=value - bound,
+        alpha=_readonly(alpha),
     )
 
 
@@ -217,23 +222,41 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
 
     lower = optimize_prior(rate).dual_bound, with q_star its prior;
     upper = min over lam = rate - s, s in SANDWICH_SLACKS, of
-            optimize_prior(rate - lam).value + d_max * f(lam).
-    Each LP depends on its rate only through _lp_size's t, so each distinct
-    t is solved once. Where every rate - s rounds back to rate (about 1e16
-    and above), the LP is clamped at the floor sum_x p_x min_y d_xy, upper
-    is its value and slack is None.
+            optimize_prior(rate - lam).value + d_max * f(lam),
+    and slack is the first s that attains it. Each LP depends on its rate
+    only through _lp_size's t, and no t is solved twice. The LPs solved are
+    the rate's, the first slack's and those of later slacks that can still
+    win. The LP value at any t is at least the floor sum_x p_x min_y d_xy,
+    and at least _dual_bound(t, alpha) for the duals alpha of every LP
+    solved so far. The larger of these, less 1e-12 * (1 + t) * (d_max +
+    max |alpha|_1) plus the smallest normal double, stays at or below the
+    value as computed: that allowance exceeds the rounding of both for
+    alphabets of up to a thousand letters. A slack is skipped when this
+    bound plus d_max * f(lam) exceeds upper: its candidate would round to
+    more than upper, and only a candidate strictly below upper replaces it.
+    Where every rate - s rounds back to rate (about 1e16 and above), the
+    LP is clamped at the floor, upper is its value and slack is None.
     """
     at_rate = optimize_prior(problem, rate)
     solved = {_lp_size(problem, rate): at_rate}
+    floor = float(np.sum(problem.p_x * problem.d.min(axis=1)))
     upper, slack = at_rate.value, None
     for s in SANDWICH_SLACKS:
         lam = rate - s
         if not lam < rate:
             continue
         t = _lp_size(problem, rate - lam)
+        pen = problem.d_max * f_of(lam)
         if t not in solved:
+            if slack is not None:
+                alphas = [res.alpha for res in solved.values()]
+                norm = max(np.abs(a).sum() for a in alphas)
+                room = 1e-12 * (1.0 + t) * (problem.d_max + norm) + np.finfo(float).tiny
+                lb = max(floor, *(_dual_bound(problem, t, a) for a in alphas)) - room
+                if lb + pen > upper:
+                    continue
             solved[t] = optimize_prior(problem, rate - lam)
-        cand = solved[t].value + problem.d_max * f_of(lam)
+        cand = solved[t].value + pen
         if slack is None or cand < upper:
             upper, slack = cand, s
     if at_rate.dual_bound > upper + SANDWICH_TOL:

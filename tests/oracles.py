@@ -8,7 +8,8 @@ variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level, the 40-point slack grid of
+rather than per distinct distortion level, the sandwich that solves the
+LP of every slack's size, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
 never exceed, the exact integral with a scalar power at both ends of
 every segment, and the
@@ -39,8 +40,9 @@ from oneshotrd import (
     Channel, DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
 )
 from oneshotrd.converse import (
-    PRODUCT_RANDOM_STARTS, ProductPriorReport, PriorOptResult, _dual_bound, _lp_size,
-    _product_power, dtilde_subgradient, optimize_prior, product_problem,
+    PRODUCT_RANDOM_STARTS, SANDWICH_SLACKS, SANDWICH_TOL, ProductPriorReport,
+    PriorOptResult, SandwichBounds, _dual_bound, _lp_size, _product_power,
+    dtilde_subgradient, optimize_prior, product_problem,
 )
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
@@ -407,13 +409,38 @@ def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
     q = np.clip(res.x[nz:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
-    bound = _dual_bound(problem, t, res.eqlin.marginals[:nx])
+    alpha = res.eqlin.marginals[:nx]
+    bound = _dual_bound(problem, t, alpha)
     return PriorOptResult(
         q_star=_readonly(q),
         value=value,
         dual_bound=bound,
         certificate_gap=value - bound,
+        alpha=_readonly(alpha),
     )
+
+
+def dhat_sandwich_every_slack(problem: Problem, rate: float) -> SandwichBounds:
+    """dhat_sandwich solving the LP of every distinct size t that a slack
+    reaches, whether or not its candidate can win."""
+    at_rate = optimize_prior(problem, rate)
+    solved = {_lp_size(problem, rate): at_rate}
+    upper, slack = at_rate.value, None
+    for s in SANDWICH_SLACKS:
+        lam = rate - s
+        if not lam < rate:
+            continue
+        t = _lp_size(problem, rate - lam)
+        if t not in solved:
+            solved[t] = optimize_prior(problem, rate - lam)
+        cand = solved[t].value + problem.d_max * f_of(lam)
+        if slack is None or cand < upper:
+            upper, slack = cand, s
+    if at_rate.dual_bound > upper + SANDWICH_TOL:
+        raise EqualityCheckError(
+            f"sandwich violated: lower={at_rate.dual_bound!r} > upper={upper!r}"
+        )
+    return SandwichBounds(at_rate.dual_bound, upper, at_rate.q_star, slack)
 
 
 def achievability_bound_scalar(problem: Problem, rate: float, lam: float) -> AchievabilityBound:

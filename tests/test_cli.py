@@ -119,19 +119,21 @@ def test_nan_rate_exits_one(binary_path, capsys):
 
 def test_converse_rate_solves_each_distinct_lp_once(rng, tmp_path, monkeypatch, capsys):
     # at rate 1 on 4x4 the slacks give LP sizes e^0.25, e^0.5, e (the rate's
-    # own LP) and three times the clamp t = 4; the CSV prior reuses the first
+    # own LP) and three times the clamp t = 4; only the rate's LP and slack
+    # 0.25's can win here, so two are solved, against four when every
+    # distinct size was; the CSV prior reuses the first
     path = tmp_path / "rand.json"
     save_problem(make_random_problem(rng, nx=4, ny=4), path)
-    calls = []
+    sizes = []
     real = converse_mod.linprog
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def recording(*args, **kwargs):
+        sizes.append(kwargs["b_eq"][-1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(converse_mod, "linprog", counting)
+    monkeypatch.setattr(converse_mod, "linprog", recording)
     assert run(["converse", "--problem", str(path), "--rate", "1", "--csv"]) == 0
-    assert len(calls) == 4
+    assert sizes == [math.exp(1.0), math.exp(0.25)]
     capsys.readouterr()
 
 

@@ -31,7 +31,9 @@ from oneshotrd import (
 from oneshotrd.converse import (
     EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size, product_prior_experiment,
 )
-from oracles import kmedian_lp_per_letter, product_prior_three_stage
+from oracles import (
+    dhat_sandwich_every_slack, kmedian_lp_per_letter, product_prior_three_stage,
+)
 
 
 def random_code(rng, problem, max_m=6):
@@ -222,25 +224,71 @@ def test_dhat_sandwich_is_the_floor_where_every_slack_rounds_away(rng):
 
 
 def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
-    calls = []
+    # an LP is solved at most once per size t, the rate's first, and after
+    # the first slack only where that slack can still win; the bounds still
+    # match one LP per slack, each solved on its own
+    sizes = []
     real = converse_mod.linprog
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def recording(*args, **kwargs):
+        sizes.append(kwargs["b_eq"][-1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(converse_mod, "linprog", counting)
+    monkeypatch.setattr(converse_mod, "linprog", recording)
     for rate in (0.0, 0.25, 0.5, 1.0, 1.5, 2.3, 3.0, 5.0):
         p = make_random_problem(rng)
-        calls.clear()
+        sizes.clear()
         bounds = dhat_sandwich(p, rate)
-        sizes = {_lp_size(p, rate)} | {_lp_size(p, rate - (rate - s)) for s in SANDWICH_SLACKS}
-        assert len(calls) == len(sizes)
-        # the bounds of one LP per slack, as solved before the dedup
+        reachable = {_lp_size(p, rate - (rate - s)) for s in SANDWICH_SLACKS}
+        reachable.add(_lp_size(p, rate))
+        assert len(sizes) == len(set(sizes)) and set(sizes) <= reachable
+        assert sizes[0] == _lp_size(p, rate)
         cands = {s: optimize_prior(p, rate - (rate - s)).value + p.d_max * f_of(rate - s)
                  for s in SANDWICH_SLACKS}
         assert bounds.upper == min(cands.values()) == cands[bounds.slack]
         assert bounds.lower == optimize_prior(p, rate).dual_bound
+    # the 45x50 instance of test_dhat_sandwich_lower_is_the_lp_minimum_45x50
+    # at rate 1: the rate's LP and slack 0.25's, against six when every
+    # distinct size was solved; each slack from 0.5 up loses to the floor or
+    # to a dual line
+    g = np.random.default_rng(0)
+    p = Problem(g.dirichlet(np.ones(45)), g.dirichlet(np.ones(50)),
+                g.integers(0, 5, (45, 50)).astype(float))
+    sizes.clear()
+    bounds = dhat_sandwich(p, 1.0)
+    assert sizes == [math.exp(1.0), math.exp(0.25)]
+    assert bounds.slack == 0.25
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(),
+       rate=st.sampled_from(["log ny", 0.0, 1e16, 1e17, math.inf]) | st.floats(0.0, 10.0))
+def test_dual_bound_is_read_from_alpha(problem, rate):
+    if rate == "log ny":
+        rate = math.log(problem.y_size)
+    res = optimize_prior(problem, rate)
+    assert res.alpha.shape == (problem.x_size,) and not res.alpha.flags.writeable
+    bound = _dual_bound(problem, _lp_size(problem, rate), res.alpha)
+    assert bound.hex() == res.dual_bound.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(),
+       shape=st.sampled_from(["drawn", "constant", "hamming"]), scale=st.floats(-8.0, 8.0),
+       rate=st.sampled_from(["log ny", 0.0, 1e17, math.inf]) | st.floats(0.0, 1.5)
+       | st.floats(0.0, 6.0))
+def test_dhat_sandwich_matches_the_every_slack_loop(problem, shape, scale, rate):
+    # skipping the LPs of slacks that cannot win changes no output bit; d
+    # near 1 - I at small rates is where slacks beyond the first win
+    d = {"drawn": problem.d, "constant": np.full_like(problem.d, problem.d.flat[-1]),
+         "hamming": 1.0 - np.eye(*problem.d.shape) + problem.d / 8.0}[shape]
+    p = Problem(problem.p_x, problem.q_y, d * 10.0 ** scale)
+    if rate == "log ny":
+        rate = math.log(p.y_size)
+    got, ref = dhat_sandwich(p, rate), dhat_sandwich_every_slack(p, rate)
+    assert got.lower.hex() == ref.lower.hex() and got.upper.hex() == ref.upper.hex()
+    assert got.q_star.tobytes() == ref.q_star.tobytes()
+    assert got.slack == ref.slack
 
 
 def _distinct_levels(problem):
