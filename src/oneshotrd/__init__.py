@@ -79,13 +79,13 @@ from .random_coding import (
 )
 from .variational import (
     NPTest,
-    WeightedMeasure,
     d_inf,
     distortion_measure,
     inf_form_value,
     info_spectrum_check,
     np_beta,
     sup_form_value,
+    variational_check,
     witness_qx,
 )
 

@@ -31,7 +31,13 @@ from .converse import (
     product_prior_experiment,
 )
 from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde, test_channel
-from .excess import LEMMA4_TOL, bound_gap_comparison, excess_problem, lemma4_check
+from .excess import (
+    LEMMA4_TOL,
+    bound_gap_comparison,
+    excess_problem,
+    lemma4_check,
+    m_functional,
+)
 from .model import Code, EqualityCheckError, load_problem
 from .montecarlo import simulate_random_code
 from .random_coding import (
@@ -40,7 +46,7 @@ from .random_coding import (
     exact_expected_distortion,
     rate_for_distortion,
 )
-from .variational import VARIATIONAL_TOL, inf_form_value, sup_form_value
+from .variational import VARIATIONAL_TOL, variational_check
 
 FMT = "%.12g"  # 12 significant digits everywhere
 
@@ -169,28 +175,14 @@ def _cmd_optimize_prior(problem, args):
 
 
 def _cmd_variational(problem, args):
-    w = args.w
-    direct1 = dtilde1(problem, w)
-    direct = dtilde(problem, w)
-    sup_val = sup_form_value(problem, w)
-    inf_res = inf_form_value(problem, -math.log(w))
-    chan_gap = float(np.max(np.abs(
-        inf_res.channel.w - test_channel(problem, w).w
-    )))
-    if (abs(sup_val - direct1) > VARIATIONAL_TOL
-            or abs(inf_res.value - direct) > VARIATIONAL_TOL):
-        raise EqualityCheckError(
-            f"variational forms disagree: sup_form={sup_val!r} dtilde1={direct1!r} "
-            f"inf_form={inf_res.value!r} dtilde={direct!r}")
-    if chan_gap > VARIATIONAL_TOL:
-        raise EqualityCheckError(
-            f"greedy channel disagrees with the packing channel: channel_gap={chan_gap!r}")
+    check = variational_check(problem, args.w)
     report = BoundReport("variational-forms")
-    report.add("dtilde1", direct1, "piecewise representation")
-    report.add("sup_form", sup_val, "optimal-test power at the witness")
-    report.add("dtilde", direct, "piecewise representation")
-    report.add("inf_form", inf_res.value, "capacity-capped greedy channel")
-    report.add("channel_gap", chan_gap, "max entry difference", tolerance=VARIATIONAL_TOL)
+    report.add("dtilde1", check.dtilde1, "piecewise representation")
+    report.add("sup_form", check.sup_form, "optimal-test power at the witness")
+    report.add("dtilde", check.dtilde, "piecewise representation")
+    report.add("inf_form", check.inf_form, "capacity-capped greedy channel")
+    report.add("channel_gap", check.channel_gap, "max entry difference",
+               tolerance=VARIATIONAL_TOL)
     return report
 
 
@@ -205,7 +197,7 @@ def _cmd_excess(problem, args):
         joint = problem.p_x[:, None] * channel.w
         check = lemma4_check(joint)
         report = BoundReport("m-functional")
-        report.add("m", math.exp(check.rhs), "column-max sum")
+        report.add("m", m_functional(joint), "column-max sum")
         report.add("lhs", check.lhs, "max-divergence at the explicit minimizer")
         report.add("rhs", check.rhs, "log column-max sum", tolerance=LEMMA4_TOL)
         return report

@@ -21,18 +21,12 @@ from scipy import sparse
 from scipy.optimize import linprog, minimize
 
 from .dtilde import dtilde_for_prior, fill_thresholds
-from .model import Channel, Code, EqualityCheckError, Problem, _readonly
+from .model import Channel, Code, EqualityCheck, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
 
 EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs| accepted
 SANDWICH_SLACKS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)  # dhat_sandwich: rate - lam
 SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper accepted
-
-
-class ConverseEquality(NamedTuple):
-    lhs: float
-    rhs: float
-    gap: float
 
 
 class SandwichBounds(NamedTuple):
@@ -104,7 +98,7 @@ def optimal_encoder(problem: Problem, code: Code) -> Channel:
     return Channel(rows)
 
 
-def converse_equality_check(problem: Problem, code: Code) -> ConverseEquality:
+def converse_equality_check(problem: Problem, code: Code) -> EqualityCheck:
     """Verify code distortion == dtilde(1/M, code prior); raise beyond EQUALITY_TOL."""
     lhs = code_distortion(problem, code)
     rhs = dtilde_for_prior(problem, 1.0 / code.M, code_prior(problem, code))
@@ -113,7 +107,7 @@ def converse_equality_check(problem: Problem, code: Code) -> ConverseEquality:
         raise EqualityCheckError(
             f"converse equality violated: lhs={lhs!r} rhs={rhs!r} gap={gap:.3e}"
         )
-    return ConverseEquality(lhs, rhs, gap)
+    return EqualityCheck(lhs, rhs, gap)
 
 
 def dtilde_subgradient(problem: Problem, w: float, prior) -> np.ndarray:

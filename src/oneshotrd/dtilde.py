@@ -28,8 +28,10 @@ from .pairwise import accept_probability
 # their value. Relative, so that a real mass of 1e-300 at the bottom of a row
 # still opens a segment and dtilde(0) stays the minimum over the prior's
 # support; but never below the smallest normal double, since a segment from a
-# subnormal b has an intercept -s * b that underflows. PROB_ATOL (model.py),
-# how far an input simplex may sum from 1, is a separate quantity.
+# subnormal b has an intercept -s * b that underflows. That floor is the
+# smallest mass validate() admits, and a gap equal to it is kept, so such a
+# mass opens a segment, as the fill sees it. PROB_ATOL (model.py), how far an
+# input simplex may sum from 1, is a separate quantity.
 BREAKPOINT_MERGE_TOL = 1e-14
 
 
@@ -86,7 +88,7 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     by_pt = np.argsort(pts, kind="stable")
     pts = pts[by_pt]
     gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
-    keep = np.concatenate(([True], np.diff(pts) > gap))
+    keep = np.concatenate(([True], np.diff(pts) >= gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
     # each merged breakpoint adds its rises to the slope of the segments

@@ -13,17 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dtilde import dtilde, dtilde1, rtilde
-from .model import EqualityCheckError, Problem, _like
+from .model import EqualityCheck, EqualityCheckError, Problem, _like
 from .random_coding import g_of
 from .variational import d_inf
 
 LEMMA4_TOL = 1e-10  # lemma4_check: largest |lhs - rhs| accepted
-
-
-class Lemma4Result(NamedTuple):
-    lhs: float
-    rhs: float
-    gap: float
 
 
 class GapComparison(NamedTuple):
@@ -88,7 +82,7 @@ def m_functional(joint) -> float:
     return float(np.sum(_column_maxima(joint)[2]))
 
 
-def lemma4_check(joint) -> Lemma4Result:
+def lemma4_check(joint) -> EqualityCheck:
     """Verify that the minimal max-divergence to a product measure is log M.
 
     Evaluates the explicit minimizer q*(y) = column-max / M and raises
@@ -104,7 +98,7 @@ def lemma4_check(joint) -> Lemma4Result:
         raise EqualityCheckError(
             f"minimal-divergence identity violated: lhs={lhs!r} rhs={rhs!r}"
         )
-    return Lemma4Result(lhs, rhs, gap)
+    return EqualityCheck(lhs, rhs, gap)
 
 
 def bound_gap_comparison(x) -> GapComparison:

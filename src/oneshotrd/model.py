@@ -36,6 +36,10 @@ class EqualityCheckError(RuntimeError):
     """An identity that must hold exactly was violated beyond tolerance."""
 
 
+# both sides of such an identity and their absolute difference
+EqualityCheck = namedtuple("EqualityCheck", "lhs rhs gap")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -157,7 +161,8 @@ def validate(problem: Problem) -> None:
         s = float(np.sum(v))
         if abs(s - 1.0) > PROB_ATOL:
             raise InvariantViolation(f"{name} sums to {s:.12g}")
-    # a subnormal mass would make the level table and the fill disagree
+    # build_dtilde1 merges a subnormal mass (see BREAKPOINT_MERGE_TOL) and
+    # the fill does not
     if np.any((q > 0) & (q < np.finfo(float).tiny)):
         raise InvariantViolation("q_y has subnormal entries")
     if d.shape != (p.size, q.size):

@@ -112,8 +112,9 @@ def simulate_random_code(
     per trial, so the only sampling noise comes from the codewords. Trials
     run in blocks of at most chunk, fewer when M is large, so that the
     largest temporary stays near BUDGET elements; a trial of more than
-    BUDGET codewords runs alone and draws slice by slice. M (at most MAX_M),
-    trials, seed and chunk may be of any integer type.
+    BUDGET codewords runs alone and draws slice by slice. The per-trial
+    values are kept whole, 8 bytes a trial. M (at most MAX_M), trials, seed
+    and chunk may be of any integer type.
 
     A trial's minimum for letter x is dsorted[x, k], where k is the lowest
     rank, in x's sort order of d, of any codeword: with fewer codewords than

@@ -26,7 +26,6 @@ from .model import Problem, _like
 class RandomCodingResult:
     M: int
     exact_distortion: float
-    per_segment_contributions: list[float]
 
 
 @dataclass(eq=False)
@@ -47,7 +46,6 @@ class RateForDistortion:
     rate: float      # via the exact inverse of f
     z: float
     rate_g: float    # via the closed-form relaxation g
-    z_g: float
 
 
 def _segment_integral(pwl, M: float) -> np.ndarray:
@@ -68,10 +66,9 @@ def exact_expected_distortion(problem: Problem, M: int) -> RandomCodingResult:
     if not 0 <= M - 1 <= sys.float_info.max:
         raise ValueError(f"M must be at least 1 and M - 1 at most the largest double, got {M}")
     if M == 1:
-        value = dtilde1(problem, 1.0)
-        return RandomCodingResult(1, value, [value])
+        return RandomCodingResult(1, dtilde1(problem, 1.0))
     terms = _segment_integral(build_dtilde1(problem), M)
-    return RandomCodingResult(int(M), float(np.sum(terms)), [float(t) for t in terms])
+    return RandomCodingResult(int(M), float(np.sum(terms)))
 
 
 def f_of(lam: float) -> float:
@@ -223,5 +220,5 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
                              f"({lo!r}, {d_req!r}) gives a finite rate")
         results.append((max(v_star, 0.0), z_star))
 
-    (rate, z), (rate_g, z_g) = results
-    return RateForDistortion(rate=rate, z=z, rate_g=rate_g, z_g=z_g)
+    (rate, z), (rate_g, _) = results
+    return RateForDistortion(rate=rate, z=z, rate_g=rate_g)

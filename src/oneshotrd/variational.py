@@ -20,25 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtilde import dtilde_for_prior
-from .model import Channel, Problem, _readonly
+from .dtilde import dtilde, dtilde1, dtilde_for_prior, test_channel
+from .model import Channel, EqualityCheckError, Problem, _readonly
 
-VARIATIONAL_TOL = 1e-9  # CLI variational check: largest gap between the forms accepted
-
-
-@dataclass(eq=False)
-class WeightedMeasure:
-    """Nonnegative weights over source/reproduction pairs; not normalized."""
-
-    weights: np.ndarray
-    total_mass: float
-
-    @classmethod
-    def from_weights(cls, weights) -> "WeightedMeasure":
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("measure weights must be finite and nonnegative")
-        return cls(_readonly(weights), float(np.sum(weights)))
+VARIATIONAL_TOL = 1e-9  # variational_check: largest gap between the forms accepted
 
 
 @dataclass(eq=False)
@@ -55,30 +40,39 @@ class InfFormResult(NamedTuple):
     channel: Channel
 
 
+class VariationalCheck(NamedTuple):
+    dtilde1: float
+    sup_form: float
+    dtilde: float
+    inf_form: float
+    channel_gap: float
+
+
 class InfoSpectrumCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
 
 
-def distortion_measure(problem: Problem) -> WeightedMeasure:
+def distortion_measure(problem: Problem) -> np.ndarray:
     """The measure p_x(x) * q_y(y) * d(x, y) used throughout this module."""
-    return WeightedMeasure.from_weights(
-        problem.p_x[:, None] * problem.q_y[None, :] * problem.d
-    )
+    return _readonly(problem.p_x[:, None] * problem.q_y[None, :] * problem.d)
 
 
-def np_beta(alpha: float, p: np.ndarray, mu: WeightedMeasure) -> tuple[float, NPTest]:
+def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]:
     """Minimal mu-measure of a randomized test with p-measure at least alpha.
 
-    Entries are accepted in increasing order of the ratio mu/p, randomizing
-    uniformly over the threshold group. Entries with p = 0 but mu > 0 rank
-    last; entries with p = mu = 0 are excluded.
+    mu is an unnormalized measure of p's shape. Entries are accepted in
+    increasing order of the ratio mu/p, randomizing uniformly over the
+    threshold group. Entries with p = 0 but mu > 0 rank last; entries with
+    p = mu = 0 are excluded.
     """
     p = np.asarray(p, dtype=float)
-    mw = mu.weights
+    mw = np.asarray(mu, dtype=float)
     if p.shape != mw.shape:
         raise ValueError("shape mismatch between p and the measure")
+    if np.any(mw < 0) or not np.all(np.isfinite(mw)):
+        raise ValueError("measure weights must be finite and nonnegative")
     if not -1e-12 <= alpha <= 1.0 + 1e-12:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     alpha = min(max(alpha, 0.0), 1.0)
@@ -96,7 +90,6 @@ def np_beta(alpha: float, p: np.ndarray, mu: WeightedMeasure) -> tuple[float, NP
 
     flat_r = ratio.ravel()
     flat_p = p.ravel()
-    flat_m = mw.ravel()
     live = ~np.isnan(flat_r)
     order = np.argsort(flat_r[live], kind="stable")
     idx = np.flatnonzero(live)[order]
@@ -185,6 +178,24 @@ def inf_form_value(problem: Problem, rate: float) -> InfFormResult:
     np.put_along_axis(rows, problem.row_order, sorted_rows, axis=1)
     value = float(np.sum(problem.p_x[:, None] * rows * problem.d))
     return InfFormResult(value, Channel(rows))
+
+
+def variational_check(problem: Problem, w: float) -> VariationalCheck:
+    """Verify sup form == dtilde1(w), inf form == dtilde(w) and greedy channel
+    == packing channel at w; raise beyond VARIATIONAL_TOL."""
+    direct1, direct = dtilde1(problem, w), dtilde(problem, w)
+    sup_val = sup_form_value(problem, w)
+    inf_res = inf_form_value(problem, -math.log(w))
+    chan_gap = float(np.max(np.abs(inf_res.channel.w - test_channel(problem, w).w)))
+    if (abs(sup_val - direct1) > VARIATIONAL_TOL
+            or abs(inf_res.value - direct) > VARIATIONAL_TOL):
+        raise EqualityCheckError(
+            f"variational forms disagree: sup_form={sup_val!r} dtilde1={direct1!r} "
+            f"inf_form={inf_res.value!r} dtilde={direct!r}")
+    if chan_gap > VARIATIONAL_TOL:
+        raise EqualityCheckError(
+            f"greedy channel disagrees with the packing channel: channel_gap={chan_gap!r}")
+    return VariationalCheck(direct1, sup_val, direct, inf_res.value, chan_gap)
 
 
 def info_spectrum_check(

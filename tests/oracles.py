@@ -144,7 +144,7 @@ def build_dtilde1_by_rows(problem: Problem) -> PiecewiseLinear:
     pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
     pts = np.sort(pts)
     gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
-    keep = np.concatenate(([True], np.diff(pts) > gap))
+    keep = np.concatenate(([True], np.diff(pts) >= gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
 

@@ -18,6 +18,7 @@ from conftest import dense_prior_lp, make_random_problem
 from oneshotrd import (
     Channel,
     EqualityCheckError,
+    Problem,
     dtilde,
     dtilde1,
     exact_expected_distortion,
@@ -160,6 +161,16 @@ def test_excess_subcommands(binary_path, capsys):
     assert all(0.0 < d < 1.0 for d in diffs)
     assert run(["excess", "--problem", binary_path, "--m-functional",
                 "--rate", "0.3"]) == 0
+
+
+def test_m_functional_reports_the_column_max_sum_itself(tmp_path, capsys):
+    # every column max is 1, so m is 3.0, while exp(log 3) is 3.0000000000000004
+    path = tmp_path / "ternary.json"
+    save_problem(Problem(np.full(3, 1 / 3), np.full(3, 1 / 3), 1 - np.eye(3)), path)
+    assert run(["excess", "--problem", str(path), "--m-functional",
+                "--rate", "2", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records[0]["quantity"] == "m" and records[0]["value"] == 3.0
 
 
 def test_simulate_subcommand(binary_path, capsys):
@@ -557,9 +568,9 @@ DTILDE1_AT_037 = dtilde1(load_problem(GOLDEN / "integer_6x5.json"), 0.37)
 IDENTITY_FAILURES = {
     "converse": (["converse", "--code", "0,4,2"], "oneshotrd.converse.code_distortion",
                  lambda *args: 0.5, ["lhs=0.5 ", "rhs="]),
-    "variational": (["variational", "--w", "0.37"], "oneshotrd.cli.sup_form_value",
+    "variational": (["variational", "--w", "0.37"], "oneshotrd.variational.sup_form_value",
                     lambda *args: 0.5, ["sup_form=0.5 ", f"dtilde1={DTILDE1_AT_037!r} "]),
-    "channel": (["variational", "--w", "0.37"], "oneshotrd.cli.test_channel",
+    "channel": (["variational", "--w", "0.37"], "oneshotrd.variational.test_channel",
                 _uniform_channel, ["channel_gap="]),
     "m-functional": (["excess", "--m-functional", "--rate", "0.9"], "oneshotrd.excess.d_inf",
                      lambda *args: 0.5, ["lhs=0.5 ", "rhs="]),

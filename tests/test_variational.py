@@ -10,7 +10,6 @@ from conftest import LEVEL_CASES, make_random_problem, nonbreakpoint_w, problems
 from oneshotrd import (
     Channel,
     Problem,
-    WeightedMeasure,
     d_inf,
     distortion_measure,
     dtilde,
@@ -45,11 +44,11 @@ def feasible_channel(rng, problem, rate):
     return Channel(rows)
 
 
-def test_weighted_measure_total():
-    m = WeightedMeasure.from_weights([[0.1, 0.2], [0.3, 0.4]])
-    assert m.total_mass == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        WeightedMeasure.from_weights([[-0.1, 0.2]])
+def test_np_beta_rejects_a_negative_or_nonfinite_measure():
+    p = np.full((1, 2), 0.5)
+    for mu in ([[-0.1, 0.2]], [[math.nan, 0.2]], [[math.inf, 0.2]]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            np_beta(0.5, p, mu)
 
 
 def test_np_beta_trivial_levels(binary_hamming):
@@ -58,7 +57,7 @@ def test_np_beta_trivial_levels(binary_hamming):
     beta0, test0 = np_beta(0.0, p, mu)
     assert beta0 == 0.0 and np.all(test0.accept == 0)
     beta1, test1 = np_beta(1.0, p, mu)
-    assert beta1 == pytest.approx(mu.total_mass, abs=1e-15)
+    assert beta1 == pytest.approx(mu.sum(), abs=1e-15)
     assert test1.achieved_alpha == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,12 +95,12 @@ def test_np_beta_is_a_lower_bound_over_random_tests(rng):
             mass = float(np.sum(p * accept))
             if mass < alpha:
                 continue
-            assert float(np.sum(mu.weights * accept)) >= beta - 1e-12
+            assert float(np.sum(mu * accept)) >= beta - 1e-12
 
 
 def test_np_beta_ranks_unreachable_entries_last():
     p = np.array([[0.5, 0.5], [0.0, 0.0]])
-    mu = WeightedMeasure.from_weights([[0.1, 0.2], [5.0, 5.0]])
+    mu = np.array([[0.1, 0.2], [5.0, 5.0]])
     beta, _ = np_beta(1.0, p, mu)
     assert beta == pytest.approx(0.3, abs=1e-15)  # infinite-ratio rows unused
 
