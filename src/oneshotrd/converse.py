@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog, minimize
 
-from .dtilde import dtilde_for_prior, fill_thresholds
+from .dtilde import dtilde_for_prior
 from .model import Channel, Code, EqualityCheck, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
 
@@ -113,12 +113,15 @@ def converse_equality_check(problem: Problem, code: Code) -> EqualityCheck:
 def dtilde_subgradient(problem: Problem, w: float, prior) -> np.ndarray:
     """Subgradient of prior -> dtilde(w, prior) from the fill thresholds.
 
-    Raising the mass of letter y displaces fill mass from each letter's
-    threshold level theta_x down to d(x, y) where that is an improvement,
-    at exchange rate 1/w. No search in the package uses it: it is kept as
-    a public export and as the converse.dtilde_subgradient trace point.
+    The mass-w fill of dtilde_for_prior stops, in each row's sort order, at
+    the last letter with less than w of mass before it; its level is the
+    threshold theta_x. Raising the mass of letter y displaces fill mass from
+    theta_x down to d(x, y) where that is an improvement, at exchange rate
+    1/w. No search in the package uses it: it is kept as a public export and
+    as the converse.dtilde_subgradient trace point.
     """
-    theta = fill_thresholds(problem, w, prior)
+    below = np.cumsum(np.asarray(prior, dtype=float)[problem.row_order][:, :-1], axis=1)
+    theta = problem.levels.ds[np.arange(problem.x_size), np.sum(below < w, axis=1)]
     gain = np.maximum(theta[:, None] - problem.d, 0.0)
     return -np.sum(problem.p_x[:, None] * gain, axis=0) / w
 
@@ -158,6 +161,8 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     within its 1e-10 tolerances, so where costs p_x d_xy differ by about
     1e-10, value can sit up to about 5e-10 above the minimum;
     certificate_gap reports that distance, and dual_bound stays valid.
+    Where HiGHS ends without an optimum, as it does once costs reach about
+    1e18, a ValueError names the largest cost.
     """
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
@@ -196,7 +201,8 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
-        raise RuntimeError(f"k-median LP failed: {res.message}")
+        raise ValueError(f"k-median LP failed (largest cost p_x d_xy = "
+                         f"{cost.max():.3g}): {res.message}")
     q = np.clip(res.x[g:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)

@@ -173,18 +173,12 @@ def test_channel(problem: Problem, w: float) -> Channel:
 # Fill-based evaluation for any prior: the one route for priors other than q_y
 # (code priors, channel marginals, prior search), and a check of build_dtilde1.
 
-def _sorted_fill(problem: Problem, w: float, prior: np.ndarray):
-    qs = np.asarray(prior, dtype=float)[problem.row_order]
-    cum = np.cumsum(qs, axis=1)
-    # the mass before each entry as a sum, not cum - qs: (1 + 1e-14) - 1 != 1e-14
-    below = np.concatenate((np.zeros((qs.shape[0], 1)), cum[:, :-1]), axis=1)
-    return problem.levels.ds, cum, np.clip(w - below, 0.0, qs)
-
-
 def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
-    """dtilde(w) for any prior vector, normalized or not; w = 0 gives the right
-    limit, sum_x p_x min over the prior's support of d(x, y). A prior without
-    support raises InvariantViolation, as build_dtilde1 does for q_y."""
+    """dtilde(w) for a prior distribution: the fill takes mass w from the
+    masses as given, so a prior that does not sum to 1 gives another value.
+    w = 0 gives the right limit, sum_x p_x min over the prior's support of
+    d(x, y). A prior without support raises InvariantViolation, as
+    build_dtilde1 does for q_y."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
     support = np.asarray(prior) > 0
@@ -192,14 +186,10 @@ def dtilde_for_prior(problem: Problem, w: float, prior) -> float:
         raise InvariantViolation("prior has empty support")
     if w == 0.0:
         return float(np.sum(problem.p_x * problem.d[:, support].min(axis=1)))
+    qs = np.asarray(prior, dtype=float)[problem.row_order]
+    # the mass before each entry as a sum, not cum - qs: (1 + 1e-14) - 1 != 1e-14
+    below = np.zeros_like(qs)
+    np.cumsum(qs[:, :-1], axis=1, out=below[:, 1:])
+    alloc = np.clip(w - below, 0.0, qs)
     # alloc / w before the sums: a subnormal w reads its first letter exactly
-    ds, _, alloc = _sorted_fill(problem, w, prior)
-    return float(np.sum(problem.p_x * np.sum(ds * (alloc / w), axis=1)))
-
-
-def fill_thresholds(problem: Problem, w: float, prior) -> np.ndarray:
-    """Per-letter distortion level at which the greedy mass-w fill stops;
-    read only by converse.dtilde_subgradient."""
-    ds, cum, _ = _sorted_fill(problem, w, prior)
-    idx = np.minimum(np.sum(cum < w, axis=1), problem.y_size - 1)
-    return ds[np.arange(problem.x_size), idx]
+    return float(np.sum(problem.p_x * np.sum(problem.levels.ds * (alloc / w), axis=1)))

@@ -74,33 +74,34 @@ def _blocks(trials: int, per_trial: int, chunk: int):
 
 
 def _inverse_cdf(q: np.ndarray):
-    """The prior's inverse CDF, as a function of an array of words.
+    """The prior's inverse CDF, as a function of an array of words, and the
+    mask of the letters it can return.
 
-    A draw u maps to the letter y with cum_q[y-1] <= u < cum_q[y], and to the
-    last letter with positive mass where u >= cum_q[-1] (which may round
-    below 1), so no zero-mass letter is ever drawn. Only the draws in the at
-    most ny - 1 split bins are searched. The table is int8 up to 128 letters.
+    Letter y owns the draws u with upper[y-1] <= u < upper[y], where upper
+    is the cumulative sum of q, capped at 1 and set to 1 from the last
+    letter of positive mass on, so a sum that rounds below 1 still ends in
+    that letter and no zero-mass letter is ever drawn. A letter can be
+    returned only where its interval holds a draw, a multiple of 2^-53.
+    Only the draws in the at most ny - 1 split bins are searched. The table
+    is int8 up to 128 letters.
     """
-    cum_q = np.cumsum(q)
-    last = int(np.flatnonzero(q)[-1])
-
-    def search(u):
-        return np.minimum(np.searchsorted(cum_q, u, side="right"), last)
-
+    upper = np.minimum(np.cumsum(q), 1.0)
+    upper[np.flatnonzero(q)[-1]:] = 1.0
+    # the least draw at or above each interval's start
+    start = np.ceil(np.append(0.0, upper[:-1]) * 2.0**53) * 2.0**-53
     edges = np.arange(_BINS + 1) / _BINS
-    table = search(edges[:-1])
-    split = table != np.minimum(np.searchsorted(cum_q, edges[1:], side="left"), last)
-    table[split] = -1
+    table = np.searchsorted(upper, edges[:-1], side="right")
+    table[table != np.searchsorted(upper, edges[1:], side="left")] = -1
     table = table.astype(np.min_scalar_type(-q.size))
 
     def draw(w: np.ndarray) -> np.ndarray:
         # the bins are below 2^12, so a signed view indexes without a cast
         codes = table.take((w >> 52).view(np.int64))
         miss = codes < 0
-        codes[miss] = search((w[miss] >> 11) * 2.0**-53)
+        codes[miss] = np.searchsorted(upper, (w[miss] >> 11) * 2.0**-53, side="right")
         return codes
 
-    return draw
+    return draw, start < upper
 
 
 def simulate_random_code(
@@ -131,7 +132,7 @@ def simulate_random_code(
     if min(trials, chunk) < 1:
         raise ValueError(f"trials and chunk must be at least 1, got {trials} and {chunk}")
     nx, ny = problem.d.shape
-    draw = _inverse_cdf(problem.q_y)
+    draw, drawable = _inverse_cdf(problem.q_y)
     order = problem.row_order
     cols = np.arange(nx)
     if M < ny:
@@ -139,11 +140,8 @@ def simulate_random_code(
         rank = np.empty((ny, nx), dtype=np.min_scalar_type(ny - 1))
         rank[order, cols[:, None]] = np.arange(ny)
     else:
-        # a letter can be drawn only where its interval of [0, 1) is not
-        # empty; a trial holding each row's first such letter is final
-        edges = np.append(0.0, np.cumsum(problem.q_y))
-        edges[np.flatnonzero(problem.q_y)[-1] + 1:] = 1.0
-        first = (np.diff(edges) > 0)[order].argmax(axis=1)
+        # a trial holding each row's first drawable letter is final
+        first = drawable[order].argmax(axis=1)
         final = np.unique(order[cols, first])
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, nx * M, chunk):

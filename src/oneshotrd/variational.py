@@ -64,8 +64,9 @@ def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]
 
     mu is an unnormalized measure of p's shape. Entries are accepted in
     increasing order of the ratio mu/p, randomizing uniformly over the
-    threshold group. Entries with p = 0 but mu > 0 rank last; entries with
-    p = mu = 0 are excluded.
+    threshold group. Entries with p = 0 have ratio inf: they rank last and
+    are never accepted, unless some mu/p with p > 0 overflows to inf and
+    ties with them.
     """
     p = np.asarray(p, dtype=float)
     mw = np.asarray(mu, dtype=float)
@@ -86,19 +87,13 @@ def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(p > 0, mw / p, math.inf)
-    ratio = np.where((p == 0) & (mw == 0), np.nan, ratio)  # excluded entries
-
-    flat_r = ratio.ravel()
-    flat_p = p.ravel()
-    live = ~np.isnan(flat_r)
-    order = np.argsort(flat_r[live], kind="stable")
-    idx = np.flatnonzero(live)[order]
-    cum = np.cumsum(flat_p[idx])
+    order = np.argsort(ratio, axis=None, kind="stable")
+    cum = np.cumsum(p.ravel()[order])
     k = int(np.searchsorted(cum, min(alpha, cum[-1]), side="left"))
-    threshold = float(flat_r[idx[k]])
+    threshold = float(ratio.ravel()[order[k]])
 
-    below = live.reshape(p.shape) & (ratio < threshold)
-    tied = live.reshape(p.shape) & (ratio == threshold)
+    below = ratio < threshold
+    tied = ratio == threshold
     p_below = float(np.sum(p[below]))
     p_tied = float(np.sum(p[tied]))
     tau = min(max((alpha - p_below) / p_tied, 0.0), 1.0) if p_tied > 0 else 0.0

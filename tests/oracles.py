@@ -341,7 +341,7 @@ def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KS
         raise ValueError("trials must be at least 1")
     below, tie = _level_masses(problem, x)
     pc = np.empty(trials)
-    draw = _inverse_cdf(problem.q_y)
+    draw, _ = _inverse_cdf(problem.q_y)
     for t0, t1 in _blocks(trials, _stride(2), CHUNK):
         w = _trial_words(seed, 2, 2, t0, t1)
         y = draw(w[:, 0])

@@ -206,6 +206,18 @@ def test_cli_rejects_subnormal_prior_mass(tmp_path, capsys):
     assert capsys.readouterr().err == "error: q_y has subnormal entries\n"
 
 
+@pytest.mark.parametrize("command", ["converse", "optimize-prior"])
+def test_cli_reports_a_failed_lp(tmp_path, capsys, command):
+    # costs p_x d_xy of 5e20 leave HiGHS without a solution
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p_x": [0.5, 0.5], "q_y": [0.5, 0.5],
+                                "d": [[0, 1e21], [1e21, 0]]}))
+    assert run([command, "--problem", str(path), "--rate", "0.3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: k-median LP failed (largest cost p_x d_xy = 5e+20): ")
+
+
 def test_cli_rejects_out_of_range_code(binary_path, capsys):
     assert run(["converse", "--problem", binary_path, "--code", "5"]) == 1
     assert "error: code member out of range" in capsys.readouterr().err

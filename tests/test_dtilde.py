@@ -16,11 +16,11 @@ from oneshotrd import (
     dtilde1,
     dtilde_for_prior,
     dtilde_inverse,
+    dtilde_subgradient,
     load_problem,
     rtilde,
     test_channel as packing_channel,
 )
-from oneshotrd.dtilde import fill_thresholds
 from oracles import build_dtilde1_by_rows, dtilde_of_u, validate_channel
 
 
@@ -254,9 +254,11 @@ def test_fill_thresholds_match_quantile_levels(rng):
     for _ in range(20):
         p = make_random_problem(rng)
         w = nonbreakpoint_w(p, rng)
-        theta = fill_thresholds(p, w, p.q_y)
-        for x in range(p.x_size):
-            assert theta[x] == dtilde_of_u(p, x, w)
+        # the subgradient whose fill stops at each row's level-w quantile
+        theta = np.array([dtilde_of_u(p, x, w) for x in range(p.x_size)])
+        gain = np.maximum(theta[:, None] - p.d, 0.0)
+        assert np.array_equal(dtilde_subgradient(p, w, p.q_y),
+                              -np.sum(p.p_x[:, None] * gain, axis=0) / w)
 
 
 def _assert_sweep_matches_rows(problem):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oneshotrd.montecarlo as montecarlo_mod
@@ -156,12 +156,12 @@ def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypa
     inverse = montecarlo_mod._inverse_cdf
 
     def counted(q):
-        draw = inverse(q)
+        draw, drawable = inverse(q)
 
         def counting_draw(w):
             read.append(w.size)
             return draw(w)
-        return counting_draw
+        return counting_draw, drawable
 
     monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
     got = simulate_random_code(p, 4096, 500, seed=9)
@@ -306,8 +306,35 @@ def test_inverse_cdf_never_draws_a_zero_mass_letter():
     w = (np.array([2**53 - 1, int(0.95 * 2**53)], dtype=np.uint64) << 11) | 2047
     u = words_to_doubles(w)
     assert np.cumsum(q)[-1] == u[0] == np.nextafter(1.0, 0.0) and u[1] == 0.95
-    np.testing.assert_array_equal(_inverse_cdf(q)(w), [2, 2])
+    np.testing.assert_array_equal(_inverse_cdf(q)[0](w), [2, 2])
     np.testing.assert_array_equal(inverse_cdf(q, u), [2, 2])
+
+
+@st.composite
+def absorbing_priors(draw):
+    """Priors of 1 to 8 letters with zero masses, masses that rounding
+    absorbs into the cumulative sum, and masses too small to hold a draw."""
+    masses = st.sampled_from([0.0, 1e-300, 1e-17, 2.0**-54]) | st.floats(0.0, 1.0)
+    v = np.array(draw(st.lists(masses, min_size=1, max_size=8)))
+    assume(v.sum() > 1e-3)
+    return v / v.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=absorbing_priors())
+@example(q=np.array([0.75, 1e-17, 0.25]))
+@example(q=np.array([1e-17, 1e-17, 1.0 - 2e-17]))
+def test_inverse_cdf_mask_holds_exactly_the_letters_it_draws(q):
+    # every drawable letter's least draw is the least draw at or above a
+    # cumulative sum; each bin's first draw is added
+    starts = np.ceil(np.append(0.0, np.cumsum(q)[:-1]) * 2.0**53)
+    lattice = np.concatenate([starts[starts < 2.0**53].astype(np.uint64),
+                              np.arange(_BINS, dtype=np.uint64) << np.uint64(41)])
+    w = lattice << np.uint64(11)
+    draw, drawable = _inverse_cdf(q)
+    codes = draw(w)
+    np.testing.assert_array_equal(codes, inverse_cdf(q, words_to_doubles(w)))
+    np.testing.assert_array_equal(drawable, np.isin(np.arange(q.size), codes))
 
 
 @st.composite
@@ -344,7 +371,7 @@ def test_simulate_matches_the_gather_and_min_kernel_bit_for_bit(problem, data):
     chunk = data.draw(st.integers(1, 64))
     for p in (problem, dyadic):
         w = np.concatenate([_edge_words(p.q_y, rng), rng.integers(0, 2**64, 1000, np.uint64)])
-        draw = _inverse_cdf(p.q_y)
+        draw, _ = _inverse_cdf(p.q_y)
         np.testing.assert_array_equal(draw(w), inverse_cdf(p.q_y, words_to_doubles(w)))
         np.testing.assert_array_equal(draw(w), draw(w >> 11 << 11))
         for m in {max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, 257}:

@@ -105,6 +105,14 @@ def test_np_beta_ranks_unreachable_entries_last():
     assert beta == pytest.approx(0.3, abs=1e-15)  # infinite-ratio rows unused
 
 
+def test_np_beta_accepts_nothing_where_p_has_no_mass():
+    # alpha lies within the 1e-9 allowance above p's total of 0, and every
+    # entry ranks last, so the test accepts nothing
+    beta, test = np_beta(1e-10, np.zeros(3), np.zeros(3))
+    assert beta == 0.0 and test.achieved_alpha == 0.0
+    np.testing.assert_array_equal(test.accept, np.zeros(3))
+
+
 def test_witness_binary_hand_case(binary_hamming):
     q_x, lam = witness_qx(binary_hamming, 0.75)
     assert lam == pytest.approx(1.0)
