@@ -36,14 +36,14 @@ print(f"rate for distortion 1/3: {rtilde(problem, z):.6f} nats (log 4/3 = {np.lo
 
 print("\n== the packing channel at w = 0.75 ==")
 chan = test_channel(problem, 0.75)
-print(chan.w)
-avg = float(np.sum(problem.p_x[:, None] * chan.w * problem.d))
+print(chan)
+avg = float(np.sum(problem.p_x[:, None] * chan * problem.d))
 print(f"its average distortion: {avg:.6f} = dtilde(0.75) = {dtilde(problem, 0.75):.6f}")
 
 print("\n== exact random coding vs Monte Carlo ==")
 print(f"{'M':>3} {'exact':>12} {'2^-M':>12} {'monte carlo':>14} {'stderr':>10}")
 for m in (2, 3, 5, 8):
-    exact = exact_expected_distortion(problem, m).exact_distortion
+    exact = exact_expected_distortion(problem, m)
     mc = simulate_random_code(problem, m, trials=200000, seed=42)
     print(f"{m:>3} {exact:>12.8f} {2.0**-m:>12.8f} {mc.mean:>14.8f} {mc.stderr:>10.2e}")
 print("the codebook misses a source letter only when all M draws land on the")

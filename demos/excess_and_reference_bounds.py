@@ -33,7 +33,7 @@ for delta in np.linspace(0.05, ceiling, 8):
 
 print("\n== the column-max functional on an induced joint ==")
 chan = test_channel(problem, 0.4)
-joint = problem.p_x[:, None] * chan.w
+joint = problem.p_x[:, None] * chan
 m_val = m_functional(joint)
 check = lemma4_check(joint)
 print(f"M(joint) = {m_val:.6f}")

@@ -11,7 +11,6 @@ piecewise evaluation, then checks the information-spectrum relation.
 import numpy as np
 
 from oneshotrd import (
-    Channel,
     Problem,
     d_inf,
     distortion_measure,
@@ -50,12 +49,11 @@ rate = -np.log(w)
 res = inf_form_value(problem, rate)
 print(f"greedy channel value at rate {rate:.4f}: {res.value:.12f}")
 print(f"dtilde({w}) = {dtilde(problem, w):.12f}")
-joint = problem.p_x[:, None] * res.channel.w
+joint = problem.p_x[:, None] * res.channel
 ref = problem.p_x[:, None] * problem.q_y[None, :]
 print(f"max-divergence of the greedy channel: {d_inf(joint, ref):.6f} <= {rate:.6f}")
 
 print("\n== information-spectrum relation ==")
-chan = Channel(np.stack([rng.dirichlet(np.ones(problem.y_size))
-                         for _ in range(problem.x_size)]))
+chan = np.stack([rng.dirichlet(np.ones(problem.y_size)) for _ in range(problem.x_size)])
 check = info_spectrum_check(problem, chan, rate=1.0, delta=0.2)
 print(f"lhs = {check.lhs:.6f}  <=  rhs = {check.rhs:.6f}  ({check.holds})")

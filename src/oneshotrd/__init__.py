@@ -49,8 +49,6 @@ from .excess import (
     m_functional,
 )
 from .model import (
-    Channel,
-    Code,
     EqualityCheckError,
     InvariantViolation,
     Problem,
@@ -68,7 +66,6 @@ from .pairwise import (
     profile,
 )
 from .random_coding import (
-    RandomCodingResult,
     achievability_bound,
     best_achievability,
     exact_expected_distortion,

@@ -38,7 +38,7 @@ from .excess import (
     lemma4_check,
     m_functional,
 )
-from .model import Code, EqualityCheckError, load_problem
+from .model import EqualityCheckError, load_problem
 from .montecarlo import simulate_random_code
 from .random_coding import (
     achievability_bound,
@@ -104,11 +104,10 @@ def _cmd_exact(problem, args):
     ms = [int(m) for m in args.M.split(",")]
     rows = []
     for m in ms:
-        res = exact_expected_distortion(problem, m)
+        exact = exact_expected_distortion(problem, m)
         mc = simulate_random_code(problem, m, args.trials, args.seed)
-        bound = (best_achievability(problem, math.log(m - 1)).value if m > 2
-                 else res.exact_distortion)
-        rows.append((m, res.exact_distortion, bound, mc.mean, mc.stderr))
+        bound = best_achievability(problem, math.log(m - 1)).value if m > 2 else exact
+        rows.append((m, exact, bound, mc.mean, mc.stderr))
     if args.out or args.csv:
         return ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"], rows
     report = BoundReport("exact-random-coding")
@@ -140,8 +139,7 @@ def _cmd_achieve(problem, args):
 
 def _cmd_converse(problem, args):
     if args.code is not None:
-        code = Code(tuple(int(i) for i in args.code.split(",")))
-        check = converse_equality_check(problem, code)
+        check = converse_equality_check(problem, [int(i) for i in args.code.split(",")])
         report = BoundReport("converse-equality")
         report.add("lhs", check.lhs, "optimal-encoding distortion")
         report.add("rhs", check.rhs, "dtilde at 1/M under the code prior")
@@ -193,8 +191,7 @@ def _cmd_excess(problem, args):
             [xs, *bound_gap_comparison(xs)]).tolist()
     if args.m_functional:
         w = math.exp(-args.rate)
-        channel = test_channel(problem, w)
-        joint = problem.p_x[:, None] * channel.w
+        joint = problem.p_x[:, None] * test_channel(problem, w)
         check = lemma4_check(joint)
         report = BoundReport("m-functional")
         report.add("m", m_functional(joint), "column-max sum")

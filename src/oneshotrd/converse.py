@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog, minimize
 
 from .dtilde import dtilde_for_prior
-from .model import Channel, Code, EqualityCheck, EqualityCheckError, Problem, _readonly
+from .model import EqualityCheck, EqualityCheckError, Problem, _readonly
 from .random_coding import f_of
 
 EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs| accepted
@@ -63,45 +63,50 @@ class PriorOptResult:
     alpha: np.ndarray
 
 
-def _members(problem: Problem, code: Code) -> np.ndarray:
-    """The code's members as indices; raises unless nonempty and in [0, y_size)."""
-    if code.M == 0:
+def _members(problem: Problem, code) -> np.ndarray:
+    """The code, a 1-D sequence of letters with repeats allowed, as an index
+    array; raises unless it is nonempty and every letter is in [0, y_size)."""
+    members = np.asarray(code, dtype=int)
+    if members.ndim != 1:
+        raise ValueError("code must be a 1-D sequence of letters")
+    if members.size == 0:
         raise ValueError("code must be nonempty")
-    members = np.asarray(code.members, dtype=int)
     if members.min() < 0 or members.max() >= problem.y_size:
         raise ValueError("code member out of range")
     return members
 
 
-def code_prior(problem: Problem, code: Code) -> np.ndarray:
+def code_prior(problem: Problem, code) -> np.ndarray:
     """Empirical distribution of the codewords, weighted by multiplicity."""
-    return np.bincount(_members(problem, code), minlength=problem.y_size) / code.M
+    members = _members(problem, code)
+    return np.bincount(members, minlength=problem.y_size) / len(members)
 
 
-def code_distortion(problem: Problem, code: Code) -> float:
+def code_distortion(problem: Problem, code) -> float:
     """Average distortion of the code under optimal (minimum-distortion) encoding."""
     members = _members(problem, code)
     return float(np.sum(problem.p_x * problem.d[:, members].min(axis=1)))
 
 
-def optimal_encoder(problem: Problem, code: Code) -> Channel:
+def optimal_encoder(problem: Problem, code) -> np.ndarray:
     """Encoder splitting each source letter uniformly over its closest codewords.
 
     Codeword multiplicity counts: a repeated codeword receives a share per
     copy, which matches the packing channel at w = 1/M under the code prior.
+    Returns the channel W(y|x) as a read-only matrix.
     """
     members = _members(problem, code)
     dc = problem.d[:, members]
     x, j = np.nonzero(dc == dc.min(axis=1, keepdims=True))
     rows = np.zeros((problem.x_size, problem.y_size))
     np.add.at(rows, (x, members[j]), 1.0 / np.bincount(x)[x])
-    return Channel(rows)
+    return _readonly(rows)
 
 
-def converse_equality_check(problem: Problem, code: Code) -> EqualityCheck:
+def converse_equality_check(problem: Problem, code) -> EqualityCheck:
     """Verify code distortion == dtilde(1/M, code prior); raise beyond EQUALITY_TOL."""
     lhs = code_distortion(problem, code)
-    rhs = dtilde_for_prior(problem, 1.0 / code.M, code_prior(problem, code))
+    rhs = dtilde_for_prior(problem, 1.0 / len(code), code_prior(problem, code))
     gap = abs(lhs - rhs)
     if gap > EQUALITY_TOL:
         raise EqualityCheckError(
@@ -222,8 +227,11 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
 
     lower = optimize_prior(rate).dual_bound, with q_star its prior;
     upper = min over lam = rate - s, s in SANDWICH_SLACKS, of
-            optimize_prior(rate - lam).value + d_max * f(lam),
-    and slack is the first s that attains it. Each LP depends on its rate
+            optimize_prior(rate - lam).value + d_s * f(lam),
+    and slack is the first s that attains it. The random code that the
+    bound describes draws from that LP's prior q_s, which can open letters
+    outside the support of q_y; so d_s is the largest d over supp(p_x) x
+    supp(q_s), and at least problem.d_max. Each LP depends on its rate
     only through _lp_size's t, and no t is solved twice. The LPs solved are
     the rate's, the first slack's and those of later slacks that can still
     win. The LP value at any t is at least the floor sum_x p_x min_y d_xy,
@@ -232,8 +240,9 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     max |alpha|_1) plus the smallest normal double, stays at or below the
     value as computed: that allowance exceeds the rounding of both for
     alphabets of up to a thousand letters. A slack is skipped when this
-    bound plus d_max * f(lam) exceeds upper: its candidate would round to
-    more than upper, and only a candidate strictly below upper replaces it.
+    bound plus problem.d_max * f(lam), at most its penalty, exceeds upper:
+    its candidate would round to more than upper, and only a candidate
+    strictly below upper replaces it.
     Where every rate - s rounds back to rate (about 1e16 and above), the
     LP is clamped at the floor, upper is its value and slack is None.
     """
@@ -246,17 +255,19 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
         if not lam < rate:
             continue
         t = _lp_size(problem, rate - lam)
-        pen = problem.d_max * f_of(lam)
+        f = f_of(lam)
         if t not in solved:
             if slack is not None:
                 alphas = [res.alpha for res in solved.values()]
                 norm = max(np.abs(a).sum() for a in alphas)
                 room = 1e-12 * (1.0 + t) * (problem.d_max + norm) + np.finfo(float).tiny
                 lb = max(floor, *(_dual_bound(problem, t, a) for a in alphas)) - room
-                if lb + pen > upper:
+                if lb + problem.d_max * f > upper:
                     continue
             solved[t] = optimize_prior(problem, rate - lam)
-        cand = solved[t].value + pen
+        res = solved[t]
+        d_s = np.max(problem.d[np.ix_(problem.p_x > 0, res.q_star > 0)], initial=problem.d_max)
+        cand = res.value + float(d_s) * f
         if slack is None or cand < upper:
             upper, slack = cand, s
     if at_rate.dual_bound > upper + SANDWICH_TOL:

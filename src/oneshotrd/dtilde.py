@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Channel, InvariantViolation, Problem, _like
+from .model import InvariantViolation, Problem, _like, _readonly
 from .pairwise import accept_probability
 
 # Breakpoints closer than this, relative to the larger, are one breakpoint:
@@ -159,15 +159,16 @@ def rtilde(problem: Problem, z):
         return _like(np.where(w < 1.0, -np.log(w), 0.0), z)
 
 
-def test_channel(problem: Problem, w: float) -> Channel:
-    """Channel packing mass 1/w * q_y(y) onto the lowest-distortion letters.
+def test_channel(problem: Problem, w: float) -> np.ndarray:
+    """The channel W(y|x), a read-only matrix, packing mass 1/w * q_y(y)
+    onto the lowest-distortion letters.
 
     Row x averages exactly to dtilde(w) under the source distribution.
     """
     if not np.finfo(float).tiny <= w <= 1.0:
         raise ValueError(f"w must be a normal double in (0, 1], got {w}")
     rows = problem.q_y[None, :] * accept_probability(problem, w) / w
-    return Channel(rows)
+    return _readonly(rows)
 
 
 # Fill-based evaluation for any prior: the one route for priors other than q_y

@@ -124,30 +124,6 @@ class Problem:
         return table
 
 
-@dataclass(eq=False)
-class Code:
-    """A codebook: reproduction indices, repeats allowed."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self.members = tuple(int(y) for y in self.members)
-
-    @property
-    def M(self) -> int:
-        return len(self.members)
-
-
-@dataclass(eq=False)
-class Channel:
-    """Conditional distribution over reproductions given the source letter."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.w = _readonly(np.atleast_2d(self.w))
-
-
 def validate(problem: Problem) -> None:
     """Check every Problem invariant, raising on the first violation."""
     p, q, d = problem.p_x, problem.q_y, problem.d

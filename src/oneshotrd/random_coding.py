@@ -23,12 +23,6 @@ from .model import Problem, _like
 
 
 @dataclass(eq=False)
-class RandomCodingResult:
-    M: int
-    exact_distortion: float
-
-
-@dataclass(eq=False)
 class AchievabilityBound:
     value: float | np.ndarray       # quantile form of the upper bound
     dmax_value: float | np.ndarray  # looser variant using d_max in place of dtilde(1)
@@ -61,14 +55,13 @@ def _segment_integral(pwl, M: float) -> np.ndarray:
     return terms
 
 
-def exact_expected_distortion(problem: Problem, M: int) -> RandomCodingResult:
+def exact_expected_distortion(problem: Problem, M: int) -> float:
     """Exact average distortion of M codewords drawn i.i.d. from the prior."""
     if not 0 <= M - 1 <= sys.float_info.max:
         raise ValueError(f"M must be at least 1 and M - 1 at most the largest double, got {M}")
     if M == 1:
-        return RandomCodingResult(1, dtilde1(problem, 1.0))
-    terms = _segment_integral(build_dtilde1(problem), M)
-    return RandomCodingResult(int(M), float(np.sum(terms)))
+        return dtilde1(problem, 1.0)
+    return float(np.sum(_segment_integral(build_dtilde1(problem), M)))
 
 
 def f_of(lam: float) -> float:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dtilde import dtilde, dtilde1, dtilde_for_prior, test_channel
-from .model import Channel, EqualityCheckError, Problem, _readonly
+from .model import EqualityCheckError, Problem, _readonly
 
 VARIATIONAL_TOL = 1e-9  # variational_check: largest gap between the forms accepted
 
@@ -37,7 +37,7 @@ class NPTest:
 
 class InfFormResult(NamedTuple):
     value: float
-    channel: Channel
+    channel: np.ndarray  # W(y|x), read-only
 
 
 class VariationalCheck(NamedTuple):
@@ -85,7 +85,7 @@ def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]
     if alpha == 0.0:
         return 0.0, NPTest(_readonly(accept), -math.inf, 0.0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(p > 0, mw / p, math.inf)
     order = np.argsort(ratio, axis=None, kind="stable")
     cum = np.cumsum(p.ravel()[order])
@@ -100,7 +100,11 @@ def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]
 
     accept[below] = 1.0
     accept[tied] = tau
-    beta = float(np.sum(mw[below]) + tau * np.sum(mw[tied]))
+    with np.errstate(over="ignore"):
+        tied_mu = np.sum(mw[tied])
+    # where the group's own sum overflows, tau scales each entry before it
+    tied_beta = tau * tied_mu if np.isfinite(tied_mu) else np.sum(tau * mw[tied])
+    beta = float(np.sum(mw[below]) + tied_beta)
     achieved = float(np.sum(p * accept))
     return beta, NPTest(_readonly(accept), threshold, achieved)
 
@@ -172,7 +176,7 @@ def inf_form_value(problem: Problem, rate: float) -> InfFormResult:
     rows = np.empty(take.shape)
     np.put_along_axis(rows, problem.row_order, sorted_rows, axis=1)
     value = float(np.sum(problem.p_x[:, None] * rows * problem.d))
-    return InfFormResult(value, Channel(rows))
+    return InfFormResult(value, _readonly(rows))
 
 
 def variational_check(problem: Problem, w: float) -> VariationalCheck:
@@ -181,7 +185,7 @@ def variational_check(problem: Problem, w: float) -> VariationalCheck:
     direct1, direct = dtilde1(problem, w), dtilde(problem, w)
     sup_val = sup_form_value(problem, w)
     inf_res = inf_form_value(problem, -math.log(w))
-    chan_gap = float(np.max(np.abs(inf_res.channel.w - test_channel(problem, w).w)))
+    chan_gap = float(np.max(np.abs(inf_res.channel - test_channel(problem, w))))
     if (abs(sup_val - direct1) > VARIATIONAL_TOL
             or abs(inf_res.value - direct) > VARIATIONAL_TOL):
         raise EqualityCheckError(
@@ -194,7 +198,7 @@ def variational_check(problem: Problem, w: float) -> VariationalCheck:
 
 
 def info_spectrum_check(
-    problem: Problem, channel: Channel, rate: float, delta: float
+    problem: Problem, channel, rate: float, delta: float
 ) -> InfoSpectrumCheck:
     """Relate the quantile functional to an information-density tail event.
 
@@ -203,9 +207,10 @@ def info_spectrum_check(
 
         dtilde(exp(-(rate - delta) - lam), q) <= E[d] * exp(lam).
 
-    A probability-zero event makes the right side infinite (vacuously true).
+    channel is the matrix W(y|x). A probability-zero event makes the right
+    side infinite (vacuously true).
     """
-    w_mat = channel.w
+    w_mat = np.asarray(channel, dtype=float)
     joint = problem.p_x[:, None] * w_mat
     q_y = joint.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):

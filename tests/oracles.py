@@ -37,7 +37,7 @@ from scipy import sparse, stats
 from scipy.optimize import linprog, minimize
 
 from oneshotrd import (
-    Channel, DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
+    DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
 )
 from oneshotrd.converse import (
     PRODUCT_RANDOM_STARTS, SANDWICH_SLACKS, SANDWICH_TOL, ProductPriorReport,
@@ -194,7 +194,7 @@ def inf_form_by_rows(problem: Problem, rate: float) -> InfFormResult:
             rows[x, members] = take * problem.q_y[members] / level_mass
             remaining -= take
     value = float(np.sum(problem.p_x[:, None] * rows * problem.d))
-    return InfFormResult(value, Channel(rows))
+    return InfFormResult(value, _readonly(rows))
 
 
 def survival_pow(w: float, expo: float) -> float:
@@ -264,9 +264,9 @@ def pc_cdf(problem: Problem, x: int, w: float) -> float:
     return float(np.sum(filled))
 
 
-def validate_channel(channel: Channel) -> None:
-    """Check that every row is a probability vector within PROB_ATOL."""
-    w = channel.w
+def validate_channel(w: np.ndarray) -> None:
+    """Check that every row of the channel matrix W(y|x) is a probability
+    vector within PROB_ATOL."""
     if not np.all(np.isfinite(w)):
         raise InvariantViolation("channel has non-finite entries")
     if np.any(w < 0):
@@ -420,6 +420,14 @@ def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
     )
 
 
+def sandwich_candidate(problem: Problem, res: PriorOptResult, lam: float) -> float:
+    """A slack's upper-bound candidate: its LP value plus f(lam) times the
+    largest distortion the code drawn from its prior q* can meet, over
+    supp(p_x) x supp(q*), and at least problem.d_max."""
+    d_top = problem.d[problem.p_x > 0][:, res.q_star > 0].max()
+    return res.value + max(problem.d_max, float(d_top)) * f_of(lam)
+
+
 def dhat_sandwich_every_slack(problem: Problem, rate: float) -> SandwichBounds:
     """dhat_sandwich solving the LP of every distinct size t that a slack
     reaches, whether or not its candidate can win."""
@@ -433,7 +441,7 @@ def dhat_sandwich_every_slack(problem: Problem, rate: float) -> SandwichBounds:
         t = _lp_size(problem, rate - lam)
         if t not in solved:
             solved[t] = optimize_prior(problem, rate - lam)
-        cand = solved[t].value + problem.d_max * f_of(lam)
+        cand = sandwich_candidate(problem, solved[t], lam)
         if slack is None or cand < upper:
             upper, slack = cand, s
     if at_rate.dual_bound > upper + SANDWICH_TOL:

@@ -12,8 +12,6 @@ import numpy as np
 
 from conftest import make_random_problem, nonbreakpoint_w, priors_beating_log_m
 from oneshotrd import (
-    Channel,
-    Code,
     Problem,
     bound_gap_comparison,
     code_distortion,
@@ -48,10 +46,10 @@ def test_criterion_01_exact_formula_oracle():
     start = time.time()
     worst = 0.0
     for m in range(2, 11):
-        exact = exact_expected_distortion(BINARY_HAMMING, m).exact_distortion
+        exact = exact_expected_distortion(BINARY_HAMMING, m)
         brute = 0.0
         for combo in itertools.product((0, 1), repeat=m):
-            brute += 0.5 ** m * code_distortion(BINARY_HAMMING, Code(combo))
+            brute += 0.5 ** m * code_distortion(BINARY_HAMMING, combo)
         worst = max(worst, abs(exact - 2.0 ** -m), abs(brute - exact))
     elapsed = time.time() - start
     report(1, "exact formula vs closed form and brute force",
@@ -67,7 +65,7 @@ def test_criterion_02_exact_vs_monte_carlo_panel():
         p = make_random_problem(rng, nx=int(rng.integers(2, 9)),
                                 ny=int(rng.integers(2, 9)))
         m = (2, 3, 5, 10)[i % 4]
-        exact = exact_expected_distortion(p, m).exact_distortion
+        exact = exact_expected_distortion(p, m)
         mc = simulate_random_code(p, m, 100000, seed=1000 + i)
         if abs(mc.mean - exact) <= 3.0 * mc.stderr:
             hits += 1
@@ -84,7 +82,7 @@ def test_criterion_03_converse_equality():
     for _ in range(100):
         p = make_random_problem(rng)
         m = int(rng.integers(1, 7))
-        code = Code(tuple(int(y) for y in rng.integers(0, p.y_size, m)))
+        code = rng.integers(0, p.y_size, m)
         res = converse_equality_check(p, code)
         worst = max(worst, res.gap)
     elapsed = time.time() - start
@@ -102,7 +100,7 @@ def test_criterion_04_converse_dominance():
                                 ny=int(rng.integers(2, 6)))
         for m in (2, 3):
             best_code = min(
-                code_distortion(p, Code(combo))
+                code_distortion(p, combo)
                 for combo in itertools.product(range(p.y_size), repeat=m)
             )
             opt = optimize_prior(p, math.log(m))
@@ -219,10 +217,10 @@ def test_criterion_10_information_spectrum_relation():
         finite = dens[np.isfinite(dens)]
         thresh = float(rng.uniform(finite.min(), finite.max() + 0.5))
         delta = float(rng.uniform(0.0, 0.3))
-        if info_spectrum_check(p, Channel(rows), thresh + delta, delta).holds:
+        if info_spectrum_check(p, rows, thresh + delta, delta).holds:
             holds += 1
     hand = info_spectrum_check(
-        BINARY_HAMMING, Channel([[0.9, 0.1], [0.1, 0.9]]), math.log(1.9), 0.0
+        BINARY_HAMMING, np.array([[0.9, 0.1], [0.1, 0.9]]), math.log(1.9), 0.0
     )
     hand_ok = (abs(hand.lhs - 0.05) <= 1e-12 and abs(hand.rhs - 0.1) <= 1e-12
                and hand.holds)

@@ -16,7 +16,6 @@ import oneshotrd
 import oneshotrd.converse as converse_mod
 from conftest import dense_prior_lp, make_random_problem
 from oneshotrd import (
-    Channel,
     EqualityCheckError,
     Problem,
     dtilde,
@@ -371,7 +370,7 @@ def test_cli_exact_matches_library_on_random_problem(rng, tmp_path, capsys):
                 "--trials", "1000", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     names = {r["quantity"]: r["value"] for r in doc["records"]}
-    expect = exact_expected_distortion(p, 4).exact_distortion
+    expect = exact_expected_distortion(p, 4)
     assert names["exact[M=4]"] == pytest.approx(expect, rel=1e-10)
 
 
@@ -571,7 +570,7 @@ def test_adapters_return_what_run_prints(call, capsys):
 
 
 def _uniform_channel(problem, w):
-    return Channel(np.full((problem.x_size, problem.y_size), 1.0 / problem.y_size))
+    return np.full((problem.x_size, problem.y_size), 1.0 / problem.y_size)
 
 
 # each identity subcommand with one side of its identity made wrong, and the

@@ -13,7 +13,6 @@ from conftest import (
     simplex_grid,
 )
 from oneshotrd import (
-    Code,
     Problem,
     code_distortion,
     code_prior,
@@ -22,7 +21,7 @@ from oneshotrd import (
     dtilde_for_prior,
     dtilde_subgradient,
     exact_expected_distortion,
-    f_of,
+    inf_form_value,
     load_problem,
     optimal_encoder,
     optimize_prior,
@@ -33,52 +32,64 @@ from oneshotrd.converse import (
 )
 from oracles import (
     dhat_sandwich_every_slack, kmedian_lp_per_letter, product_prior_three_stage,
+    sandwich_candidate,
 )
 
 
 def random_code(rng, problem, max_m=6):
     m = int(rng.integers(1, max_m + 1))
-    return Code(tuple(int(y) for y in rng.integers(0, problem.y_size, m)))
+    return rng.integers(0, problem.y_size, m)
 
 
 def test_code_prior_counts_multiplicity(binary_hamming):
-    np.testing.assert_array_equal(code_prior(binary_hamming, Code((0, 1))), [0.5, 0.5])
+    np.testing.assert_array_equal(code_prior(binary_hamming, (0, 1)), [0.5, 0.5])
     np.testing.assert_allclose(
-        code_prior(binary_hamming, Code((0, 0, 1))), [2 / 3, 1 / 3]
+        code_prior(binary_hamming, (0, 0, 1)), [2 / 3, 1 / 3]
     )
-    np.testing.assert_array_equal(code_prior(binary_hamming, Code((1,))), [0.0, 1.0])
+    np.testing.assert_array_equal(code_prior(binary_hamming, (1,)), [0.0, 1.0])
 
 
 def test_code_prior_rejects_bad_codes(binary_hamming):
     with pytest.raises(ValueError):
-        code_prior(binary_hamming, Code(()))
+        code_prior(binary_hamming, ())
     with pytest.raises(ValueError):
-        code_prior(binary_hamming, Code((2,)))
+        code_prior(binary_hamming, (2,))
+
+
+def test_returned_channels_are_read_only(binary_hamming):
+    for chan in (packing_channel(binary_hamming, 0.75),
+                 optimal_encoder(binary_hamming, [0, 1]),
+                 inf_form_value(binary_hamming, 0.5).channel):
+        assert chan.shape == (2, 2) and chan.dtype == float
+        assert not chan.flags.writeable
+        with pytest.raises(ValueError):
+            chan[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("fn", [code_prior, code_distortion, optimal_encoder])
-@pytest.mark.parametrize("members", [(), (-1,), (2,), (0, 2)])
+@pytest.mark.parametrize("members", [(), (-1,), (2,), (0, 2), [[0, 1]]])
 def test_code_members_checked_by_every_code_function(binary_hamming, fn, members):
-    # a negative index would otherwise wrap to the last column
+    # a negative index would otherwise wrap to the last column, and
+    # code_distortion would read the 2-D code [[0, 1]] as 1.0
     with pytest.raises(ValueError):
-        fn(binary_hamming, Code(members))
+        fn(binary_hamming, members)
 
 
 def test_optimal_encoder_unique_minimizer(binary_hamming):
-    enc = optimal_encoder(binary_hamming, Code((0, 1)))
-    np.testing.assert_array_equal(enc.w, [[1.0, 0.0], [0.0, 1.0]])
+    enc = optimal_encoder(binary_hamming, (0, 1))
+    np.testing.assert_array_equal(enc, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_optimal_encoder_full_tie():
     p = Problem([0.5, 0.5], [0.5, 0.5], [[0.3, 0.3], [0.3, 0.3]])
-    enc = optimal_encoder(p, Code((0, 1)))
-    np.testing.assert_array_equal(enc.w, [[0.5, 0.5], [0.5, 0.5]])
+    enc = optimal_encoder(p, (0, 1))
+    np.testing.assert_array_equal(enc, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_optimal_encoder_weights_repeats():
     p = Problem([1.0], [0.5, 0.5], [[0.2, 0.2]])
-    enc = optimal_encoder(p, Code((0, 0, 1)))
-    np.testing.assert_allclose(enc.w, [[2 / 3, 1 / 3]])
+    enc = optimal_encoder(p, (0, 0, 1))
+    np.testing.assert_allclose(enc, [[2 / 3, 1 / 3]])
 
 
 def test_optimal_encoder_equals_packing_channel(rng):
@@ -87,13 +98,13 @@ def test_optimal_encoder_equals_packing_channel(rng):
         code = random_code(rng, p)
         enc = optimal_encoder(p, code)
         prior = code_prior(p, code)
-        chan = packing_channel(Problem(p.p_x, prior, p.d), 1.0 / code.M)
-        np.testing.assert_allclose(enc.w, chan.w, atol=1e-12)
+        chan = packing_channel(Problem(p.p_x, prior, p.d), 1.0 / len(code))
+        np.testing.assert_allclose(enc, chan, atol=1e-12)
 
 
 def test_code_distortion_hand_values(binary_hamming):
-    assert code_distortion(binary_hamming, Code((0, 1))) == 0.0
-    assert code_distortion(binary_hamming, Code((0,))) == 0.5
+    assert code_distortion(binary_hamming, (0, 1)) == 0.0
+    assert code_distortion(binary_hamming, (0,)) == 0.5
 
 
 def test_code_distortion_matches_encoder_average(rng):
@@ -101,14 +112,14 @@ def test_code_distortion_matches_encoder_average(rng):
         p = make_random_problem(rng)
         code = random_code(rng, p)
         enc = optimal_encoder(p, code)
-        avg = float(np.sum(p.p_x[:, None] * enc.w * p.d))
+        avg = float(np.sum(p.p_x[:, None] * enc * p.d))
         assert code_distortion(p, code) == pytest.approx(avg, abs=1e-12)
 
 
 def test_converse_equality_hand_cases(binary_hamming):
-    res = converse_equality_check(binary_hamming, Code((0, 1)))
+    res = converse_equality_check(binary_hamming, (0, 1))
     assert res == (0.0, 0.0, 0.0)
-    res = converse_equality_check(binary_hamming, Code((0,)))
+    res = converse_equality_check(binary_hamming, (0,))
     assert res.lhs == pytest.approx(0.5) and res.gap <= 1e-12
 
 
@@ -129,7 +140,7 @@ def test_converse_equality_with_repeated_codewords(problem, data):
     rest = data.draw(st.lists(letter, max_size=5))
     if rest:
         rest[data.draw(st.integers(0, len(rest) - 1))] = first
-    res = converse_equality_check(problem, Code((first, *rest)))
+    res = converse_equality_check(problem, (first, *rest))
     assert res.gap <= EQUALITY_TOL
 
 def test_subgradient_matches_finite_differences(rng):
@@ -243,7 +254,7 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
         reachable.add(_lp_size(p, rate))
         assert len(sizes) == len(set(sizes)) and set(sizes) <= reachable
         assert sizes[0] == _lp_size(p, rate)
-        cands = {s: optimize_prior(p, rate - (rate - s)).value + p.d_max * f_of(rate - s)
+        cands = {s: sandwich_candidate(p, optimize_prior(p, rate - (rate - s)), rate - s)
                  for s in SANDWICH_SLACKS}
         assert bounds.upper == min(cands.values()) == cands[bounds.slack]
         assert bounds.lower == optimize_prior(p, rate).dual_bound
@@ -258,6 +269,41 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
     bounds = dhat_sandwich(p, 1.0)
     assert sizes == [math.exp(1.0), math.exp(0.25)]
     assert bounds.slack == 0.25
+
+
+# d_max over supp(p_x) x supp(q_y) is 1, but reproduction letter 2, outside
+# supp(q_y), costs 100 from source letters 0 and 1; the slack LPs' priors
+# put mass on it
+OFF_SUPPORT = Problem([0.45, 0.45, 0.10], [0.5, 0.5, 0.0],
+                      [[0.0, 1.0, 100.0], [1.0, 0.0, 100.0], [1.0, 1.0, 0.0]])
+
+
+def _winning_prior_average(problem, rate, bounds):
+    """Exact random-code average of M = floor(e^rate) + 1 words drawn from
+    the prior of the LP whose slack gave bounds.upper."""
+    q = optimize_prior(problem, rate - (rate - bounds.slack)).q_star
+    return exact_expected_distortion(Problem(problem.p_x, q, problem.d),
+                                     int(math.exp(rate)) + 1)
+
+
+@pytest.mark.parametrize("rate, upper, average", [(0.5, 0.9938, 0.3352),
+                                                  (1.0, 0.7674, 0.2278)])
+def test_sandwich_upper_holds_for_the_prior_that_gives_it(rate, upper, average):
+    # priced with d_max = 1, slack 1.0 won at rate 0.5 with upper 0.904,
+    # against 6.635 for its prior's code of two words
+    bounds = dhat_sandwich(OFF_SUPPORT, rate)
+    prior_average = _winning_prior_average(OFF_SUPPORT, rate, bounds)
+    assert bounds.upper == pytest.approx(upper, abs=1e-4)
+    assert prior_average == pytest.approx(average, abs=1e-4)
+    assert bounds.upper >= prior_average
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), rate=st.floats(0.0, 4.0))
+def test_sandwich_upper_bounds_its_priors_random_code(problem, rate):
+    bounds = dhat_sandwich(problem, rate)
+    average = _winning_prior_average(problem, rate, bounds)
+    assert bounds.upper >= average - 1e-12 * max(1.0, bounds.upper)
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,7 +384,7 @@ def test_converse_dominance_exhaustive(rng):
         p = make_random_problem(rng, nx=int(rng.integers(2, 5)), ny=int(rng.integers(2, 5)))
         for m in (2, 3):
             best = min(
-                code_distortion(p, Code(c))
+                code_distortion(p, c)
                 for c in itertools.product(range(p.y_size), repeat=m)
             )
             res = optimize_prior(p, math.log(m))
@@ -396,7 +442,7 @@ def test_dual_bound_below_every_code(data):
     assume(p.sum() > 0.01 and q.sum() > 0.01)
     d = vec(nx * ny, 0.0, 4.0).reshape(nx, ny)
     problem = Problem(p / p.sum(), q / q.sum(), d)
-    best = min(code_distortion(problem, Code(c))
+    best = min(code_distortion(problem, c)
                for c in itertools.product(range(ny), repeat=m))
     rate = math.log(m)
     alpha = vec(nx, -4.0, 4.0)
@@ -405,12 +451,12 @@ def test_dual_bound_below_every_code(data):
     assert res.dual_bound <= best + 1e-12
     assert res.value <= best + 1e-9
     assert res.certificate_gap <= 1e-9
-    assert best <= exact_expected_distortion(problem, m).exact_distortion + 1e-12
+    assert best <= exact_expected_distortion(problem, m) + 1e-12
 
 
 def test_equality_check_reads_the_code_prior_through_the_fill(binary_hamming, problems_built):
     before = len(problems_built)
-    check = converse_equality_check(binary_hamming, Code((0, 1, 1)))
+    check = converse_equality_check(binary_hamming, (0, 1, 1))
     assert len(problems_built) == before
     assert check.rhs == dtilde_for_prior(binary_hamming, 1.0 / 3.0, [1 / 3, 2 / 3])
     assert check.lhs == check.rhs == 0.0

@@ -230,14 +230,14 @@ def test_inverse_round_trips_with_finite_rate_above_dtilde_zero(problem, data):
 
 def test_test_channel_hand_case(binary_hamming):
     ch = packing_channel(binary_hamming, 0.75)
-    np.testing.assert_allclose(ch.w, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)
+    np.testing.assert_allclose(ch, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)
     ch1 = packing_channel(binary_hamming, 1.0)
-    np.testing.assert_allclose(ch1.w, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(ch1, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_test_channel_saturates_at_common_breakpoint(binary_hamming):
     ch = packing_channel(binary_hamming, 0.5)
-    np.testing.assert_allclose(ch.w, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(ch, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
 
 def test_test_channel_rows_and_average(rng):
@@ -246,7 +246,7 @@ def test_test_channel_rows_and_average(rng):
         w = float(rng.uniform(0.05, 1.0))
         ch = packing_channel(p, w)
         validate_channel(ch)
-        avg = float(np.sum(p.p_x[:, None] * ch.w * p.d))
+        avg = float(np.sum(p.p_x[:, None] * ch * p.d))
         assert avg == pytest.approx(dtilde(p, w), abs=1e-12)
 
 

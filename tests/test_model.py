@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_random_problem
 from oneshotrd import (
-    Channel,
     InvariantViolation,
     Problem,
     ProblemFormatError,
@@ -176,11 +175,11 @@ def test_d_max_is_built_once_per_instance(monkeypatch):
 
 
 def test_channel_validation():
-    validate_channel(Channel([[0.5, 0.5], [1.0, 0.0]]))
+    validate_channel(np.array([[0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(InvariantViolation, match="row 1"):
-        validate_channel(Channel([[0.5, 0.5], [0.9, 0.0]]))
+        validate_channel(np.array([[0.5, 0.5], [0.9, 0.0]]))
     with pytest.raises(InvariantViolation, match="negative"):
-        validate_channel(Channel([[1.5, -0.5]]))
+        validate_channel(np.array([[1.5, -0.5]]))
 
 
 def test_problem_is_freed_with_its_last_reference(rng):

@@ -291,7 +291,7 @@ def test_oracle_agreement_panel():
         p = make_random_problem(rng, nx=int(rng.integers(2, 9)),
                                 ny=int(rng.integers(2, 9)))
         m = (2, 3, 5, 10)[i % 4]
-        exact = exact_expected_distortion(p, m).exact_distortion
+        exact = exact_expected_distortion(p, m)
         mc = simulate_random_code(p, m, 20000, seed=1000 + i)
         if abs(mc.mean - exact) <= 3 * mc.stderr:
             hits += 1

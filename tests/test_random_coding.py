@@ -15,7 +15,6 @@ from scipy import integrate
 
 from conftest import make_random_problem, problems, quarter_problems
 from oneshotrd import (
-    Code,
     Problem,
     achievability_bound,
     best_achievability,
@@ -53,7 +52,7 @@ def brute_force_random_code(problem, M):
         prob = float(np.prod(problem.q_y[list(combo)]))
         if prob == 0.0:
             continue
-        total += prob * code_distortion(problem, Code(combo))
+        total += prob * code_distortion(problem, combo)
     return total
 
 
@@ -70,27 +69,27 @@ def test_g_m_large_m_stable():
 
 
 def test_exact_binary_hamming(binary_hamming):
-    assert exact_expected_distortion(binary_hamming, 2).exact_distortion == pytest.approx(0.25, abs=1e-15)
-    assert exact_expected_distortion(binary_hamming, 3).exact_distortion == pytest.approx(0.125, abs=1e-15)
+    assert exact_expected_distortion(binary_hamming, 2) == pytest.approx(0.25, abs=1e-15)
+    assert exact_expected_distortion(binary_hamming, 3) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_exact_constant_distortion():
     p = Problem([0.3, 0.7], [0.5, 0.5], [[0.42, 0.42], [0.42, 0.42]])
     for M in (1, 2, 5, 40):
-        assert exact_expected_distortion(p, M).exact_distortion == pytest.approx(0.42, abs=1e-13)
+        assert exact_expected_distortion(p, M) == pytest.approx(0.42, abs=1e-13)
 
 
 def test_exact_m1_is_full_average(rng):
     p = make_random_problem(rng)
     expect = float(np.sum(p.p_x[:, None] * p.q_y[None, :] * p.d))
-    assert exact_expected_distortion(p, 1).exact_distortion == pytest.approx(expect, abs=1e-14)
+    assert exact_expected_distortion(p, 1) == pytest.approx(expect, abs=1e-14)
 
 
 def test_exact_matches_brute_force(rng):
     for _ in range(15):
         p = make_random_problem(rng, ny=int(rng.integers(2, 4)))
         for M in (2, 3, 4):
-            exact = exact_expected_distortion(p, M).exact_distortion
+            exact = exact_expected_distortion(p, M)
             assert exact == pytest.approx(brute_force_random_code(p, M), abs=1e-12)
 
 
@@ -106,20 +105,20 @@ def test_exact_matches_quadrature(rng):
                     a, b,
                 )
                 total += val
-            exact = exact_expected_distortion(p, M).exact_distortion
+            exact = exact_expected_distortion(p, M)
             assert exact == pytest.approx(total, abs=1e-8)
 
 
 def test_exact_segments_sum_to_total(rng):
     p = make_random_problem(rng)
-    res = exact_expected_distortion(p, 6)
-    assert 0.0 <= res.exact_distortion <= p.d_max
+    exact = exact_expected_distortion(p, 6)
+    assert 0.0 <= exact <= p.d_max
 
 
 def test_exact_nonincreasing_in_m(rng):
     for _ in range(10):
         p = make_random_problem(rng)
-        vals = [exact_expected_distortion(p, M).exact_distortion for M in range(1, 12)]
+        vals = [exact_expected_distortion(p, M) for M in range(1, 12)]
         assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -134,7 +133,7 @@ def test_exact_tends_to_dtilde_zero_at_large_m(problem):
     values = []
     for M in (2, 3, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18):
         tail = math.exp((M - 1) * math.log1p(-w1)) if w1 < 1.0 else 0.0
-        e = exact_expected_distortion(problem, M).exact_distortion
+        e = exact_expected_distortion(problem, M)
         assert lo - 1e-12 <= e <= lo + (hi - lo) * tail * ((M - 1) * w1 + 1) + 1e-12, M
         values.append(e)
     # rounding can lift E(M) by an ulp where it has reached dtilde(0)
@@ -145,7 +144,7 @@ def test_exact_dominates_converse_value(rng):
     for _ in range(15):
         p = make_random_problem(rng)
         for M in (2, 3, 5):
-            assert dtilde(p, 1.0 / M) <= exact_expected_distortion(p, M).exact_distortion + 1e-12
+            assert dtilde(p, 1.0 / M) <= exact_expected_distortion(p, M) + 1e-12
 
 
 def test_f_of_values():
@@ -334,7 +333,7 @@ def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
     problem = load_problem(path)
     bound = _exact_bound(path, 4096)
     assert exact_split_quantile_bound(problem, 4096) > bound + 0.1
-    assert exact_expected_distortion(problem, 4096).exact_distortion <= bound < 0.0501
+    assert exact_expected_distortion(problem, 4096) <= bound < 0.0501
 
 
 def test_best_achievability_returns_the_bound_at_its_lam(rng):
@@ -353,7 +352,7 @@ def test_achievability_dominates_exact(rng):
         lam = rate - float(rng.uniform(0.05, 3.0))
         bound = achievability_bound(p, rate, lam).value
         m_floor = int(math.exp(rate)) + 1
-        assert bound >= exact_expected_distortion(p, m_floor).exact_distortion - 1e-12
+        assert bound >= exact_expected_distortion(p, m_floor) - 1e-12
         # continuous-codebook-size version of the same dominance
         real = float(np.sum(_segment_integral(build_dtilde1(p), math.exp(rate) + 1.0)))
         assert bound >= real - 1e-12
@@ -409,7 +408,7 @@ def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(rng):
         assert res.rate <= max(scan, 0.0) + 1e-12
         assert res.rate <= res.rate_g + 1e-12
         m = int(math.exp(res.rate)) + 1
-        assert exact_expected_distortion(p, m).exact_distortion <= d_req + 1e-9
+        assert exact_expected_distortion(p, m) <= d_req + 1e-9
 
 
 def test_min_uniform_pdf_cdf():
@@ -441,7 +440,7 @@ def test_exact_reaches_the_largest_m():
     base = load_problem(GOLDEN / "integer_6x5.json")
     problem = Problem(base.p_x, base.q_y, base.d * 1e3)
     for m in (10**308, int(sys.float_info.max) + 1):
-        assert exact_expected_distortion(problem, m).exact_distortion == pytest.approx(
+        assert exact_expected_distortion(problem, m) == pytest.approx(
             dtilde(problem, 0.0), rel=1e-15)
 
 

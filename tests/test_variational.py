@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import LEVEL_CASES, make_random_problem, nonbreakpoint_w, problems, quarter_problems
 from oneshotrd import (
-    Channel,
     Problem,
     d_inf,
     distortion_measure,
@@ -41,7 +40,7 @@ def feasible_channel(rng, problem, rate):
             add[mask] = room[mask] / room[mask].sum() * deficit
             row = np.minimum(row + add, cap)
         rows[x] = row / row.sum()
-    return Channel(rows)
+    return rows
 
 
 def test_np_beta_rejects_a_negative_or_nonfinite_measure():
@@ -113,6 +112,14 @@ def test_np_beta_accepts_nothing_where_p_has_no_mass():
     np.testing.assert_array_equal(test.accept, np.zeros(3))
 
 
+def test_np_beta_survives_a_threshold_group_whose_measure_overflows():
+    # each tied group's measure sums to 2e308, past the largest double
+    beta, test = np_beta(0.5, [0.5, 0.5], [1e308, 1e308])
+    assert beta == 1e308 and test.achieved_alpha == 0.5
+    beta, test = np_beta(1e-10, np.zeros(2), [1e308, 1e308])
+    assert beta == 0.0 and test.achieved_alpha == 0.0
+
+
 def test_witness_binary_hand_case(binary_hamming):
     q_x, lam = witness_qx(binary_hamming, 0.75)
     assert lam == pytest.approx(1.0)
@@ -169,13 +176,13 @@ def test_d_inf_values(binary_hamming):
 def test_inf_form_hand_case(binary_hamming):
     res = inf_form_value(binary_hamming, math.log(4.0 / 3.0))
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-12)
-    np.testing.assert_allclose(res.channel.w, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
+    np.testing.assert_allclose(res.channel, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
 
 
 def test_inf_form_zero_rate_returns_prior(rng):
     p = make_random_problem(rng)
     res = inf_form_value(p, 0.0)
-    np.testing.assert_allclose(res.channel.w, np.tile(p.q_y, (p.x_size, 1)), atol=1e-12)
+    np.testing.assert_allclose(res.channel, np.tile(p.q_y, (p.x_size, 1)), atol=1e-12)
     expect = float(np.sum(p.p_x[:, None] * p.q_y[None, :] * p.d))
     assert res.value == pytest.approx(expect, abs=1e-12)
 
@@ -194,7 +201,7 @@ def test_inf_form_matches_functional_and_channel(rng):
         res = inf_form_value(p, rate)
         validate_channel(res.channel)
         assert res.value == pytest.approx(dtilde(p, w), abs=1e-9)
-        np.testing.assert_allclose(res.channel.w, packing_channel(p, w).w, atol=1e-12)
+        np.testing.assert_allclose(res.channel, packing_channel(p, w), atol=1e-12)
 
 
 def test_inf_form_channel_is_feasible(rng):
@@ -202,7 +209,7 @@ def test_inf_form_channel_is_feasible(rng):
         p = make_random_problem(rng)
         rate = float(rng.uniform(0.05, 2.0))
         res = inf_form_value(p, rate)
-        joint = p.p_x[:, None] * res.channel.w
+        joint = p.p_x[:, None] * res.channel
         ref = p.p_x[:, None] * p.q_y[None, :]
         assert d_inf(joint, ref) <= rate + 1e-12
 
@@ -214,14 +221,14 @@ def test_feasible_channels_dominate_inf_form(rng):
         res = inf_form_value(p, rate)
         for _ in range(5):
             chan = feasible_channel(rng, p, rate)
-            joint = p.p_x[:, None] * chan.w
+            joint = p.p_x[:, None] * chan
             assert d_inf(joint, p.p_x[:, None] * p.q_y[None, :]) <= rate + 1e-9
             value = float(np.sum(joint * p.d))
             assert value >= res.value - 1e-10
 
 
 def test_info_spectrum_bsc_hand_case(binary_hamming):
-    chan = Channel([[0.9, 0.1], [0.1, 0.9]])
+    chan = np.array([[0.9, 0.1], [0.1, 0.9]])
     res = info_spectrum_check(binary_hamming, chan, math.log(1.9), 0.0)
     assert res.lhs == pytest.approx(0.05, abs=1e-12)
     assert res.rhs == pytest.approx(0.1, abs=1e-15)
@@ -229,7 +236,7 @@ def test_info_spectrum_bsc_hand_case(binary_hamming):
 
 
 def test_info_spectrum_vacuous_case(binary_hamming):
-    chan = Channel([[0.9, 0.1], [0.1, 0.9]])
+    chan = np.array([[0.9, 0.1], [0.1, 0.9]])
     res = info_spectrum_check(binary_hamming, chan, math.log(0.1), 0.0)
     assert res.holds and res.rhs == math.inf
 
@@ -238,7 +245,7 @@ def test_info_spectrum_random_stress(rng):
     for _ in range(40):
         p = make_random_problem(rng)
         rows = np.stack([rng.dirichlet(np.ones(p.y_size)) for _ in range(p.x_size)])
-        chan = Channel(rows)
+        chan = rows
         joint = p.p_x[:, None] * rows
         q = joint.sum(axis=0)
         with np.errstate(divide="ignore"):
@@ -252,7 +259,7 @@ def test_info_spectrum_random_stress(rng):
 
 def _assert_level_routes_match_rows(problem, w):
     new, old = inf_form_value(problem, -math.log(w)), inf_form_by_rows(problem, -math.log(w))
-    np.testing.assert_allclose(new.channel.w, old.channel.w, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(new.channel, old.channel, rtol=0.0, atol=1e-14)
     # at a level boundary the two routes may round the cumulative mass apart
     cums = np.concatenate([profile_unique(problem, x).cumulative
                            for x in range(problem.x_size)])
@@ -292,8 +299,8 @@ def test_subnormal_w_is_rejected(binary_hamming):
 
 def test_info_spectrum_reads_the_marginal_through_the_fill(binary_hamming, problems_built):
     before = len(problems_built)
-    chan = Channel([[0.9, 0.1], [0.3, 0.7]])
-    q = 0.5 * (chan.w[0] + chan.w[1])
+    chan = np.array([[0.9, 0.1], [0.3, 0.7]])
+    q = 0.5 * (chan[0] + chan[1])
     for rate, w in ((math.log(1.9), None), (math.log(0.1), 0.0)):
         res = info_spectrum_check(binary_hamming, chan, rate, 0.0)
         assert res.holds
