@@ -3,9 +3,10 @@
 The best lower bound at rate R minimizes the quantile functional over
 priors, a convex but nonsmooth problem. At t = e^R it is exactly the
 k-median linear program, so one sparse LP solve finds the optimal prior,
-and the LP's dual certifies the minimum from below. Pairing the certified
-lower bound with the split-quantile achievability bound shows how tightly
-the operational curve is pinned. The last section runs the
+and the LP's dual certifies the minimum from below. The exact average
+distortion of M = floor(e^R) codewords drawn i.i.d. from the LP's prior or
+from q_y is achievable at M; pairing it with the certified lower bound
+shows how tightly the best code of M words is pinned. The last section runs the
 product-source experiment: on a two-letter extension, can a memoryless
 prior match an unrestricted one?
 """
@@ -28,10 +29,10 @@ for rate in (0.25, 0.75, 1.5):
 print("(the certificate gap is value minus the LP dual bound)")
 
 print("\n== the sandwich around the operational curve ==")
-print(f"{'rate':>6} {'lower':>12} {'upper':>12}")
+print(f"{'rate':>6} {'M':>3} {'lower':>12} {'upper':>12}")
 for rate in (0.5, 1.0, 2.0):
     bounds = dhat_sandwich(problem, rate)
-    print(f"{rate:>6.2f} {bounds.lower:>12.8f} {bounds.upper:>12.8f}")
+    print(f"{rate:>6.2f} {bounds.M:>3} {bounds.lower:>12.8f} {bounds.upper:>12.8f}")
 
 print("\n== memoryless vs unrestricted priors on the doubled source ==")
 report = product_prior_experiment(problem, n=2, rate=0.6, seed=3)

@@ -156,8 +156,8 @@ def _cmd_converse(problem, args):
                          *[float(v) for v in bounds.q_star])]
     report = BoundReport("dhat-sandwich")
     report.add("dhat_lower", bounds.lower, "k-median LP dual bound")
-    report.add("dhat_upper", bounds.upper, "k-median LP floor (no slack below the rate)"
-               if bounds.slack is None else "achievability over the slack grid")
+    report.add("dhat_upper", bounds.upper, "floor over the prior's support"
+               if bounds.M is None else f"exact random-code average at M = {bounds.M:.12g}")
     return report
 
 

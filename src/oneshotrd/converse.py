@@ -3,8 +3,9 @@
 Any codebook C with M codewords, encoded optimally, attains exactly
 dtilde(1/M, Q_C) where Q_C is the empirical distribution of its codewords.
 Minimizing dtilde(exp(-R), Q) over priors Q therefore lower-bounds the best
-achievable distortion at rate R; combined with the split-quantile
-achievability bound this sandwiches the operational curve. The product
+achievable distortion at rate R; the exact average distortion of a random
+code of floor(e^R) words drawn from a prior is achievable, and the two
+sandwich the operational curve. The product
 experiment compares the best memoryless prior on an n-fold source with
 the unrestricted optimum.
 """
@@ -22,10 +23,9 @@ from scipy.optimize import linprog, minimize
 
 from .dtilde import dtilde_for_prior
 from .model import EqualityCheck, EqualityCheckError, Problem, _readonly
-from .random_coding import f_of
+from .random_coding import exact_expected_distortion
 
 EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs| accepted
-SANDWICH_SLACKS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)  # dhat_sandwich: rate - lam
 SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper accepted
 
 
@@ -33,7 +33,8 @@ class SandwichBounds(NamedTuple):
     lower: float
     upper: float
     q_star: np.ndarray
-    slack: float | None  # the rate - lam that gave upper; None at the floor
+    M: int | None      # floor(e^rate); None where e^rate overflows
+    prior: np.ndarray  # the prior whose random-code average is upper
 
 
 class ProductPriorReport(NamedTuple):
@@ -65,12 +66,20 @@ class PriorOptResult:
 
 def _members(problem: Problem, code) -> np.ndarray:
     """The code, a 1-D sequence of letters with repeats allowed, as an index
-    array; raises unless it is nonempty and every letter is in [0, y_size)."""
-    members = np.asarray(code, dtype=int)
+    array; raises unless it is nonempty and every letter is an integer in
+    [0, y_size)."""
+    members = np.asarray(code)
     if members.ndim != 1:
         raise ValueError("code must be a 1-D sequence of letters")
     if members.size == 0:
         raise ValueError("code must be nonempty")
+    if members.dtype.kind not in "iu":
+        # a NaN or an infinite letter casts to some integer; the test rejects it
+        with np.errstate(invalid="ignore"):
+            ints = members.astype(int)
+        if (ints != members).any():
+            raise ValueError("code letters must be integers")
+        members = ints
     if members.min() < 0 or members.max() >= problem.y_size:
         raise ValueError("code member out of range")
     return members
@@ -223,58 +232,41 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
 
 
 def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
-    """Certified lower bound vs the matching achievability upper bound.
+    """Certified lower and achievable upper bounds on D*(M), M = floor(e^rate).
 
-    lower = optimize_prior(rate).dual_bound, with q_star its prior;
-    upper = min over lam = rate - s, s in SANDWICH_SLACKS, of
-            optimize_prior(rate - lam).value + d_s * f(lam),
-    and slack is the first s that attains it. The random code that the
-    bound describes draws from that LP's prior q_s, which can open letters
-    outside the support of q_y; so d_s is the largest d over supp(p_x) x
-    supp(q_s), and at least problem.d_max. Each LP depends on its rate
-    only through _lp_size's t, and no t is solved twice. The LPs solved are
-    the rate's, the first slack's and those of later slacks that can still
-    win. The LP value at any t is at least the floor sum_x p_x min_y d_xy,
-    and at least _dual_bound(t, alpha) for the duals alpha of every LP
-    solved so far. The larger of these, less 1e-12 * (1 + t) * (d_max +
-    max |alpha|_1) plus the smallest normal double, stays at or below the
-    value as computed: that allowance exceeds the rounding of both for
-    alphabets of up to a thousand letters. A slack is skipped when this
-    bound plus problem.d_max * f(lam), at most its penalty, exceeds upper:
-    its candidate would round to more than upper, and only a candidate
-    strictly below upper replaces it.
-    Where every rate - s rounds back to rate (about 1e16 and above), the
-    LP is clamped at the floor, upper is its value and slack is None.
+    D*(M) is the least average distortion of a code of at most M words.
+    lower = optimize_prior(rate).dual_bound, with q_star its prior: it
+    bounds the LP minimum V(e^rate), which is at most V(M) and so at most
+    D*(M). upper is the exact average distortion of M codewords drawn
+    i.i.d. from a prior, which some code of M words attains or beats: the
+    smaller of the averages under q_star, its masses below the smallest
+    normal double set to 0, and under q_y. prior is the one that gives it.
+    M = 1 gives the plain average sum p q d. Where e^rate overflows, M is
+    None and upper is the average's limit, the floor over the prior's
+    support, dtilde_for_prior(problem, 0, prior). Only the LP at the rate
+    is solved.
     """
-    at_rate = optimize_prior(problem, rate)
-    solved = {_lp_size(problem, rate): at_rate}
-    floor = float(np.sum(problem.p_x * problem.d.min(axis=1)))
-    upper, slack = at_rate.value, None
-    for s in SANDWICH_SLACKS:
-        lam = rate - s
-        if not lam < rate:
-            continue
-        t = _lp_size(problem, rate - lam)
-        f = f_of(lam)
-        if t not in solved:
-            if slack is not None:
-                alphas = [res.alpha for res in solved.values()]
-                norm = max(np.abs(a).sum() for a in alphas)
-                room = 1e-12 * (1.0 + t) * (problem.d_max + norm) + np.finfo(float).tiny
-                lb = max(floor, *(_dual_bound(problem, t, a) for a in alphas)) - room
-                if lb + problem.d_max * f > upper:
-                    continue
-            solved[t] = optimize_prior(problem, rate - lam)
-        res = solved[t]
-        d_s = np.max(problem.d[np.ix_(problem.p_x > 0, res.q_star > 0)], initial=problem.d_max)
-        cand = res.value + float(d_s) * f
-        if slack is None or cand < upper:
-            upper, slack = cand, s
-    if at_rate.dual_bound > upper + SANDWICH_TOL:
+    res = optimize_prior(problem, rate)
+    q = np.where(res.q_star < np.finfo(float).tiny, 0.0, res.q_star)
+    lp_prior = Problem(problem.p_x, q, problem.d)
+    try:
+        m = math.floor(math.exp(rate))
+    except OverflowError:  # e^rate is past the largest double, or inf
+        m = None
+
+    def average(on: Problem) -> float:
+        if m is None:
+            return dtilde_for_prior(on, 0.0, on.q_y)
+        return exact_expected_distortion(on, m)
+
+    upper, prior = average(lp_prior), lp_prior.q_y
+    if (at_q_y := average(problem)) < upper:
+        upper, prior = at_q_y, problem.q_y
+    if res.dual_bound > upper + SANDWICH_TOL:
         raise EqualityCheckError(
-            f"sandwich violated: lower={at_rate.dual_bound!r} > upper={upper!r}"
+            f"sandwich violated: lower={res.dual_bound!r} > upper={upper!r}"
         )
-    return SandwichBounds(at_rate.dual_bound, upper, at_rate.q_star, slack)
+    return SandwichBounds(res.dual_bound, upper, res.q_star, m, prior)
 
 
 # product_prior_experiment: random starts besides the uniform one, and the

@@ -8,8 +8,8 @@ variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level, the sandwich that solves the
-LP of every slack's size, the 40-point slack grid of
+rather than per distinct distortion level, the best code of at most M
+words by exhaustive search, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
 never exceed, the exact integral with a scalar power at both ends of
 every segment, and the
@@ -29,6 +29,7 @@ double, so they are seeded exactly as the library is, and a patched
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,8 @@ from oneshotrd import (
     DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
 )
 from oneshotrd.converse import (
-    PRODUCT_RANDOM_STARTS, SANDWICH_SLACKS, SANDWICH_TOL, ProductPriorReport,
-    PriorOptResult, SandwichBounds, _dual_bound, _lp_size, _product_power,
-    dtilde_subgradient, optimize_prior, product_problem,
+    PRODUCT_RANDOM_STARTS, ProductPriorReport, PriorOptResult, _dual_bound,
+    _lp_size, _product_power, dtilde_subgradient, optimize_prior, product_problem,
 )
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
@@ -420,35 +420,14 @@ def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
     )
 
 
-def sandwich_candidate(problem: Problem, res: PriorOptResult, lam: float) -> float:
-    """A slack's upper-bound candidate: its LP value plus f(lam) times the
-    largest distortion the code drawn from its prior q* can meet, over
-    supp(p_x) x supp(q*), and at least problem.d_max."""
-    d_top = problem.d[problem.p_x > 0][:, res.q_star > 0].max()
-    return res.value + max(problem.d_max, float(d_top)) * f_of(lam)
-
-
-def dhat_sandwich_every_slack(problem: Problem, rate: float) -> SandwichBounds:
-    """dhat_sandwich solving the LP of every distinct size t that a slack
-    reaches, whether or not its candidate can win."""
-    at_rate = optimize_prior(problem, rate)
-    solved = {_lp_size(problem, rate): at_rate}
-    upper, slack = at_rate.value, None
-    for s in SANDWICH_SLACKS:
-        lam = rate - s
-        if not lam < rate:
-            continue
-        t = _lp_size(problem, rate - lam)
-        if t not in solved:
-            solved[t] = optimize_prior(problem, rate - lam)
-        cand = sandwich_candidate(problem, solved[t], lam)
-        if slack is None or cand < upper:
-            upper, slack = cand, s
-    if at_rate.dual_bound > upper + SANDWICH_TOL:
-        raise EqualityCheckError(
-            f"sandwich violated: lower={at_rate.dual_bound!r} > upper={upper!r}"
-        )
-    return SandwichBounds(at_rate.dual_bound, upper, at_rate.q_star, slack)
+def best_code_distortion(problem: Problem, m: int | None) -> float:
+    """D*(m), the least average distortion of a code of at most m words, by
+    exhaustive search; m = None means no limit. More distinct letters never
+    hurt, so the search runs over the sets of min(m, y_size) letters."""
+    ny = problem.y_size
+    size = ny if m is None else min(m, ny)
+    return min(float(np.sum(problem.p_x * problem.d[:, list(c)].min(axis=1)))
+               for c in itertools.combinations(range(ny), size))
 
 
 def achievability_bound_scalar(problem: Problem, rate: float, lam: float) -> AchievabilityBound:

@@ -118,10 +118,7 @@ def test_nan_rate_exits_one(binary_path, capsys):
 
 
 def test_converse_rate_solves_each_distinct_lp_once(rng, tmp_path, monkeypatch, capsys):
-    # at rate 1 on 4x4 the slacks give LP sizes e^0.25, e^0.5, e (the rate's
-    # own LP) and three times the clamp t = 4; only the rate's LP and slack
-    # 0.25's can win here, so two are solved, against four when every
-    # distinct size was; the CSV prior reuses the first
+    # one LP, the rate's; the CSV prior reuses it
     path = tmp_path / "rand.json"
     save_problem(make_random_problem(rng, nx=4, ny=4), path)
     sizes = []
@@ -133,17 +130,17 @@ def test_converse_rate_solves_each_distinct_lp_once(rng, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(converse_mod, "linprog", recording)
     assert run(["converse", "--problem", str(path), "--rate", "1", "--csv"]) == 0
-    assert sizes == [math.exp(1.0), math.exp(0.25)]
+    assert sizes == [math.exp(1.0)]
     capsys.readouterr()
 
 
 def test_converse_labels_the_floor_where_no_slack_runs(binary_path, capsys):
+    # the upper end's method names its rule and M = floor(e^rate)
     assert run(["converse", "--problem", binary_path, "--rate", "inf"]) == 0
-    out = capsys.readouterr().out
-    assert "dhat_upper = 0  [k-median LP floor (no slack below the rate)]" in out
-    assert "slack grid" not in out
-    assert run(["converse", "--problem", binary_path, "--rate", "0.5"]) == 0
-    assert "  [achievability over the slack grid]" in capsys.readouterr().out
+    assert "dhat_upper = 0  [floor over the prior's support]" in capsys.readouterr().out
+    for rate, m in (("0", 1), ("0.5", 1), ("0.7", 2), ("700", "1.01423205474e+304")):
+        assert run(["converse", "--problem", binary_path, "--rate", rate]) == 0
+        assert f"  [exact random-code average at M = {m}]" in capsys.readouterr().out
 
 
 def test_excess_subcommands(binary_path, capsys):

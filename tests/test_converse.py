@@ -28,11 +28,10 @@ from oneshotrd import (
     test_channel as packing_channel,
 )
 from oneshotrd.converse import (
-    EQUALITY_TOL, SANDWICH_SLACKS, _dual_bound, _lp_size, product_prior_experiment,
+    EQUALITY_TOL, _dual_bound, _lp_size, product_prior_experiment,
 )
 from oracles import (
-    dhat_sandwich_every_slack, kmedian_lp_per_letter, product_prior_three_stage,
-    sandwich_candidate,
+    best_code_distortion, kmedian_lp_per_letter, product_prior_three_stage,
 )
 
 
@@ -54,6 +53,12 @@ def test_code_prior_rejects_bad_codes(binary_hamming):
         code_prior(binary_hamming, ())
     with pytest.raises(ValueError):
         code_prior(binary_hamming, (2,))
+    # a letter that is not an integer is rejected, not truncated
+    for fn in (code_prior, code_distortion):
+        for code in ((0.7, 1.9), [0.7], [np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="integers"):
+                fn(binary_hamming, code)
+    np.testing.assert_array_equal(code_prior(binary_hamming, [1.0, 0.0]), [0.5, 0.5])
 
 
 def test_returned_channels_are_read_only(binary_hamming):
@@ -221,23 +226,24 @@ def test_optimize_prior_rejects_negative_rate(binary_hamming):
 
 
 def test_dhat_sandwich_is_the_floor_where_every_slack_rounds_away(rng):
-    # 1e17 - t rounds back to 1e17 for every slack t, so the LP at the rate,
-    # clamped at the floor sum_x p_x min_y d_xy, gives both bounds
+    # e^1e17 overflows, so M is None: the LP at the rate is clamped at the
+    # floor sum_x p_x min_y d_xy, and upper is the limit of the random-code
+    # average, the floor over the prior's support
     base = make_random_problem(rng, nx=4, ny=5)
     p = Problem(base.p_x, base.q_y, base.d + 0.5)
     floor = float(np.sum(p.p_x * p.d.min(axis=1)))
     res = optimize_prior(p, 1e17)
     assert res.value == pytest.approx(floor, abs=1e-12) and floor >= 0.5
-    for rate in (1e17, math.inf):
+    for rate in (1e16, 1e17, math.inf):
         bounds = dhat_sandwich(p, rate)
-        assert bounds.upper == res.value and bounds.slack is None
+        assert bounds.M is None
+        assert bounds.upper == dtilde_for_prior(p, 0.0, bounds.prior)
+        assert bounds.upper == pytest.approx(floor, abs=1e-12)
         assert bounds.lower == pytest.approx(res.value, abs=1e-12)
 
 
 def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
-    # an LP is solved at most once per size t, the rate's first, and after
-    # the first slack only where that slack can still win; the bounds still
-    # match one LP per slack, each solved on its own
+    # one LP per call, the one at the rate
     sizes = []
     real = converse_mod.linprog
 
@@ -246,64 +252,86 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(converse_mod, "linprog", recording)
-    for rate in (0.0, 0.25, 0.5, 1.0, 1.5, 2.3, 3.0, 5.0):
+    for rate in (0.0, 0.25, 0.5, 1.0, 1.5, 2.3, 3.0, 5.0, 1e17):
         p = make_random_problem(rng)
         sizes.clear()
         bounds = dhat_sandwich(p, rate)
-        reachable = {_lp_size(p, rate - (rate - s)) for s in SANDWICH_SLACKS}
-        reachable.add(_lp_size(p, rate))
-        assert len(sizes) == len(set(sizes)) and set(sizes) <= reachable
-        assert sizes[0] == _lp_size(p, rate)
-        cands = {s: sandwich_candidate(p, optimize_prior(p, rate - (rate - s)), rate - s)
-                 for s in SANDWICH_SLACKS}
-        assert bounds.upper == min(cands.values()) == cands[bounds.slack]
+        assert sizes == [_lp_size(p, rate)]
         assert bounds.lower == optimize_prior(p, rate).dual_bound
     # the 45x50 instance of test_dhat_sandwich_lower_is_the_lp_minimum_45x50
-    # at rate 1: the rate's LP and slack 0.25's, against six when every
-    # distinct size was solved; each slack from 0.5 up loses to the floor or
-    # to a dual line
     g = np.random.default_rng(0)
     p = Problem(g.dirichlet(np.ones(45)), g.dirichlet(np.ones(50)),
                 g.integers(0, 5, (45, 50)).astype(float))
     sizes.clear()
     bounds = dhat_sandwich(p, 1.0)
-    assert sizes == [math.exp(1.0), math.exp(0.25)]
-    assert bounds.slack == 0.25
+    assert sizes == [math.exp(1.0)]
+    assert bounds.M == 2
 
 
 # d_max over supp(p_x) x supp(q_y) is 1, but reproduction letter 2, outside
-# supp(q_y), costs 100 from source letters 0 and 1; the slack LPs' priors
-# put mass on it
+# supp(q_y), costs 100 from source letters 0 and 1; the LP's prior puts mass
+# on it
 OFF_SUPPORT = Problem([0.45, 0.45, 0.10], [0.5, 0.5, 0.0],
                       [[0.0, 1.0, 100.0], [1.0, 0.0, 100.0], [1.0, 1.0, 0.0]])
 
 
-def _winning_prior_average(problem, rate, bounds):
-    """Exact random-code average of M = floor(e^rate) + 1 words drawn from
-    the prior of the LP whose slack gave bounds.upper."""
-    q = optimize_prior(problem, rate - (rate - bounds.slack)).q_star
-    return exact_expected_distortion(Problem(problem.p_x, q, problem.d),
-                                     int(math.exp(rate)) + 1)
-
-
-@pytest.mark.parametrize("rate, upper, average", [(0.5, 0.9938, 0.3352),
-                                                  (1.0, 0.7674, 0.2278)])
-def test_sandwich_upper_holds_for_the_prior_that_gives_it(rate, upper, average):
-    # priced with d_max = 1, slack 1.0 won at rate 0.5 with upper 0.904,
-    # against 6.635 for its prior's code of two words
+@pytest.mark.parametrize("rate, upper, q_star_average", [(1.0, 0.325, 6.6350),
+                                                         (2.0, 0.0993, 0.0993)])
+def test_sandwich_upper_holds_for_the_prior_that_gives_it(rate, upper, q_star_average):
+    # at rate 1 (M = 2) a code drawn from the LP's prior averages 6.635, so
+    # q_y's 0.325 gives upper; at rate 2 (M = 7) the LP's prior wins
     bounds = dhat_sandwich(OFF_SUPPORT, rate)
-    prior_average = _winning_prior_average(OFF_SUPPORT, rate, bounds)
+    q_star_problem = Problem(OFF_SUPPORT.p_x, bounds.q_star, OFF_SUPPORT.d)
+    averages = [exact_expected_distortion(q_star_problem, bounds.M),
+                exact_expected_distortion(OFF_SUPPORT, bounds.M)]
+    assert averages[0] == pytest.approx(q_star_average, abs=1e-4)
     assert bounds.upper == pytest.approx(upper, abs=1e-4)
-    assert prior_average == pytest.approx(average, abs=1e-4)
-    assert bounds.upper >= prior_average
+    assert bounds.upper == min(averages)
+    assert bounds.lower <= best_code_distortion(OFF_SUPPORT, bounds.M) <= bounds.upper
+
+
+SANDWICH_RATES = (st.sampled_from(["log ny", 0.0, 1e16, 1e17, math.inf])
+                  | st.floats(0.0, 4.0))
 
 
 @settings(max_examples=150, deadline=None)
-@given(problem=problems(), rate=st.floats(0.0, 4.0))
+@given(problem=problems(), rate=SANDWICH_RATES)
 def test_sandwich_upper_bounds_its_priors_random_code(problem, rate):
+    # upper is the random-code average of the prior it reports, bit for bit,
+    # and no more than that of q_y or of the LP's prior
+    if rate == "log ny":
+        rate = math.log(problem.y_size)
     bounds = dhat_sandwich(problem, rate)
-    average = _winning_prior_average(problem, rate, bounds)
-    assert bounds.upper >= average - 1e-12 * max(1.0, bounds.upper)
+    q = np.where(bounds.q_star < np.finfo(float).tiny, 0.0, bounds.q_star)
+    assert (np.array_equal(bounds.prior, q)
+            or np.array_equal(bounds.prior, problem.q_y))
+    assert not bounds.prior.flags.writeable
+    if bounds.M is None:
+        assert rate > 709.0  # math.exp overflows past about 709.78
+
+        def average(prior):
+            return dtilde_for_prior(problem, 0.0, prior)
+    else:
+        assert bounds.M == math.floor(math.exp(rate))
+
+        def average(prior):
+            return exact_expected_distortion(Problem(problem.p_x, prior, problem.d),
+                                             bounds.M)
+    assert bounds.upper.hex() == average(bounds.prior).hex()
+    assert bounds.upper <= min(average(q), average(problem.q_y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), rate=SANDWICH_RATES)
+def test_dhat_sandwich_brackets_the_best_code(problem, rate):
+    # lower <= V(M) <= D*(M) <= upper at M = floor(e^rate), D* by exhaustive
+    # search; M = None is the limit, where D* is the floor over every letter
+    if rate == "log ny":
+        rate = math.log(problem.y_size)
+    bounds = dhat_sandwich(problem, rate)
+    best = best_code_distortion(problem, bounds.M)
+    assert bounds.lower <= best + 1e-12 * max(1.0, best)
+    assert best <= bounds.upper + 1e-12 * max(1.0, bounds.upper)
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,25 +344,6 @@ def test_dual_bound_is_read_from_alpha(problem, rate):
     assert res.alpha.shape == (problem.x_size,) and not res.alpha.flags.writeable
     bound = _dual_bound(problem, _lp_size(problem, rate), res.alpha)
     assert bound.hex() == res.dual_bound.hex()
-
-
-@settings(max_examples=150, deadline=None)
-@given(problem=problems() | quarter_problems(),
-       shape=st.sampled_from(["drawn", "constant", "hamming"]), scale=st.floats(-8.0, 8.0),
-       rate=st.sampled_from(["log ny", 0.0, 1e17, math.inf]) | st.floats(0.0, 1.5)
-       | st.floats(0.0, 6.0))
-def test_dhat_sandwich_matches_the_every_slack_loop(problem, shape, scale, rate):
-    # skipping the LPs of slacks that cannot win changes no output bit; d
-    # near 1 - I at small rates is where slacks beyond the first win
-    d = {"drawn": problem.d, "constant": np.full_like(problem.d, problem.d.flat[-1]),
-         "hamming": 1.0 - np.eye(*problem.d.shape) + problem.d / 8.0}[shape]
-    p = Problem(problem.p_x, problem.q_y, d * 10.0 ** scale)
-    if rate == "log ny":
-        rate = math.log(p.y_size)
-    got, ref = dhat_sandwich(p, rate), dhat_sandwich_every_slack(p, rate)
-    assert got.lower.hex() == ref.lower.hex() and got.upper.hex() == ref.upper.hex()
-    assert got.q_star.tobytes() == ref.q_star.tobytes()
-    assert got.slack == ref.slack
 
 
 def _distinct_levels(problem):

@@ -39,9 +39,8 @@ def test_tracer_finds_every_span(tracing, binary_hamming, tmp_path, capsys):
         assert oneshotrd.cli.run(["converse", "--problem", str(path),
                                   "--rate", "0.5", "--json"]) == 0
         assert tracer.totals["cli.run"][0] == 1
-        # one LP per distinct size: the rate, slack 0.25, and every slack
-        # from log 2 up clamped to t = 2; slack 0.5 repeats the rate
-        assert tracer.totals["converse.linprog"][0] == 3
+        # the sandwich solves one LP, the rate's
+        assert tracer.totals["converse.linprog"][0] == 1
     finally:
         tracer.uninstall()
     capsys.readouterr()
