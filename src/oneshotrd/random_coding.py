@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde
+from .dtilde import build_dtilde1, dtilde, dtilde1, dtilde_inverse, rtilde
 from .model import Problem, _like
 
 
@@ -137,81 +137,106 @@ def achievability_bound(problem: Problem, rate: float, lam) -> AchievabilityBoun
     )
 
 
-def _grid_min(fn, grid, lo: float, hi: float, rounds: int, points: int):
-    """(x, fn(x)) at the least value seen: one array call of fn on the grid,
-    then rounds - 1 calls on points spanning the two intervals beside the
-    latest argmin (reaching lo or hi past an end), a bracket that shrinks
-    by 2 / (points - 1) a round."""
-    x, x_star, v_star = grid, math.nan, math.inf
-    for _ in range(rounds):
-        vals = fn(x)
-        k = int(np.argmin(vals))
-        if vals[k] <= v_star:
-            x_star, v_star = float(x[k]), float(vals[k])
-        x = np.linspace(x[k - 1] if k > 0 else lo,
-                        x[k + 1] if k + 1 < x.size else hi, points)
-    return x_star, v_star
+def _e2(t: np.ndarray) -> np.ndarray:
+    """(e^t - 1 - t) / t^2 for 0 <= t <= 700, by its series below 0.01, where it cancels."""
+    big = np.maximum(t, 0.01)
+    return np.where(t < 0.01, 0.5 + t * (1 / 6 + t * (1 / 24 + t / 120)),
+                    (np.expm1(big) - big) / (big * big))
+
+
+def _sign_changes(slope, lo: np.ndarray, hi: np.ndarray, *coef: np.ndarray) -> np.ndarray:
+    """Both ends of a bracket of the one sign change of slope(x, *coef) in [lo, hi], entry by
+    entry where it goes from negative to positive: 10 rounds each keep one of 64 parts."""
+    k = np.flatnonzero((slope(lo, *coef) < 0) & (slope(hi, *coef) > 0))
+    a, b, coef, rows = lo[k], hi[k], [c[k, None] for c in coef], np.arange(k.size)
+    for _ in range(10 if k.size else 0):
+        x = np.column_stack([a, a[:, None] + (b - a)[:, None] * (np.arange(1, 64) / 64), b])
+        j = np.count_nonzero(slope(x[:, 1:-1], *coef) <= 0, axis=1)
+        a, b = x[rows, j], x[rows, j + 1]
+    return np.concatenate([a, b])
 
 
 def best_achievability(problem: Problem, rate: float) -> BestAchievability:
     """Least achievability_bound(problem, rate, lam).value over lam, and its lam.
 
-    The grid: lam = rate + log w at every interior breakpoint w of dtilde,
-    and 32 points up to the last double below the rate from the later of
-    -10 (below it f(lam) > 1 - 1e-9) and the middle of dtilde's flat first
-    segment: the bound only rises as lam falls there, and dtilde is exact
-    there, while at the segment's end c / w + s cancels to rounding. Then
-    7 rounds of 16 points.
+    On a segment c / w + s of dtilde, with a = -c >= 0, t = e^lam and w = t e^-rate, the bound
+    h = dtilde(w) + (d1 - dtilde(w)) f(lam) has dh/dlam = t^2 e^-t (a e^rate psi(t) - d1 + s),
+    and psi(t) = (e^t - 1 - t - t^2) / t^3 = -1/(2t) + sum_{k>=3} t^(k-3) / k! increases
+    strictly: h falls, then rises, and is least at an end or where a t psi = (d1 - s) w, a
+    sign read divided by 1 + t psi = (e^t - 1 - t) / t^2 so that it stays finite. On the flat
+    first segments (a = 0) h only falls; their end is read at a lam with w below it: the next
+    segment's c / w + s cancels there.
     """
-    hi = math.nextafter(rate, -math.inf)
-    bp = build_dtilde1(problem).breakpoints[1:-1]
-    first = rate + math.log(bp[0] / 2) if bp.size else hi
-    lo = min(max(-10.0, first), hi)
-    grid = np.unique(np.concatenate([np.minimum(rate + np.log(bp), hi),
-                                     np.linspace(lo, hi, 32)]))
-    lam, value = _grid_min(lambda lams: achievability_bound(problem, rate, lams).value,
-                           grid, grid[0], hi, 8, 16)
-    return BestAchievability(value=value, lam=lam)
+    pw = build_dtilde1(problem)
+    flat = np.count_nonzero(pw.slopes == pw.slopes[0])
+    b = float(pw.breakpoints[flat])
+    lam, step = rate + math.log(b), math.ulp(rate) + math.ulp(math.log(b))
+    while math.exp(lam - rate) >= b:  # doubling steps: single ulps can take 2^52
+        lam, step = lam - step, 2.0 * step
+    ends = np.minimum(rate + np.log(pw.breakpoints[flat:]), math.nextafter(rate, -math.inf))
+    roots = _sign_changes(
+        lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),
+        ends[:-1], ends[1:], -pw.intercepts[flat:], dtilde(problem, 1.0) - pw.slopes[flat:])
+    lams = np.unique(np.r_[lam, ends[1:], roots])
+    values = achievability_bound(problem, rate, lams).value
+    k = int(np.argmin(values))
+    return BestAchievability(value=float(values[k]), lam=float(lams[k]))
+
+
+def _split(u: np.ndarray, use_g: bool):
+    """1 - y and Psi at u, for y = f(u) or, for rate_g, y = e^-u (see rate_for_distortion)."""
+    if use_g:
+        r = np.sqrt(1.0 + 4.5 / u)
+        q, kappa = -np.expm1(-u), 2.0 * u * r / (1.0 + r)
+    else:
+        t = np.minimum(np.exp(u), 700.0)
+        q, kappa = np.exp(-t) * t * t * _e2(t), t * t / (1.0 + t)
+    return q, (1.0 - q) / q * (kappa / q - 1.0)
 
 
 def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     """Smallest certified rate achieving average distortion d_req.
 
-    Minimizes rtilde(z) + f_inverse((d_req - z) / (dtilde(1) - z)) over
-    dtilde(0) < z < d_req. One array call evaluates a deterministic grid:
-    every breakpoint value of dtilde plus 256 uniform points. Then 11
-    rounds of 64 points shrink around the argmin (about 3e-17 in all);
-    the smallest value seen is the rate. The same minimization with the
-    relaxation g in place of f_inverse gives rate_g.
-    Where no split strictly inside (dtilde(0), d_req) gives a finite value,
+    Minimizes rtilde(z) + P(y), y = (d_req - z) / (d1 - z), over dtilde(0) < z < d_req, with
+    P(y) = f_inverse(y) for rate and g(1/y) for rate_g. On a segment c / w + s of dtilde,
+    rtilde = log((s - z) / -c), and in u = f_inverse(y) (u = -log y for g) the sum's slope
+    has the sign of rho - Psi(u), rho = (s - d_req) / (d1 - d_req), Psi = y / (1 - y) *
+    (kappa / (1 - y) - 1), kappa = -y' / (y P'): t^2 / (1 + t), t = e^u, for f; 2 u r / (1 + r),
+    r = sqrt(1 + 9 / (2u)), for g. Psi decreases (to 50 digits up to u = 700, not proved;
+    tests/oracles.py scans for a second minimum), so the sum is least at a segment end, next
+    to one, or at the sign change. With no finite value strictly inside (dtilde(0), d_req),
     as for d_req a few ulps above dtilde(0), it raises ValueError.
     """
     lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
     if not lo < d_req < hi:
         raise ValueError(f"d_req must be inside ({lo}, {hi}), got {d_req}")
+    pw = build_dtilde1(problem)
+    # dtilde_inverse reads a segment up to its right_values entry and the next one past it
+    kinks = pw.right_values[(lo < pw.right_values) & (pw.right_values < d_req)]
+    ends = np.unique(np.r_[kinks, math.nextafter(lo, math.inf),
+                           math.nextafter(d_req, -math.inf)])
+    # each interval's segment, looked up at its middle: its left end belongs to the last
+    s = pw.pieces(dtilde_inverse(problem, ends[:-1] + np.diff(ends) / 2))[2]
 
-    bp_vals = dtilde(problem, build_dtilde1(problem).breakpoints[1:])
-    grid = np.unique(np.concatenate([
-        bp_vals[(lo < bp_vals) & (bp_vals < d_req)],
-        np.linspace(lo, d_req, 258)[1:-1],
-    ]))
-
-    def minimand(z: np.ndarray, use_g: bool) -> np.ndarray:
+    def terms(z: np.ndarray, use_g: bool):  # u and the sum at each z, nan and inf outside
         y = (d_req - z) / (hi - z)
         ok = (lo < z) & (z < d_req) & (0.0 < y) & (y < 1.0)
-        vals = np.full(z.size, math.inf)
-        # g(1/y) as g of log(1/y) = -log(y), finite for a subnormal y too
-        rate_y = _g_of_log(-np.log(y[ok])) if use_g else f_inverse(y[ok])
-        vals[ok] = rtilde(problem, z[ok]) + rate_y
-        return vals
+        u, vals = np.full(z.size, math.nan), np.full(z.size, math.inf)
+        u[ok] = -np.log(y[ok]) if use_g else f_inverse(y[ok])  # finite at a subnormal y
+        vals[ok] = rtilde(problem, z[ok]) + (_g_of_log(u[ok]) if use_g else u[ok])
+        return u, vals
 
-    results = []
+    out = []
     for use_g in (False, True):
-        z_star, v_star = _grid_min(lambda z: minimand(z, use_g), grid, lo, d_req, 12, 64)
-        if v_star == math.inf:
+        u = terms(ends, use_g)[0]
+        roots = _sign_changes(lambda x, rho: rho - _split(x, use_g)[1], u[:-1], u[1:],
+                              (s - d_req) / (hi - d_req))
+        z = np.r_[ends, np.nextafter(kinks, -math.inf), np.nextafter(kinks, math.inf),
+                  hi - (hi - d_req) / _split(roots, use_g)[0]]
+        vals = terms(z, use_g)[1]
+        k = int(np.argmin(vals))
+        if vals[k] == math.inf:
             raise ValueError(f"no distortion split strictly inside (dtilde(0), d_req) = "
                              f"({lo!r}, {d_req!r}) gives a finite rate")
-        results.append((max(v_star, 0.0), z_star))
-
-    (rate, z), (rate_g, _) = results
-    return RateForDistortion(rate=rate, z=z, rate_g=rate_g)
+        out += [max(float(vals[k]), 0.0), float(z[k])]
+    return RateForDistortion(rate=out[0], z=out[1], rate_g=out[2])

@@ -11,8 +11,11 @@ codeword, then a min, the prior LP with one variable per (x, y) pair
 rather than per distinct distortion level, the best code of at most M
 words by exhaustive search, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
-never exceed, the exact integral with a scalar power at both ends of
-every segment, and the
+never exceed, per-segment scans of the slack and of the distortion split
+that best_achievability and rate_for_distortion must never exceed, a
+count of the local minima inside each segment for the split (at most one,
+the shape rate_for_distortion relies on), the exact integral with a
+scalar power at both ends of every segment, and the
 per-row level routes that Problem.levels replaced: the np.unique profile,
 the strict-below and tie masses with the pairwise-correct probability and
 its inverse built on them, the acceptance matrix and witness built row by
@@ -38,7 +41,8 @@ from scipy import sparse, stats
 from scipy.optimize import linprog, minimize
 
 from oneshotrd import (
-    DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, f_of,
+    DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, build_dtilde1, f_inverse,
+    f_of, rtilde,
 )
 from oneshotrd.converse import (
     PRODUCT_RANDOM_STARTS, ProductPriorReport, PriorOptResult, _dual_bound,
@@ -49,7 +53,7 @@ from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
 from oneshotrd.montecarlo import (
     CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_words,
 )
-from oneshotrd.random_coding import AchievabilityBound
+from oneshotrd.random_coding import AchievabilityBound, _g_of_log
 from oneshotrd.variational import InfFormResult
 
 KS_SIGNIFICANCE = 1e-3
@@ -456,6 +460,59 @@ def exact_split_quantile_bound(problem: Problem, m: int) -> float:
     rate = math.log(m - 1)
     return min(achievability_bound_scalar(problem, rate, lam).value
                for lam in np.linspace(rate - 4.0, rate - 1e-3, 40))
+
+
+def segment_scan_lams(problem: Problem, rate: float, points: int = 64) -> np.ndarray:
+    """lam below the rate at both ends of each segment of dtilde and at
+    `points` evenly spaced between; the flat first segment, where the bound
+    only falls, is scanned over the last 5 of lam before its end."""
+    hi = math.nextafter(rate, -math.inf)
+    ends = np.minimum(rate + np.log(build_dtilde1(problem).breakpoints[1:]), hi)
+    ends = np.concatenate([[ends[0] - 5.0], ends])
+    return np.linspace(ends[:-1], ends[1:], points + 2).ravel()
+
+
+def rate_sum(problem: Problem, d_req: float, z: np.ndarray, use_g: bool) -> np.ndarray:
+    """rtilde(z) + f_inverse(y), or + g(1/y), y = (d_req - z) / (dtilde(1) - z),
+    at each split z of any shape: inf where z is not strictly inside
+    (dtilde(0), d_req) or y not inside (0, 1)."""
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    y = (d_req - z) / (hi - z)
+    ok = (lo < z) & (z < d_req) & (0.0 < y) & (y < 1.0)
+    out = np.full(np.shape(z), math.inf)
+    out[ok] = rtilde(problem, z[ok]) + (_g_of_log(-np.log(y[ok])) if use_g else f_inverse(y[ok]))
+    return out
+
+
+def segment_scan_splits(problem: Problem, d_req: float, points: int) -> np.ndarray:
+    """Splits z at both ends of each segment of dtilde inside
+    (dtilde(0), d_req) and at `points` evenly spaced between, one row per
+    segment; the outer ends are the doubles next to dtilde(0) and d_req."""
+    pw = build_dtilde1(problem)
+    lo = dtilde(problem, 0.0)
+    kinks = pw.value(pw.breakpoints[1:]) / pw.breakpoints[1:]
+    ends = np.unique(np.concatenate([kinks[(lo < kinks) & (kinks < d_req)], [
+        math.nextafter(lo, math.inf), math.nextafter(d_req, -math.inf)]]))
+    return np.linspace(ends[:-1], ends[1:], points + 2, axis=1)
+
+
+def rate_interior_minima(problem: Problem, d_req: float, use_g: bool,
+                         points: int = 400) -> np.ndarray:
+    """The number of local minima strictly inside each segment of dtilde of
+    rtilde(z) + f_inverse(y) (or + g(1/y) with use_g), from a scan of
+    `points` splits a segment: the count of falls followed by rises, where a
+    step smaller than 1e-12 of the larger value is rounding and is skipped.
+    rate_for_distortion takes each segment's sum to fall and then rise, so
+    every count must be 0 or 1."""
+    vals = rate_sum(problem, d_req, segment_scan_splits(problem, d_req, points), use_g)
+    counts = []
+    for row in vals:
+        row = row[np.isfinite(row)]
+        step = np.diff(row)
+        keep = np.abs(step) > 1e-12 * np.maximum(1.0, np.abs(row[1:]))
+        signs = np.sign(step[keep])
+        counts.append(int(np.sum((signs[:-1] < 0) & (signs[1:] > 0))))
+    return np.array(counts, dtype=int)
 
 
 # product_prior_three_stage: multiplicative-weights steps per start

@@ -2,8 +2,10 @@
 
 The outputs in tests/golden/ must be reproduced with identical non-numeric
 text and every number agreeing to 12 significant figures (values below
-1e-12 may differ by at most 1e-12). To rewrite them after an intended
-output change:
+1e-12 may differ by at most 1e-12). To rewrite the outputs that no longer
+agree after an intended output change (it prints each file it writes; a
+problem file is written only where it is missing, so delete one to
+regenerate it):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -107,9 +109,19 @@ def test_number_comparison_is_strict():
 
 
 if __name__ == "__main__":
+    # write only a missing problem file and the outputs that no longer
+    # agree, so that numbers within the tolerance keep their digits, and
+    # name each file written
     for name in PROBLEMS:
         (GOLDEN / name).mkdir(parents=True, exist_ok=True)
-        save_problem(_make_problem(name), GOLDEN / f"{name}.json")
+        if not (GOLDEN / f"{name}.json").exists():
+            save_problem(_make_problem(name), GOLDEN / f"{name}.json")
+            print(GOLDEN / f"{name}.json")
         for case in CASES:
-            (GOLDEN / name / f"{case}.txt").write_text(_run_case(name, case),
-                                                       encoding="utf-8")
+            path = GOLDEN / name / f"{case}.txt"
+            got = _run_case(name, case)
+            try:
+                assert_same_output(got, path.read_bytes().decode("utf-8"))
+            except (AssertionError, FileNotFoundError):
+                path.write_text(got, encoding="utf-8")
+                print(path)

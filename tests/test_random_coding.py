@@ -39,7 +39,11 @@ from oracles import (
     g_m,
     min_uniform_cdf,
     min_uniform_pdf,
+    rate_interior_minima,
+    rate_sum,
     segment_integral_by_ends,
+    segment_scan_lams,
+    segment_scan_splits,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -336,13 +340,43 @@ def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
     assert exact_expected_distortion(problem, 4096) <= bound < 0.0501
 
 
-def test_best_achievability_returns_the_bound_at_its_lam(rng):
-    for _ in range(20):
-        p = make_random_problem(rng)
-        rate = float(rng.uniform(0.1, 8.0))
-        best = best_achievability(p, rate)
-        assert best.lam < rate
-        assert best.value == achievability_bound(p, rate, best.lam).value
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(), m=st.integers(3, 5000))
+def test_best_achievability_returns_the_bound_at_its_lam(problem, m):
+    rate = math.log(m - 1)
+    best = best_achievability(problem, rate)
+    assert best.lam < rate
+    assert best.value.hex() == achievability_bound(problem, rate, best.lam).value.hex()
+    scan = float(np.min(achievability_bound(problem, rate, segment_scan_lams(problem, rate)).value))
+    assert best.value <= scan + 1e-15 * max(1.0, abs(best.value))
+
+
+def test_best_achievability_reads_the_flat_end_from_below(tmp_path):
+    # dtilde(0) = 0 on the flat segment up to b1 = 0.424, and f(lam) underflows
+    # there at M = 4096, so the bound is 0 just below b1; at b1 itself the next
+    # segment's c / b1 + s cancels to 1.1e-16
+    problem = Problem([0.608, 0.392], [0.525, 0.424, 0.051], [[0, 2, 0], [1, 0, 2]])
+    rate = math.log(4095)
+    b1 = float(build_dtilde1(problem).breakpoints[1])
+    assert achievability_bound(problem, rate, rate + math.log(b1)).value > 0.0
+    assert best_achievability(problem, rate).value == 0.0
+    path = tmp_path / "p.json"
+    save_problem(problem, path)
+    assert _exact_bound(path, 4096) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_best_achievability_at_extreme_rates_and_scales(scale):
+    # the slope's exponentials and products stay finite (a RuntimeWarning
+    # fails the test), from a tiny rate to one whose e^rate overflows, with d
+    # near the smallest and the largest doubles
+    base = load_problem(GOLDEN / "integer_6x5.json")
+    problem = Problem(base.p_x, base.q_y, base.d * scale)
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    for rate in (1e-300, 5.0, 709.7, 1e5, 1e17):
+        best = best_achievability(problem, rate)
+        assert best.value == achievability_bound(problem, rate, best.lam).value
+        assert lo * (1 - 1e-12) <= best.value <= hi * (1 + 1e-12), rate
 
 
 def test_achievability_dominates_exact(rng):
@@ -393,22 +427,34 @@ def test_rate_for_distortion_f_below_g(rng):
         assert res.rate <= res.rate_g + 1e-9
 
 
-def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(rng):
-    checked = 0
-    while checked < 6:
-        p = make_random_problem(rng)  # ties and zero masses included
-        lo, hi = dtilde(p, 0.0), dtilde(p, 1.0)
-        if hi - lo < 1e-3:
-            continue
-        checked += 1
-        d_req = float(lo + rng.uniform(0.02, 0.98) * (hi - lo))
-        res = rate_for_distortion(p, d_req)
-        scan = min(rtilde(p, z) + f_inverse((d_req - z) / (hi - z))
-                   for z in np.linspace(lo, d_req, 4002)[1:-1].tolist())
-        assert res.rate <= max(scan, 0.0) + 1e-12
-        assert res.rate <= res.rate_g + 1e-12
-        m = int(math.exp(res.rate)) + 1
-        assert exact_expected_distortion(p, m) <= d_req + 1e-9
+@settings(max_examples=100, deadline=None)
+@given(problem=problems() | quarter_problems(), frac=st.floats(0.02, 0.98))
+def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(problem, frac):
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    assume(hi - lo > 1e-9 * max(1.0, hi))
+    d_req = lo + frac * (hi - lo)
+    res = rate_for_distortion(problem, d_req)
+    splits = segment_scan_splits(problem, d_req, 64)
+    for value, use_g in ((res.rate, False), (res.rate_g, True)):
+        scan = max(float(np.min(rate_sum(problem, d_req, splits, use_g))), 0.0)
+        assert value <= scan + 1e-15 * max(1.0, abs(value)), use_g
+    # the rate is the sum at its split, as a scalar call gives it
+    y = (d_req - res.z) / (hi - res.z)
+    assert res.rate == max(rtilde(problem, res.z) + f_inverse(y), 0.0)
+    assert res.rate <= res.rate_g
+    m = int(math.exp(res.rate)) + 1
+    assert exact_expected_distortion(problem, m) <= d_req + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems() | quarter_problems(), frac=st.floats(0.02, 0.98))
+def test_rate_sum_has_at_most_one_minimum_inside_each_segment(problem, frac):
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    assume(hi - lo > 1e-9 * max(1.0, hi))
+    d_req = lo + frac * (hi - lo)
+    for use_g in (False, True):
+        counts = rate_interior_minima(problem, d_req, use_g)
+        assert np.all(counts <= 1), (use_g, counts)
 
 
 def test_min_uniform_pdf_cdf():
