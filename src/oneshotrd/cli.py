@@ -126,7 +126,7 @@ def _cmd_achieve(problem, args):
         res = rate_for_distortion(problem, args.dreq)
         report.add("rate", res.rate, "exact f-inverse minimization")
         report.add("rate_g", res.rate_g, "closed-form g relaxation")
-        report.add("z", res.z, "one minimizing distortion split, fixed to about 1e-4")
+        report.add("z", res.z, "minimizing distortion split: a segment end or the slope's root")
         return report
     if args.rate is None or args.slack is None:
         raise ValueError("provide either --dreq or both --rate and --slack")

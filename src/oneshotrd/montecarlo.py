@@ -5,12 +5,12 @@ raw 64-bit words, at a fixed, 4-aligned offset per trial, so results are
 bit-identical however trials are chunked; the block size is a memory knob.
 
 numpy's double from a word w is (w >> 11) * 2^-53, so w >> 52 is its bin in
-the prior's inverse-CDF table, and only words in the few bins that a
-cumulative sum splits become doubles and are searched. A codebook's
-distortion for source letter x is that of the first letter, in x's sorted
-row of d, that it holds: the minimum is exact, so the values equal a gather
-of d over the codewords and a min, bit for bit. With at least as many
-codewords as letters, a trial reads its codewords in slices that double
+the prior's inverse-CDF table; only words in bins that a cumulative sum
+splits become doubles and are searched. A codebook's distortion for letter x
+is d at the least rank, in x's sorted row, that it holds: a running minimum
+over fewer codewords than letters, else a byte-wise table lookup of its
+presence mask, so the values equal a gather-and-min over the codewords, bit
+for bit. With M >= ny, a trial reads its codewords in slices that double
 from 4 and stops once it holds every row's first drawable letter.
 """
 
@@ -104,6 +104,33 @@ def _inverse_cdf(q: np.ndarray):
     return draw, start < upper
 
 
+def _ranks(order: np.ndarray):
+    """rank[y, x], letter y's place in row x's order, padded to whole bytes by
+    rows of ny, and least: each row's least rank held in a (trials, ny) mask
+    that holds some letter, a min over the packed mask's bytes b of
+    table[b, v, x], the least rank in row x of the letters 8b + i with bit i
+    of v set (ny for v = 0), built by eight doublings on the first call."""
+    nx, ny = order.shape
+    nbytes = -(-ny // 8)
+    rank = np.full((8 * nbytes, nx), ny, dtype=np.min_scalar_type(ny))
+    rank[order, np.arange(nx)[:, None]] = np.arange(ny)
+    table = None
+
+    def least(held: np.ndarray) -> np.ndarray:
+        nonlocal table
+        if table is None:
+            table = np.full((nbytes, 256, nx), ny, dtype=rank.dtype)
+            for i, r in enumerate(rank.reshape(nbytes, 8, 1, nx).swapaxes(0, 1)):
+                np.minimum(table[:, :1 << i], r, out=table[:, 1 << i:2 << i])
+        packed = np.packbits(held, axis=1, bitorder="little")
+        k = table[0].take(packed[:, 0], axis=0)
+        for b in range(1, nbytes):
+            np.minimum(k, table[b].take(packed[:, b], axis=0), out=k)
+        return k
+
+    return rank, least
+
+
 def simulate_random_code(
     problem: Problem, M: int, trials: int, seed: int, chunk: int = CHUNK
 ) -> MCEstimate:
@@ -117,11 +144,11 @@ def simulate_random_code(
     values are kept whole, 8 bytes a trial. M (at most MAX_M), trials, seed
     and chunk may be of any integer type.
 
-    A trial's minimum for letter x is dsorted[x, k], where k is the lowest
-    rank, in x's sort order of d, of any codeword: with fewer codewords than
-    letters, a min over their ranks; otherwise read off a presence mask,
-    filled in slices that double from 4 up to half a budget until the trial
-    holds each row's first drawable letter.
+    A trial's minimum for letter x is dsorted[x, k], k the lowest rank, in
+    x's sort order of d, of any codeword: for M < ny a running minimum, one
+    (block, nx) gather per codeword; else the least rank in a presence mask
+    (see _ranks), filled in slices that double from 4 up to half a budget
+    until it holds each row's first drawable letter.
     """
     for name, value in (("M", M), ("trials", trials), ("seed", seed), ("chunk", chunk)):
         if not hasattr(type(value), "__index__"):
@@ -135,18 +162,19 @@ def simulate_random_code(
     draw, drawable = _inverse_cdf(problem.q_y)
     order = problem.row_order
     cols = np.arange(nx)
-    if M < ny:
-        # rank[y, x]: the place of letter y in row x's sort order
-        rank = np.empty((ny, nx), dtype=np.min_scalar_type(ny - 1))
-        rank[order, cols[:, None]] = np.arange(ny)
-    else:
+    rank, least = _ranks(order)
+    if M >= ny:
         # a trial holding each row's first drawable letter is final
         first = drawable[order].argmax(axis=1)
         final = np.unique(order[cols, first])
+    pds = problem.p_x[:, None] * problem.levels.ds
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, nx * M, chunk):
         if M < ny:
-            k = rank[draw(_trial_words(seed, 0, M, t0, t1))].min(axis=1)
+            codes = draw(_trial_words(seed, 0, M, t0, t1))
+            k = rank.take(codes[:, 0], axis=0)
+            for j in range(1, M):
+                np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
         else:
             # a trial that stops early has k = first; the rest read the mask
             k = np.tile(first, (t1 - t0, 1))
@@ -164,12 +192,9 @@ def simulate_random_code(
                 active = np.flatnonzero(~held[:, final].all(axis=1))
                 j, step = j + s, min(2 * step, _stride(BUDGET // 2))
             if active.size:
-                k[active] = np.take(held[active], order, axis=1).argmax(axis=2)
-        # best is (block, nx) and C-ordered, so numpy sums each trial's row
-        # pairwise along contiguous memory, as it sums the trial-major
-        # (nx, block) minimum of a plain gather over the codewords
-        best = problem.levels.ds[cols, k]
-        values[t0:t1] = np.sum(best * problem.p_x, axis=1)
-    mean = float(np.mean(values))
+                k[active] = least(held[active])
+        # pds[cols, k] is C-ordered (block, nx): numpy sums each row pairwise,
+        # as the trial-major gather-and-min; p_x d and d p_x are equal doubles
+        values[t0:t1] = np.sum(pds[cols, k], axis=1)
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MCEstimate(mean, stderr, trials, seed)
+    return MCEstimate(float(np.mean(values)), stderr, trials, seed)

@@ -7,9 +7,10 @@ minimum of M uniforms, the CDF and quantile levels of the pairwise-correct
 variable p_c(x, Y, U), two Kolmogorov-Smirnov samplers of those laws, a
 row-sum check for channels, the random-code simulator's plain kernel:
 a search of the prior's CDF for every draw and a gather of d over every
-codeword, then a min, the prior LP with one variable per (x, y) pair
-rather than per distinct distortion level, the best code of at most M
-words by exhaustive search, the 40-point slack grid of
+codeword, then a min, and its first held letter of a presence mask: the
+mask gathered in every row's order, then an argmax, the prior LP with one
+variable per (x, y) pair rather than per distinct distortion level, the
+best code of at most M words by exhaustive search, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
 never exceed, per-segment scans of the slack and of the distortion split
 that best_achievability and rate_for_distortion must never exceed, a
@@ -372,6 +373,13 @@ def simulate_gather_min(problem: Problem, M: int, trials: int, seed: int,
         values[t0:t1] = np.sum(problem.p_x[:, None] * best, axis=0)
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MCEstimate(float(np.mean(values)), stderr, trials, seed)
+
+
+def first_held_rank(held: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The rank, in row x's order, of the first letter that each row of a
+    (trials, ny) mask holds, by the (trials, nx, ny) gather of the mask in
+    every row's order and an argmax."""
+    return np.take(held, order, axis=1).argmax(axis=2)
 
 
 def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:

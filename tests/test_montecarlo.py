@@ -12,8 +12,9 @@ from oneshotrd import (
     exact_expected_distortion,
     simulate_random_code,
 )
-from oneshotrd.montecarlo import _BINS, _inverse_cdf, _word_block
+from oneshotrd.montecarlo import _BINS, _inverse_cdf, _ranks, _word_block
 from oracles import (
+    first_held_rank,
     inverse_cdf,
     sample_min_uniform,
     sample_pc_uniformity,
@@ -385,11 +386,41 @@ def test_simulate_matches_the_gather_and_min_kernel_on_wide_sources():
     # sum over the source depends on the layout; with one trial per call
     # the mean is that trial's value itself
     rng = np.random.default_rng(9)
-    for nx, ny in ((9, 4), (40, 30), (70, 12)):
-        p = make_random_problem(rng, nx=nx, ny=ny)
+    wide = [make_random_problem(rng, nx=nx, ny=ny)
+            for nx, ny in ((9, 4), (40, 30), (70, 12), (4, 256))]
+    # at 256 letters the draw table is int16 and the least-rank table uint16;
+    # with 1 - 1e-6 on one letter, few rows' first drawable letters are held
+    heavy = np.full(30, 1e-6 / 29)
+    heavy[rng.integers(30)] = 1 - 1e-6
+    wide.append(Problem(wide[1].p_x, heavy, wide[1].d))
+    for p in wide:
+        ny = p.y_size
         for m in (ny - 1, ny, ny + 1):
             for seed in range(10):
                 assert _same_bits(simulate_random_code(p, m, 1, seed),
                                   simulate_gather_min(p, m, 1, seed))
             assert _same_bits(simulate_random_code(p, m, 500, 0),
                               simulate_gather_min(p, m, 500, 0))
+
+
+@pytest.mark.parametrize("ny", [1, 7, 8, 9, 255, 256, 300, None])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_least_rank_table_finds_each_rows_first_held_letter(ny, data):
+    # the packed-byte lookup against the gather in every row's order and an
+    # argmax, on random row orders and masks, down to single-letter ones; the
+    # table turns uint16 at 256 letters
+    ny = ny or data.draw(st.integers(1, 300))
+    nx = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    order = rng.random((nx, ny)).argsort(axis=1)
+    trials = data.draw(st.integers(1, 30))
+    held = rng.random((trials, ny)) < data.draw(st.sampled_from([0.0, 1 / ny, 0.5, 1.0]))
+    held[np.arange(trials), rng.integers(0, ny, trials)] = True
+    rank, least = _ranks(order)
+    np.testing.assert_array_equal(rank[order, np.arange(nx)[:, None]],
+                                  np.tile(np.arange(ny), (nx, 1)))
+    assert (rank[ny:] == ny).all() and rank.dtype == np.min_scalar_type(ny)
+    want = first_held_rank(held, order)
+    for _ in range(2):  # the second call reads the table the first one built
+        np.testing.assert_array_equal(least(held), want)
