@@ -8,10 +8,10 @@ numpy's double from a word w is (w >> 11) * 2^-53, so w >> 52 is its bin in
 the prior's inverse-CDF table; only words in bins that a cumulative sum
 splits become doubles and are searched. A codebook's distortion for letter x
 is d at the least rank, in x's sorted row, that it holds: a running minimum
-over fewer codewords than letters, else a byte-wise table lookup of its
-presence mask, so the values equal a gather-and-min over the codewords, bit
-for bit. With M >= ny, a trial reads its codewords in slices that double
-from 4 and stops once it holds every row's first drawable letter.
+over fewer codewords than letters, else a byte-wise lookup of its presence
+mask, filled in slices that double from 4 until it holds every row's first
+drawable letter or READ * ny codewords, when M >= 2 * READ * ny, and then by
+one multinomial draw. Below that M, values are a gather-and-min's, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from .model import Problem
 # BUDGET elements unless a single trial needs more
 CHUNK = 16384
 BUDGET = 1 << 22
-# the largest codebook simulated: a trial whose draws never hold the best
-# letter of every row draws all of them, 2^36 at about 15 ns each
-MAX_M = 1 << 36
+# a trial reads at most READ * ny codewords once M >= 2 * READ * ny
+READ = 16
+# the largest codebook simulated: numpy's largest multinomial count
+MAX_M = 2**63 - 1
 # bins of the inverse-CDF table, indexed by the top 12 bits of a word
 _BINS = 4096
 
@@ -56,12 +57,8 @@ def _word_block(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return bg.random_raw(count)
 
 
-def _stride(per_trial: int) -> int:
-    return ((per_trial + 3) // 4) * 4
-
-
 def _trial_words(seed, stream, per_trial, t0, t1):
-    stride = _stride(per_trial)
+    stride = (per_trial + 3) // 4 * 4
     block = _word_block(seed, stream, t0 * stride, (t1 - t0) * stride)
     return block.reshape(t1 - t0, stride)[:, :per_trial]
 
@@ -75,20 +72,20 @@ def _blocks(trials: int, per_trial: int, chunk: int):
 
 def _inverse_cdf(q: np.ndarray):
     """The prior's inverse CDF, as a function of an array of words, and the
-    mask of the letters it can return.
+    law of the letters it returns.
 
     Letter y owns the draws u with upper[y-1] <= u < upper[y], where upper
     is the cumulative sum of q, capped at 1 and set to 1 from the last
     letter of positive mass on, so a sum that rounds below 1 still ends in
-    that letter and no zero-mass letter is ever drawn. A letter can be
-    returned only where its interval holds a draw, a multiple of 2^-53.
-    Only the draws in the at most ny - 1 split bins are searched. The table
-    is int8 up to 128 letters.
+    that letter and no zero-mass letter is ever drawn. A letter's mass is
+    its interval's share of the draws, the multiples of 2^-53 in [0, 1):
+    exact, as is their sum, 1. Only the draws in the at most ny - 1 split
+    bins are searched. The table is int8 up to 128 letters.
     """
     upper = np.minimum(np.cumsum(q), 1.0)
     upper[np.flatnonzero(q)[-1]:] = 1.0
-    # the least draw at or above each interval's start
-    start = np.ceil(np.append(0.0, upper[:-1]) * 2.0**53) * 2.0**-53
+    # the least draw at or above each interval's end, less that at its start
+    mass = np.diff(np.ceil(upper * 2.0**53) * 2.0**-53, prepend=0.0)
     edges = np.arange(_BINS + 1) / _BINS
     table = np.searchsorted(upper, edges[:-1], side="right")
     table[table != np.searchsorted(upper, edges[1:], side="left")] = -1
@@ -101,7 +98,7 @@ def _inverse_cdf(q: np.ndarray):
         codes[miss] = np.searchsorted(upper, (w[miss] >> 11) * 2.0**-53, side="right")
         return codes
 
-    return draw, start < upper
+    return draw, mass
 
 
 def _ranks(order: np.ndarray):
@@ -138,17 +135,18 @@ def simulate_random_code(
 
     The expectation over the source is a finite sum and is computed exactly
     per trial, so the only sampling noise comes from the codewords. Trials
-    run in blocks of at most chunk, fewer when M is large, so that the
-    largest temporary stays near BUDGET elements; a trial of more than
-    BUDGET codewords runs alone and draws slice by slice. The per-trial
+    run in blocks of at most chunk, fewer when a trial reads many words, so
+    that the largest temporary stays near BUDGET elements. The per-trial
     values are kept whole, 8 bytes a trial. M (at most MAX_M), trials, seed
     and chunk may be of any integer type.
 
     A trial's minimum for letter x is dsorted[x, k], k the lowest rank, in
     x's sort order of d, of any codeword: for M < ny a running minimum, one
     (block, nx) gather per codeword; else the least rank in a presence mask
-    (see _ranks), filled in slices that double from 4 up to half a budget
-    until it holds each row's first drawable letter.
+    (see _ranks), filled in slices that double from 4 until it holds each
+    row's first drawable letter. From M = 2c on, c = READ * ny, a trial has
+    c words, not M; one still open after them adds the letters of one
+    Multinomial(M - c, mass) draw from a (seed, 1) Philox stream, in trial order.
     """
     for name, value in (("M", M), ("trials", trials), ("seed", seed), ("chunk", chunk)):
         if not hasattr(type(value), "__index__"):
@@ -159,19 +157,23 @@ def simulate_random_code(
     if min(trials, chunk) < 1:
         raise ValueError(f"trials and chunk must be at least 1, got {trials} and {chunk}")
     nx, ny = problem.d.shape
-    draw, drawable = _inverse_cdf(problem.q_y)
+    draw, mass = _inverse_cdf(problem.q_y)
     order = problem.row_order
     cols = np.arange(nx)
     rank, least = _ranks(order)
+    read = M if M < 2 * READ * ny else READ * ny  # the words a trial reads
+    if read < M:
+        tail = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], np.uint64)))
     if M >= ny:
         # a trial holding each row's first drawable letter is final
-        first = drawable[order].argmax(axis=1)
+        first = (mass > 0)[order].argmax(axis=1)
         final = np.unique(order[cols, first])
     pds = problem.p_x[:, None] * problem.levels.ds
     values = np.empty(trials)
-    for t0, t1 in _blocks(trials, nx * M, chunk):
+    for t0, t1 in _blocks(trials, nx * read, chunk):
+        words = _trial_words(seed, 0, read, t0, t1)
         if M < ny:
-            codes = draw(_trial_words(seed, 0, M, t0, t1))
+            codes = draw(words)
             k = rank.take(codes[:, 0], axis=0)
             for j in range(1, M):
                 np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
@@ -180,17 +182,14 @@ def simulate_random_code(
             k = np.tile(first, (t1 - t0, 1))
             held = np.zeros((t1 - t0, ny), dtype=bool)
             active = np.arange(t1 - t0)
-            words = _trial_words(seed, 0, M, t0, t1) if M <= BUDGET else None
             j, step = 0, 4
-            while j < M and active.size:
-                s = min(step, M - j)
-                if words is None:
-                    w = _word_block(seed, 0, t0 * _stride(M) + j, s)[None]
-                else:
-                    w = words[:, j:j + s] if active.size == t1 - t0 else words[active, j:j + s]
+            while j < read and active.size:
+                w = words[:, j:j + step] if active.size == t1 - t0 else words[active, j:j + step]
                 held.ravel()[draw(w) + ny * active[:, None]] = True
                 active = np.flatnonzero(~held[:, final].all(axis=1))
-                j, step = j + s, min(2 * step, _stride(BUDGET // 2))
+                j, step = j + step, 2 * step
+            if active.size and read < M:
+                held[active] |= tail.multinomial(M - read, mass, size=active.size) > 0
             if active.size:
                 k[active] = least(held[active])
         # pds[cols, k] is C-ordered (block, nx): numpy sums each row pairwise,

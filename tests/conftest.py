@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oneshotrd import Problem, d_inf
+
+# a failing property prints the blob that replays it with
+# @reproduce_failure, so a failure seen only in a CI log can be replayed
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def make_random_problem(rng, nx=None, ny=None, tie_prob=0.5, zero_mass_prob=0.3,

@@ -26,9 +26,9 @@ search for the best memoryless prior (multiplicative weights, a grid and
 a softmax polish) that Nelder-Mead on the faces of the simplex replaced.
 
 The samplers read the library's own Philox words and blocks (streams 1 and
-2; the random-code simulator uses stream 0) and turn each word into numpy's
-double, so they are seeded exactly as the library is, and a patched
-``oneshotrd.montecarlo.BUDGET`` bounds their memory too.
+2; the random-code simulator reads its codewords from stream 0) and turn
+each word into numpy's double, so they are seeded exactly as the library is,
+and a patched ``oneshotrd.montecarlo.BUDGET`` bounds their memory too.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from oneshotrd.converse import (
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
 from oneshotrd.montecarlo import (
-    CHUNK, MCEstimate, _blocks, _inverse_cdf, _stride, _trial_words,
+    CHUNK, MCEstimate, _blocks, _inverse_cdf, _trial_words,
 )
 from oneshotrd.random_coding import AchievabilityBound, _g_of_log
 from oneshotrd.variational import InfFormResult
@@ -333,7 +333,7 @@ def sample_min_uniform(M: int, trials: int, seed: int) -> KSSummary:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     mins = np.empty(trials)
-    for t0, t1 in _blocks(trials, _stride(M), CHUNK):
+    for t0, t1 in _blocks(trials, M, CHUNK):
         mins[t0:t1] = _trial_uniforms(seed, 1, M, t0, t1).min(axis=1)
     with np.errstate(divide="ignore"):
         cdf = lambda w: -np.expm1(M * np.log1p(-np.minimum(w, 1.0)))
@@ -347,7 +347,7 @@ def sample_pc_uniformity(problem: Problem, x: int, trials: int, seed: int) -> KS
     below, tie = _level_masses(problem, x)
     pc = np.empty(trials)
     draw, _ = _inverse_cdf(problem.q_y)
-    for t0, t1 in _blocks(trials, _stride(2), CHUNK):
+    for t0, t1 in _blocks(trials, 2, CHUNK):
         w = _trial_words(seed, 2, 2, t0, t1)
         y = draw(w[:, 0])
         pc[t0:t1] = below[y] + words_to_doubles(w[:, 1]) * tie[y]

@@ -492,8 +492,8 @@ def test_achieve_dreq_at_a_subnormal_split_prints_a_finite_rate_g():
     (["exact", "--M", str(10**400)], "M must be at least 1"),
     (["achieve", "--rate", "1"], "provide either --dreq or both --rate and --slack"),
     (["converse"], "provide --code or --rate"),
-    (["exact", "--M", str(10**20)], "M must be between 1 and 68719476736"),
-    (["simulate", "--M", str(10**20)], "M must be between 1 and 68719476736"),
+    (["exact", "--M", str(10**20)], "M must be between 1 and 9223372036854775807"),
+    (["simulate", "--M", str(10**20)], "M must be between 1 and 9223372036854775807"),
     (["excess", "--dth", "nan", "--delta-grid", "3"], "d_th must be nonnegative, got nan"),
 ])
 def test_input_errors_print_one_error_line(call, message):

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oneshotrd import (
     exact_expected_distortion,
     simulate_random_code,
 )
-from oneshotrd.montecarlo import _BINS, _inverse_cdf, _ranks, _word_block
+from oneshotrd.montecarlo import _BINS, READ, _inverse_cdf, _ranks, _word_block
 from oracles import (
     first_held_rank,
     inverse_cdf,
@@ -75,8 +76,9 @@ def test_simulate_deterministic_and_chunk_invariant(binary_hamming):
 
 
 def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
-    # a small element budget keeps the test light; the blocks then hold
-    # 2^16 / (4 * 256) = 64 trials
+    # a small element budget keeps the test light; at M = 2 * READ * 8 a
+    # trial reads 128 codewords, so the blocks hold 2^16 / (4 * 128) = 128
+    # trials, and the trials still open take one multinomial draw a block
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
     peaks, means = [], []
@@ -109,72 +111,83 @@ def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
 
 
 def test_simulate_memory_does_not_grow_with_m(monkeypatch):
-    # a trial of 2^18 codewords, four budgets, is drawn in slices; drawn
-    # whole it would peak at about 8 MB. Letter 7 has mass 1e-12 and is the
-    # best letter of row 3, so no trial holds it and none stops early
+    # a trial reads READ * 8 = 128 codewords at any M from 256 on, where a
+    # trial of 2^18 codewords drawn whole would peak at about 8 MB. Letter 7
+    # has mass 1e-12 and is the best letter of row 3, so no trial holds it
+    # within its 128 codewords, and every one takes the multinomial draw
     q = np.concatenate([np.full(7, (1 - 1e-12) / 7), [1e-12]])
     d = np.arange(32.0).reshape(4, 8)
     d[3, 7] = 0.0
     p = Problem(np.full(4, 0.25), q, d)
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
-    tracemalloc.start()
-    sliced = simulate_random_code(p, 1 << 18, 2, seed=3)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 3 * 8 * montecarlo_mod.BUDGET
-    assert _same_bits(sliced, simulate_gather_min(p, 1 << 18, 2, seed=3))
+    peaks, got = [], []
+    for m in (1 << 18, 1 << 62):
+        tracemalloc.start()
+        got.append(simulate_random_code(p, m, 64, seed=3))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
+    monkeypatch.undo()
+    assert _same_bits(simulate_random_code(p, 1 << 62, 64, seed=3), got[1])
 
 
 def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch):
     # letter 2's mass rounds away in the CDF, so it can never be drawn and
-    # a trial is final once it holds letters 0 and 1; one trial reads the
-    # same words at any M, so 2^36 codewords give the value of the first
-    # 4096, after a few slices
+    # a trial is final once it holds letters 0 and 1, which all 2000 trials
+    # do within their c = READ * 3 = 48 codewords: at any M from 2c on, the
+    # trials lie c words apart and take no multinomial draw, so their values
+    # are those of c codewords
     p = Problem(np.full(3, 1 / 3), np.array([0.5, 0.5, 1e-300]),
                 np.array([[0.5, 1.0, 0.0], [1.0, 0.5, 0.0], [1.0, 1.0, 0.75]]))
-    slices = []
+    c = READ * 3
+    words = []
     block = montecarlo_mod._word_block
 
     def counted(*args):
-        slices.append(args)
-        assert len(slices) <= 8
+        words.append(args[-1])
         return block(*args)
 
     monkeypatch.setattr(montecarlo_mod, "_word_block", counted)
-    got = simulate_random_code(p, montecarlo_mod.MAX_M, 1, seed=5)
+    one = simulate_random_code(p, montecarlo_mod.MAX_M, 1, seed=5)
+    assert words == [c]
+    many = simulate_random_code(p, 10**9, 2000, seed=5)
     monkeypatch.undo()
-    assert _same_bits(got, simulate_gather_min(p, 1 << 12, 1, seed=5))
+    assert _same_bits(one, simulate_gather_min(p, c, 1, seed=5))
+    assert _same_bits(many, simulate_gather_min(p, c, 2000, seed=5))
 
 
 def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypatch):
     # letters 0 and 1, of mass 1/2 each, are the best letters of rows 0 and
-    # 1, so a trial is final once it holds both; its first four slices, 60
-    # codewords, miss one of them with probability 2^-59. The 500 trials
-    # of 4096 codewords form one block, whose words come from one Philox
-    # call; only the slices a trial reads go through the inverse CDF
+    # 1, so a trial is final once it holds both; its c = READ * 2 = 32
+    # codewords miss one of them with probability 2^-31. The 500 trials
+    # form one block, whose words come from one Philox call; only the
+    # slices a trial reads go through the inverse CDF: 4 words each, and 8
+    # more for the eighth of trials that the first 4 leave open
     p = Problem(np.full(2, 0.5), np.full(2, 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]))
     read = []
     inverse = montecarlo_mod._inverse_cdf
 
     def counted(q):
-        draw, drawable = inverse(q)
+        draw, mass = inverse(q)
 
         def counting_draw(w):
             read.append(w.size)
             return draw(w)
-        return counting_draw, drawable
+        return counting_draw, mass
 
     monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
     got = simulate_random_code(p, 4096, 500, seed=9)
     monkeypatch.undo()
-    assert 0 < sum(read) <= 500 * 60
-    assert _same_bits(got, simulate_gather_min(p, 4096, 500, seed=9))
+    assert 0 < sum(read) <= 500 * 6
+    assert _same_bits(got, simulate_gather_min(p, 32, 500, seed=9))
 
 
-@pytest.mark.parametrize("m", [4 * 4 + 3, 257])
+@pytest.mark.parametrize("m", [4 * 4 + 3, 2 * READ * 4 - 1])
 def test_simulate_blocks_where_some_trials_stop_early_and_others_never(m):
-    # letter 2, of mass 2^-7, is the best letter of row 2: at these M some
-    # trials hold it and stop early while the rest read every codeword.
+    # letter 2, of mass 2^-7, is the best letter of row 2: at these M, below
+    # 2 * READ * ny, some trials hold it and stop early while the rest read
+    # every codeword.
     # Letter 3, of mass 1e-12, is never drawn: it comes second in row 2's
     # order, so a trial without letter 2 reads that row's mask past it, and
     # with a fourth row it is that row's best letter, so no trial stops
@@ -191,16 +204,90 @@ def test_simulate_blocks_where_some_trials_stop_early_and_others_never(m):
             assert _same_bits(simulate_random_code(p, m, 300, 4, chunk=chunk), want)
 
 
+def _tail_problem(last=1e-12):
+    """The 4x4 instance above: letter 2, of mass 2^-7, is row 2's best letter
+    and letter 3, of mass 1e-12 by default, row 3's, so some trials stop
+    within their c = 64 codewords and the rest take the multinomial draw."""
+    q = np.array([0.5 - 2**-8 - last / 2, 0.5 - 2**-8 - last / 2, 2**-7, last])
+    d = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                  [0.75, 0.5, 0.0, 0.25], [1.0, 1.0, 0.5, 0.0]])
+    return Problem(np.full(4, 0.25), q, d)
+
+
+def _trial_values(monkeypatch, *args, **kwargs):
+    """Every trial's value, as simulate_random_code hands them to np.std."""
+    seen, std = [], np.std
+
+    def spy(values, *rest, **kw):
+        seen.append(values.copy())
+        return std(values, *rest, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "std", spy)
+        simulate_random_code(*args, **kwargs)
+    return seen[0]
+
+
+@pytest.mark.parametrize("m", [2 * READ * 4, 257, 10**6, 2**62])
+def test_simulate_past_the_read_limit_is_chunk_and_prefix_invariant(monkeypatch, m):
+    # the multinomial draws come from one stream, taken in trial order
+    # across blocks, so neither the block size nor the number of trials
+    # changes any trial's value
+    p = _tail_problem()
+    want = _trial_values(monkeypatch, p, m, 300, 4)
+    assert 0 < np.unique(want).size < 300
+    for chunk in (1, 7, 64, montecarlo_mod.CHUNK):
+        assert _trial_values(monkeypatch, p, m, 300, 4, chunk=chunk).tobytes() == want.tobytes()
+    for trials in (2, 65, 299):
+        assert _trial_values(monkeypatch, p, m, trials, 4, chunk=64).tobytes() == \
+            want[:trials].tobytes()
+    assert simulate_random_code(p, m, 1, 4).mean == want[0]
+
+
+@pytest.mark.parametrize("last", [1e-12, 0.0])
+@pytest.mark.parametrize("m", [2 * READ * 4, 10**6, 2**62])
+def test_simulate_past_the_read_limit_matches_the_exact_average(m, last):
+    # a z-test at 5 sigma. The sample does not see a rare event: holding
+    # letter 3 lowers row 2 by at most 0.25 and row 3 by at most 1, so the
+    # mean may also miss the exact average by 0.25 * (0.25 + 1) times the
+    # probability of the rarer side, holding letter 3 or not. Of mass 0, the
+    # last letter, it must never be held: the multinomial gives it the rest
+    p = _tail_problem(last)
+    mc = simulate_random_code(p, m, 2000, seed=1)
+    exact = exact_expected_distortion(p, m)
+    held = -np.expm1(m * np.log1p(-last))
+    allowance = min(held, 1.0 - held) * 0.3125
+    assert abs(mc.mean - exact) <= 5 * mc.stderr + allowance + 1e-12
+
+
+def test_simulate_generates_at_most_the_read_limit_of_words_a_trial(monkeypatch):
+    # at 8x8 with M = 512 a block asked Philox for every trial's 512 words;
+    # it now asks for READ * 8 = 128 of them
+    rng = np.random.default_rng(0)
+    p = Problem(rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8)),
+                rng.integers(0, 5, (8, 8)).astype(float))
+    words = []
+    block = montecarlo_mod._word_block
+
+    def counted(*args):
+        words.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(montecarlo_mod, "_word_block", counted)
+    simulate_random_code(p, 512, 10**4, seed=0)
+    assert 0 < sum(words) <= 10**4 * READ * 8
+
+
 @pytest.mark.parametrize("m", [0, montecarlo_mod.MAX_M + 1, 10**20])
 def test_simulate_rejects_m_out_of_range(binary_hamming, m):
-    with pytest.raises(ValueError, match="M must be between 1 and 68719476736"):
+    with pytest.raises(ValueError, match="M must be between 1 and 9223372036854775807"):
         simulate_random_code(binary_hamming, m, 1, seed=0)
 
 
 def test_simulate_in_slices_matches_the_gather_and_min_kernel_bit_for_bit(monkeypatch):
-    # a budget of 8 elements slices every trial of more than 8 codewords and
-    # at least as many codewords as letters into draws of 4; the oracle
-    # draws each trial whole
+    # a budget of 8 elements runs every trial in a block of its own, and the
+    # trials of at least as many codewords as letters read slices that
+    # double from 4; the oracle draws each trial whole
     rng = np.random.default_rng(12)
     for nx, ny in ((3, 5), (6, 40)):
         p = make_random_problem(rng, nx=nx, ny=ny)
@@ -325,17 +412,26 @@ def absorbing_priors(draw):
 @given(q=absorbing_priors())
 @example(q=np.array([0.75, 1e-17, 0.25]))
 @example(q=np.array([1e-17, 1e-17, 1.0 - 2e-17]))
-def test_inverse_cdf_mask_holds_exactly_the_letters_it_draws(q):
-    # every drawable letter's least draw is the least draw at or above a
-    # cumulative sum; each bin's first draw is added
-    starts = np.ceil(np.append(0.0, np.cumsum(q)[:-1]) * 2.0**53)
-    lattice = np.concatenate([starts[starts < 2.0**53].astype(np.uint64),
-                              np.arange(_BINS, dtype=np.uint64) << np.uint64(41)])
-    w = lattice << np.uint64(11)
-    draw, drawable = _inverse_cdf(q)
-    codes = draw(w)
-    np.testing.assert_array_equal(codes, inverse_cdf(q, words_to_doubles(w)))
-    np.testing.assert_array_equal(drawable, np.isin(np.arange(q.size), codes))
+@example(q=np.array([0.7, 0.2, 0.1, 0.0]))
+def test_inverse_cdf_mass_is_each_letters_share_of_the_draws(q):
+    # the oracle's least draw k * 2^-53 that lands on letter y or later, by
+    # a bisection of k in [0, 2^53] for every letter at once; letter y's
+    # share of the 2^53 draws is the next letter's least k less its own
+    letters = np.arange(q.size + 1)
+    lo, hi = np.zeros(letters.size, np.int64), np.full(letters.size, 2**53)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        late = inverse_cdf(q, np.minimum(mid, 2**53 - 1) * 2.0**-53) >= letters
+        late |= mid == 2**53
+        lo, hi = np.where(late, lo, mid + 1), np.where(late, mid, hi)
+    draw, mass = _inverse_cdf(q)
+    shares = [Fraction(int(k), 2**53) for k in np.diff(lo)]
+    assert [Fraction(v) for v in mass] == shares
+    assert sum(map(Fraction, mass)) == 1 and mass.sum() == 1.0
+    # the library's draws agree with the oracle's on both sides of each share's ends
+    k = np.concatenate([lo, lo - 1])
+    w = k[(k >= 0) & (k < 2**53)].astype(np.uint64) << np.uint64(11)
+    np.testing.assert_array_equal(draw(w), inverse_cdf(q, words_to_doubles(w)))
 
 
 @st.composite
@@ -375,7 +471,7 @@ def test_simulate_matches_the_gather_and_min_kernel_bit_for_bit(problem, data):
         draw, _ = _inverse_cdf(p.q_y)
         np.testing.assert_array_equal(draw(w), inverse_cdf(p.q_y, words_to_doubles(w)))
         np.testing.assert_array_equal(draw(w), draw(w >> 11 << 11))
-        for m in {max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, 257}:
+        for m in {max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, min(257, 2 * READ * ny - 1)}:
             got = simulate_random_code(p, m, 150, seed)
             assert _same_bits(got, simulate_gather_min(p, m, 150, seed))
             assert _same_bits(got, simulate_random_code(p, m, 150, seed, chunk=chunk))

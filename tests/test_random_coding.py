@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -342,6 +342,10 @@ def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=problems() | quarter_problems(), m=st.integers(3, 5000))
+# dtilde is about 1e-233 up to w = 0.83, on a segment that is not exactly flat:
+# read at its end, the next segment's c / w + s cancels to 1.3e-15
+@example(problem=Problem([1.0], np.array([0, 19, 0, 64, 28]) / 111,
+                         [[0, 3, 0, 1.06655185e-233, 0]]), m=67)
 def test_best_achievability_returns_the_bound_at_its_lam(problem, m):
     rate = math.log(m - 1)
     best = best_achievability(problem, rate)
@@ -429,6 +433,8 @@ def test_rate_for_distortion_f_below_g(rng):
 
 @settings(max_examples=100, deadline=None)
 @given(problem=problems() | quarter_problems(), frac=st.floats(0.02, 0.98))
+# the rate is 709.894, past log of the largest double
+@example(problem=Problem([1.0], [0, 0, 0, 2.0**-1022, 1], [[0, 0, 0, 0, 1]]), frac=0.0625)
 def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(problem, frac):
     lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
     assume(hi - lo > 1e-9 * max(1.0, hi))
@@ -442,7 +448,10 @@ def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(problem, frac):
     y = (d_req - res.z) / (hi - res.z)
     assert res.rate == max(rtilde(problem, res.z) + f_inverse(y), 0.0)
     assert res.rate <= res.rate_g
-    m = int(math.exp(res.rate)) + 1
+    # floor(e^rate) + 1 codewords, at most the largest double plus one: the
+    # exact average does not rise with M, so the cap only makes the check stronger
+    big = int(sys.float_info.max) + 1
+    m = big if res.rate > math.log(big - 1) else min(int(math.exp(res.rate)) + 1, big)
     assert exact_expected_distortion(problem, m) <= d_req + 1e-9
 
 
@@ -515,7 +524,10 @@ def test_rate_for_distortion_rejects_a_target_with_no_split_inside(golden):
         rate_for_distortion(problem, d_req)
 
 
-@settings(max_examples=100, deadline=None)
+# problems() often gives a dtilde that is flat on [0, 1], which lo < hi filters out;
+# hypothesis's check on how much is filtered failed the test at some seeds, while the
+# 100 examples that run are non-flat ones all the same
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(problem=problems(), data=st.data())
 def test_rate_for_distortion_raises_or_is_finite(problem, data):
     lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
