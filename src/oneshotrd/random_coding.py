@@ -164,16 +164,16 @@ def best_achievability(problem: Problem, rate: float) -> BestAchievability:
     and psi(t) = (e^t - 1 - t - t^2) / t^3 = -1/(2t) + sum_{k>=3} t^(k-3) / k! increases
     strictly: h falls, then rises, and is least at an end or where a t psi = (d1 - s) w, a
     sign read divided by 1 + t psi = (e^t - 1 - t) / t^2 so that it stays finite. On the flat
-    first segments (a = 0) h only falls. Each end is also read at the nearest lam, found in
-    doubling steps, whose w (by math.exp, as achievability_bound takes it) lies below the end:
-    there the next segment's c / w + s can cancel.
+    first segments (a = 0) h only falls. Each end is also read at the nearest lam whose w (by
+    math.exp, as achievability_bound takes it) lies below it: at the end, c / w + s can cancel.
     """
     pw = build_dtilde1(problem)
     flat = np.count_nonzero(pw.slopes == pw.slopes[0])
     bp = pw.breakpoints[flat:]
     ends = np.minimum(rate + np.log(bp), math.nextafter(rate, -math.inf))
     below, step = ends.copy(), math.ulp(rate) + np.abs(np.spacing(np.log(bp)))
-    while (up := np.array([math.exp(v - rate) for v in below.tolist()]) >= bp).any():
+    up = np.arange(bp.size)  # the ends still read at or above bp
+    while (up := up[np.array([math.exp(v - rate) for v in below[up].tolist()]) >= bp[up]]).size:
         below[up], step[up] = below[up] - step[up], 2.0 * step[up]  # 1 ulp can take 2^52
     roots = _sign_changes(
         lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),

@@ -6,9 +6,10 @@ from scipy.optimize import linprog
 
 from oneshotrd import Problem, d_inf
 
-# a failing property prints the blob that replays it with
-# @reproduce_failure, so a failure seen only in a CI log can be replayed
-settings.register_profile("replayable", print_blob=True)
+# a failing property prints the blob that replays it with @reproduce_failure, so a
+# failure seen only in a CI log can be replayed; the profile keeps every other setting
+# in force, hypothesis's own "ci" profile (derandomized, no database) included
+settings.register_profile("replayable", parent=settings.default, print_blob=True)
 settings.load_profile("replayable")
 
 

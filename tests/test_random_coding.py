@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -524,11 +524,10 @@ def test_rate_for_distortion_rejects_a_target_with_no_split_inside(golden):
         rate_for_distortion(problem, d_req)
 
 
-# problems() often gives a dtilde that is flat on [0, 1], which lo < hi filters out;
-# hypothesis's check on how much is filtered failed the test at some seeds, while the
-# 100 examples that run are non-flat ones all the same
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(problem=problems(), data=st.data())
+# problems() alone gives a dtilde flat on [0, 1] so often that lo < hi filtered
+# out 50 of its first 59 inputs at some seeds; quarter_problems() gives fewer flat ones
+@settings(max_examples=100, deadline=None)
+@given(problem=problems() | quarter_problems(), data=st.data())
 def test_rate_for_distortion_raises_or_is_finite(problem, data):
     lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
     assume(lo < hi)
