@@ -32,8 +32,9 @@ BUDGET = 1 << 22
 READ = 16
 # the largest codebook simulated: numpy's largest multinomial count
 MAX_M = 2**63 - 1
-# bins of the inverse-CDF table, indexed by the top 12 bits of a word
+# bins of the inverse-CDF table, indexed by the top 12 bits of a word, and their edges
 _BINS = 4096
+_EDGES = np.arange(_BINS + 1) / _BINS
 
 
 @dataclass(eq=False)
@@ -84,11 +85,10 @@ def _inverse_cdf(q: np.ndarray):
     """
     upper = np.minimum(np.cumsum(q), 1.0)
     upper[np.flatnonzero(q)[-1]:] = 1.0
-    # the least draw at or above each interval's end, less that at its start
-    mass = np.diff(np.ceil(upper * 2.0**53) * 2.0**-53, prepend=0.0)
-    edges = np.arange(_BINS + 1) / _BINS
-    table = np.searchsorted(upper, edges[:-1], side="right")
-    table[table != np.searchsorted(upper, edges[1:], side="left")] = -1
+    mass = np.ceil(upper * 2.0**53) * 2.0**-53  # the least draw at or above each end,
+    mass[1:] -= mass[:-1]  # less that at its start; numpy reads an overlapping operand first
+    table = np.searchsorted(upper, _EDGES[:-1], side="right")
+    table[table != np.searchsorted(upper, _EDGES[1:], side="left")] = -1
     table = table.astype(np.min_scalar_type(-q.size))
 
     def draw(w: np.ndarray) -> np.ndarray:
