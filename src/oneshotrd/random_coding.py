@@ -171,10 +171,10 @@ def best_achievability(problem: Problem, rate: float) -> BestAchievability:
     flat = np.count_nonzero(pw.slopes == pw.slopes[0])
     bp = pw.breakpoints[flat:]
     ends = np.minimum(rate + np.log(bp), math.nextafter(rate, -math.inf))
-    below, step = ends.copy(), math.ulp(rate) + np.abs(np.spacing(np.log(bp)))
-    up = np.arange(bp.size)  # the ends still read at or above bp
-    while (up := up[np.array([math.exp(v - rate) for v in below[up].tolist()]) >= bp[up]]).size:
-        below[up], step[up] = below[up] - step[up], 2.0 * step[up]  # 1 ulp can take 2^52
+    below, steps = ends.tolist(), (math.ulp(rate) + np.abs(np.spacing(np.log(bp)))).tolist()
+    for i, (b, step) in enumerate(zip(bp.tolist(), steps)):
+        while math.exp(below[i] - rate) >= b:  # doubling steps: single ulps can take 2^52
+            below[i], step = below[i] - step, 2.0 * step
     roots = _sign_changes(
         lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),
         ends[:-1], ends[1:], -pw.intercepts[flat:], dtilde(problem, 1.0) - pw.slopes[flat:])
