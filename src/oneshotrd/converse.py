@@ -134,6 +134,8 @@ def dtilde_subgradient(problem: Problem, w: float, prior) -> np.ndarray:
     1/w. No search in the package uses it: it is kept as a public export and
     as the converse.dtilde_subgradient trace point.
     """
+    if not np.finfo(float).tiny <= w <= 1.0:
+        raise ValueError(f"w must be a normal double in (0, 1], got {w}")
     below = np.cumsum(np.asarray(prior, dtype=float)[problem.row_order][:, :-1], axis=1)
     theta = problem.levels.ds[np.arange(problem.x_size), np.sum(below < w, axis=1)]
     gain = np.maximum(theta[:, None] - problem.d, 0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem
+from .model import InvariantViolation, Problem
 
 # a block holds at most CHUNK trials, and its largest temporary at most
 # BUDGET elements unless a single trial needs more
@@ -156,6 +156,8 @@ def simulate_random_code(
         raise ValueError(f"M must be between 1 and {MAX_M}, got {M}")
     if min(trials, chunk) < 1:
         raise ValueError(f"trials and chunk must be at least 1, got {trials} and {chunk}")
+    if not problem.q_y.any():
+        raise InvariantViolation("q_y has empty support")
     nx, ny = problem.d.shape
     draw, mass = _inverse_cdf(problem.q_y)
     order = problem.row_order

@@ -64,12 +64,10 @@ def exact_expected_distortion(problem: Problem, M: int) -> float:
     return float(np.sum(_segment_integral(build_dtilde1(problem), M)))
 
 
-def f_of(lam: float) -> float:
-    """f(lam) = exp(-e^lam) * (e^lam + 1), strictly decreasing from 1 to 0."""
-    # conditionals, not min(): achievability_bound calls this once per lam
-    t = math.exp(700.0 if lam > 700.0 else lam)
-    t = 1e300 if t > 1e300 else t
-    return math.exp(math.log1p(t) - t)
+def f_of(lam):
+    """f(lam) = exp(-e^lam) * (e^lam + 1) of a scalar or an array: strictly falls from 1 to 0."""
+    t = np.exp(np.minimum(np.array(lam, dtype=float, ndmin=1), 700.0))
+    return _like(np.exp(np.log1p(t) - t), lam)
 
 
 def _g_of_log(big_l: np.ndarray) -> np.ndarray:
@@ -117,24 +115,20 @@ def achievability_bound(problem: Problem, rate: float, lam) -> AchievabilityBoun
     """Split-quantile upper bound on the random-coding distortion at this rate.
 
     Requires lam < rate. Also reports the looser variant that replaces the
-    full-average term with d_max. lam is a scalar or an array; w and f(lam)
-    come from math.exp and f_of, not np.exp, which can differ by an ulp, so
-    each entry matches the scalar call bit for bit.
+    full-average term with d_max. lam is a scalar or an array; numpy's exp
+    gives an entry the same bits whatever the array's length, so each entry
+    matches the scalar call bit for bit.
     """
     lams = np.array(lam, dtype=float, ndmin=1)
     bad = ~(lams < rate)
     if bad.any():
         raise ValueError(f"lam must be below the rate, got lam={lams[bad][0]}, rate={rate}")
-    flat = lams.ravel().tolist()
-    ws = np.array([math.exp(v - rate) for v in flat] + [1.0])  # dtilde(1) rides along
-    f = np.array([f_of(v) for v in flat]).reshape(lams.shape)
-    d = dtilde(problem, ws)
-    w, d_w, d_1 = ws[:-1].reshape(lams.shape), d[:-1].reshape(lams.shape), d[-1]
-    return AchievabilityBound(
-        value=_like(d_w + (d_1 - d_w) * f, lam),
-        dmax_value=_like(d_w + problem.d_max * f, lam),
-        w=_like(w, lam),
-    )
+    w, f = np.exp(lams - rate), f_of(lams)
+    d = dtilde(problem, np.append(w, 1.0))  # dtilde(1) rides along
+    d_w = d[:-1].reshape(lams.shape)
+    return AchievabilityBound(value=_like(d_w + (d[-1] - d_w) * f, lam),
+                              dmax_value=_like(d_w + problem.d_max * f, lam),
+                              w=_like(w, lam))
 
 
 def _e2(t: np.ndarray) -> np.ndarray:
@@ -165,16 +159,16 @@ def best_achievability(problem: Problem, rate: float) -> BestAchievability:
     strictly: h falls, then rises, and is least at an end or where a t psi = (d1 - s) w, a
     sign read divided by 1 + t psi = (e^t - 1 - t) / t^2 so that it stays finite. On the flat
     first segments (a = 0) h only falls. Each end is also read at the nearest lam whose w (by
-    math.exp, as achievability_bound takes it) lies below it: at the end, c / w + s can cancel.
+    np.exp, as achievability_bound takes it) lies below it: at the end, c / w + s can cancel.
     """
     pw = build_dtilde1(problem)
     flat = np.count_nonzero(pw.slopes == pw.slopes[0])
     bp = pw.breakpoints[flat:]
     ends = np.minimum(rate + np.log(bp), math.nextafter(rate, -math.inf))
-    below, steps = ends.tolist(), (math.ulp(rate) + np.abs(np.spacing(np.log(bp)))).tolist()
-    for i, (b, step) in enumerate(zip(bp.tolist(), steps)):
-        while math.exp(below[i] - rate) >= b:  # doubling steps: single ulps can take 2^52
-            below[i], step = below[i] - step, 2.0 * step
+    below, step = ends.copy(), math.ulp(rate) + np.abs(np.spacing(np.log(bp)))
+    up = np.arange(bp.size)  # doubling steps while w >= b: single ulps can take 2^52
+    while (up := up[np.exp(below[up] - rate) >= bp[up]]).size:
+        below[up], step[up] = below[up] - step[up], 2.0 * step[up]
     roots = _sign_changes(
         lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),
         ends[:-1], ends[1:], -pw.intercepts[flat:], dtilde(problem, 1.0) - pw.slopes[flat:])

@@ -74,6 +74,8 @@ def np_beta(alpha: float, p: np.ndarray, mu: np.ndarray) -> tuple[float, NPTest]
         raise ValueError("shape mismatch between p and the measure")
     if np.any(mw < 0) or not np.all(np.isfinite(mw)):
         raise ValueError("measure weights must be finite and nonnegative")
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite and nonnegative")
     if not -1e-12 <= alpha <= 1.0 + 1e-12:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     alpha = min(max(alpha, 0.0), 1.0)

@@ -446,11 +446,12 @@ def achievability_bound_scalar(problem: Problem, rate: float, lam: float) -> Ach
     """achievability_bound for one scalar lam, in scalar arithmetic.
 
     Requires lam < rate. Also reports the looser variant that replaces the
-    full-average term with d_max.
+    full-average term with d_max. w is numpy's exp, as the library takes it:
+    math.exp can differ from it by an ulp.
     """
     if lam >= rate:
         raise ValueError(f"lam must be below the rate, got lam={lam}, rate={rate}")
-    w = math.exp(lam - rate)
+    w = float(np.exp(lam - rate))
     d_w = dtilde(problem, w)
     d_1 = dtilde(problem, 1.0)
     f = f_of(lam)

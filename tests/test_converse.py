@@ -173,6 +173,14 @@ def test_subgradient_is_nonpositive(rng):
         assert np.all(g <= 1e-15)
 
 
+@pytest.mark.parametrize("w", [0.0, math.nan, -0.5, 2.0, 5e-324])
+def test_subgradient_rejects_w_outside_the_normal_doubles_of_the_unit_interval(binary_hamming, w):
+    # w = 0 divided by zero, nan gave nans, -0.5 zeros and 2 a finite vector
+    with pytest.raises(ValueError, match=r"w must be a normal double in \(0, 1\], got "):
+        dtilde_subgradient(binary_hamming, w, binary_hamming.q_y)
+    assert dtilde_subgradient(binary_hamming, 1.0, binary_hamming.q_y).shape == (2,)
+
+
 def test_optimize_prior_binary_hamming(binary_hamming):
     res = optimize_prior(binary_hamming, math.log(2.0))
     assert res.value <= 1e-9

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oneshotrd.montecarlo as montecarlo_mod
 from conftest import make_random_problem, problems
 from oneshotrd import (
+    InvariantViolation,
     Problem,
     exact_expected_distortion,
     simulate_random_code,
@@ -343,6 +344,12 @@ def test_simulate_validates_inputs(binary_hamming):
     for chunk in (0, -5):
         with pytest.raises(ValueError, match="chunk must be at least 1"):
             simulate_random_code(binary_hamming, 2, 10, seed=0, chunk=chunk)
+
+
+def test_simulate_rejects_a_prior_without_support():
+    # the inverse CDF looked for the last letter of positive mass and raised IndexError
+    with pytest.raises(InvariantViolation, match="q_y has empty support"):
+        simulate_random_code(Problem([1], [0, 0], [[0, 1]]), 3, 10, seed=0)
 
 
 def test_min_uniform_ks_passes():

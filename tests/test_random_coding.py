@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,30 @@ def test_f_of_values():
     assert np.all(np.diff([f_of(t) for t in lams]) < 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lams=st.lists(st.floats(), min_size=1, max_size=20))
+@example(lams=[-math.inf, -745.2, 0.0, 709.0, 700.0, 700.5, 1e6, math.inf, math.nan])
+def test_f_of_array_entries_equal_the_scalar_calls(lams):
+    arr = f_of(np.array(lams))
+    assert arr.shape == (len(lams),)
+    for k, lam in enumerate(lams):
+        one = f_of(lam)
+        assert type(one) is float
+        assert float(arr[k]).hex() == one.hex(), lam
+    assert f_of(np.array(lams)[::-1].reshape(1, -1)).tobytes() == arr[::-1].tobytes()
+
+
+def test_f_of_at_its_ends_and_along_a_grid():
+    assert f_of(-math.inf) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (700.5, 1e6, math.inf):
+            assert f_of(lam) == 0.0
+        assert f_of(np.array([700.5, 1e6, math.inf])).tolist() == [0.0] * 3
+        assert math.isnan(f_of(math.nan))
+    assert np.all(np.diff(f_of(np.linspace(-50.0, 710.0, 20001))) <= 0.0)
+
+
 def test_f_inverse_roundtrip(rng):
     assert f_inverse(2.0 / math.e) == pytest.approx(0.0, abs=1e-10)
     assert f_inverse(3.0 * math.exp(-2.0)) == pytest.approx(math.log(2.0), abs=1e-10)
@@ -283,6 +308,16 @@ def test_achievability_array_matches_scalar_calls(problem, data):
     at = data.draw(st.integers(0, lams.size))
     with pytest.raises(ValueError, match="lam must be below the rate"):
         achievability_bound(problem, rate, np.insert(lams, at, bad))
+
+
+def test_achievability_bound_takes_a_2d_lam_as_the_flat_call_reshaped(rng):
+    problem, rate = make_random_problem(rng, 5, 6), 1.3
+    lams = rate - rng.uniform(1e-3, 10.0, (4, 7))
+    two = achievability_bound(problem, rate, lams)
+    flat = achievability_bound(problem, rate, lams.ravel())
+    for name in ("value", "dmax_value", "w"):
+        assert getattr(two, name).shape == (4, 7)
+        assert getattr(two, name).tobytes() == getattr(flat, name).reshape(4, 7).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

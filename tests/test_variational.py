@@ -320,5 +320,12 @@ def test_np_beta_rejects_bad_inputs(binary_hamming):
         np_beta(0.9, 0.5 * p, mu)
 
 
+@pytest.mark.parametrize("p", [[-0.5, 1.5], [math.nan, 1.0], [math.inf, 1.0]])
+def test_np_beta_rejects_a_negative_or_non_finite_p(p):
+    # [-0.5, 1.5] gave beta = 1/3, [nan, 1] a nan achieved_alpha, [inf, 1] an invalid multiply
+    with pytest.raises(ValueError, match="p must be finite and nonnegative"):
+        np_beta(0.5, p, [1.0, 1.0])
+
+
 def test_d_inf_of_all_zero_arrays():
     assert d_inf(np.zeros((2, 3)), np.zeros((2, 3))) == -math.inf
