@@ -38,7 +38,7 @@ from .excess import (
     lemma4_check,
     m_functional,
 )
-from .model import EqualityCheckError, load_problem
+from .model import EqualityCheckError, load_problem, scaled_tol
 from .montecarlo import simulate_random_code
 from .random_coding import (
     achievability_bound,
@@ -143,7 +143,8 @@ def _cmd_converse(problem, args):
         report = BoundReport("converse-equality")
         report.add("lhs", check.lhs, "optimal-encoding distortion")
         report.add("rhs", check.rhs, "dtilde at 1/M under the code prior")
-        report.add("gap", check.gap, "absolute difference", tolerance=EQUALITY_TOL)
+        report.add("gap", check.gap, "absolute difference",
+                   tolerance=scaled_tol(problem, EQUALITY_TOL))
         return report
     if args.rate is None:
         raise ValueError("provide --code or --rate")

@@ -22,11 +22,11 @@ from scipy import sparse
 from scipy.optimize import linprog, minimize
 
 from .dtilde import dtilde_for_prior
-from .model import EqualityCheck, EqualityCheckError, Problem, _readonly
+from .model import EqualityCheck, EqualityCheckError, Problem, _readonly, scaled_tol
 from .random_coding import exact_expected_distortion
 
-EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs| accepted
-SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper accepted
+EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs|, times the scale of d
+SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper, times the scale of d
 
 
 class SandwichBounds(NamedTuple):
@@ -113,11 +113,11 @@ def optimal_encoder(problem: Problem, code) -> np.ndarray:
 
 
 def converse_equality_check(problem: Problem, code) -> EqualityCheck:
-    """Verify code distortion == dtilde(1/M, code prior); raise beyond EQUALITY_TOL."""
+    """Verify code distortion == dtilde(1/M, code prior); raise beyond scaled EQUALITY_TOL."""
     lhs = code_distortion(problem, code)
     rhs = dtilde_for_prior(problem, 1.0 / len(code), code_prior(problem, code))
     gap = abs(lhs - rhs)
-    if gap > EQUALITY_TOL:
+    if gap > scaled_tol(problem, EQUALITY_TOL):
         raise EqualityCheckError(
             f"converse equality violated: lhs={lhs!r} rhs={rhs!r} gap={gap:.3e}"
         )
@@ -264,7 +264,7 @@ def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:
     upper, prior = average(lp_prior), lp_prior.q_y
     if (at_q_y := average(problem)) < upper:
         upper, prior = at_q_y, problem.q_y
-    if res.dual_bound > upper + SANDWICH_TOL:
+    if res.dual_bound > upper + scaled_tol(problem, SANDWICH_TOL):
         raise EqualityCheckError(
             f"sandwich violated: lower={res.dual_bound!r} > upper={upper!r}"
         )

@@ -27,11 +27,11 @@ from .pairwise import accept_probability
 # equal in exact arithmetic can differ by rounding, up to about ny * 2^-53 of
 # their value. Relative, so that a real mass of 1e-300 at the bottom of a row
 # still opens a segment and dtilde(0) stays the minimum over the prior's
-# support; but never below the smallest normal double, since a segment from a
-# subnormal b has an intercept -s * b that underflows. That floor is the
-# smallest mass validate() admits, and a gap equal to it is kept, so such a
-# mass opens a segment, as the fill sees it. PROB_ATOL (model.py), how far an
-# input simplex may sum from 1, is a separate quantity.
+# support; but never below the smallest normal double: at a subnormal b the
+# value dtilde1(b) is subnormal, short of digits, and dtilde divides it by w.
+# That floor is the smallest mass validate() admits, and a gap equal to it is
+# kept, so such a mass opens a segment, as the fill sees it. PROB_ATOL
+# (model.py), how far an input simplex may sum from 1, is a separate quantity.
 BREAKPOINT_MERGE_TOL = 1e-14
 
 
@@ -39,31 +39,29 @@ BREAKPOINT_MERGE_TOL = 1e-14
 class PiecewiseLinear:
     """Continuous piecewise-linear function on [0, 1].
 
-    value(w) = intercepts[i] + slopes[i] * w on the i-th segment
-    [breakpoints[i], breakpoints[i+1]], where value(w) / w is read as
-    intercepts[i] / w + slopes[i]. right_values[i] is that at the right end,
-    -inf on the segments of slope slopes[0] and nondecreasing by a running
-    maximum, so that searchsorted finds the first rising segment at a level.
+    value(w) = values[i] + slopes[i] * (w - breakpoints[i]) on the i-th segment
+    [breakpoints[i], breakpoints[i+1]], and values[-1] = value(1). right_values[i] is
+    value(w) / w at the right end, -inf on the segments of slope slopes[0] and
+    nondecreasing by a running maximum, so searchsorted finds the first rising segment at a level.
     """
 
     breakpoints: np.ndarray
-    intercepts: np.ndarray
+    values: np.ndarray
     slopes: np.ndarray
     right_values: np.ndarray
 
-    def pieces(self, w):
-        """w in [0, 1] as an array, with the intercept and slope of the segment
-        holding each entry; a breakpoint belongs to the segment it opens."""
-        ws = np.array(w, dtype=float, ndmin=1)
+    def pieces(self, ws: np.ndarray) -> np.ndarray:
+        """The index of the segment holding each entry of the array ws, all in
+        [0, 1]; a breakpoint belongs to the segment it opens."""
         bad = ~((0.0 <= ws) & (ws <= 1.0))
         if bad.any():
             raise ValueError(f"w must be in [0, 1], got {ws[bad][0]}")
-        i = np.minimum(np.searchsorted(self.breakpoints, ws, side="right"), self.slopes.size) - 1
-        return ws, self.intercepts[i], self.slopes[i]
+        return np.searchsorted(self.breakpoints[:-1], ws, side="right") - 1
 
     def value(self, w):
-        ws, c, s = self.pieces(w)
-        return _like(c + s * ws, w)
+        ws = np.array(w, dtype=float, ndmin=1)
+        i = self.pieces(ws)
+        return _like(self.values[i] + self.slopes[i] * (ws - self.breakpoints[i]), w)
 
 
 def build_dtilde1(problem: Problem) -> PiecewiseLinear:
@@ -96,16 +94,15 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     rise = np.bincount(np.cumsum(keep) - 1, weights=rises[by_pt], minlength=bp.size)
     slopes = np.cumsum(rise[:-1])
 
+    # a sequential sum: each segment ends bit for bit at the next one's value
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
-    intercepts = values[:-1] - slopes * bp[:-1]
-    # slopes are running sums of nonnegative rises and never decrease, so
-    # the flat segments are a prefix; rounding may still lift one of their
-    # right-end values above dtilde(0), hence the mask by slope
-    rvals = intercepts / bp[1:] + slopes
-    right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
-    for a in (bp, intercepts, slopes, right_values):
+    # slopes never decrease, so the flat segments are a prefix; rounding may
+    # lift one of their right-end values above dtilde(0), hence the mask
+    right_values = np.maximum.accumulate(
+        np.where(slopes > slopes[0], values[1:] / bp[1:], -np.inf))
+    for a in (bp, values, slopes, right_values):
         a.setflags(write=False)
-    problem._dtilde1 = PiecewiseLinear(bp, intercepts, slopes, right_values)
+    problem._dtilde1 = PiecewiseLinear(bp, values, slopes, right_values)
     return problem._dtilde1
 
 
@@ -117,12 +114,14 @@ def dtilde1(problem: Problem, w):
 def dtilde(problem: Problem, w):
     """Normalized quantile distortion dtilde1(w) / w, for a scalar or an array.
 
-    The first segment is flat with intercept 0, so w = 0 and every w in it,
-    subnormal ones too, give exactly the right limit at 0: the expected
-    minimum distortion over the prior support.
+    Every term of (v + s (w - b)) / w is nonnegative. The first segment (b = 0)
+    reads its slope, so w = 0 and every w in it, subnormal ones too, give exactly
+    the right limit at 0: the expected minimum distortion over the prior support.
     """
-    ws, c, s = build_dtilde1(problem).pieces(w)
-    return _like(c / np.where(c == 0.0, 1.0, ws) + s, w)
+    pw, ws = build_dtilde1(problem), np.array(w, dtype=float, ndmin=1)
+    i = pw.pieces(ws)
+    b, s = pw.breakpoints[i], pw.slopes[i]
+    return _like(np.divide(pw.values[i] + s * (ws - b), ws, out=s.copy(), where=b > 0), w)
 
 
 def dtilde_inverse(problem: Problem, z):
@@ -133,18 +132,19 @@ def dtilde_inverse(problem: Problem, z):
     z <= dtilde(0) gives 0 and every larger z a positive w.
     """
     pw = build_dtilde1(problem)
-    lo, hi = float(pw.slopes[0]), float(pw.intercepts[-1] + pw.slopes[-1])
+    lo, hi = float(pw.slopes[0]), float(pw.values[-1])
     zs = np.array(z, dtype=float, ndmin=1)
     bad = ~((lo - 1e-12 <= zs) & (zs <= hi + 1e-12))
     if bad.any():
         raise ValueError(f"z={zs[bad][0]} outside the achievable range [{lo}, {hi}]")
     zs = np.minimum(np.maximum(zs, lo), hi)
     i = np.minimum(np.searchsorted(pw.right_values, zs), pw.slopes.size - 1)
-    left, right, s = pw.breakpoints[i], pw.breakpoints[i + 1], pw.slopes[i]
-    # solve c / w + s = z; where rounding leaves z >= s, dtilde reaches z
-    # only at the right end of the segment
-    w = np.divide(pw.intercepts[i], zs - s, out=right.copy(), where=zs < s)
-    return _like(np.where(zs <= lo, 0.0, np.minimum(np.maximum(w, left), right)), z)
+    b, s = pw.breakpoints[i], pw.slopes[i]
+    # solve (v + s (w - b)) / w = z; z at least the right end's value or s gives the right end
+    step = np.divide(zs * b - pw.values[i], s - zs, out=np.full(zs.shape, np.inf),
+                     where=zs < np.minimum(s, pw.right_values[i]))
+    w = np.minimum(b + np.maximum(step, 0.0), pw.breakpoints[i + 1])
+    return _like(np.where(zs <= lo, 0.0, w), z)
 
 
 def rtilde(problem: Problem, z):

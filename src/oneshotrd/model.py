@@ -151,6 +151,12 @@ def validate(problem: Problem) -> None:
         raise InvariantViolation("negative distortion")
 
 
+def scaled_tol(problem: Problem, tol: float) -> float:
+    """tol in the scale of d: times the largest d over the rows of p_x's support and every y
+    (a code may use letters outside q_y's support), or the smallest normal double if larger."""
+    return tol * max(float(problem.d[problem.p_x > 0].max(initial=0.0)), np.finfo(float).tiny)
+
+
 _ALLOWED_KEYS = {"p_x", "q_y", "d", "x_labels", "y_labels"}
 
 

@@ -43,14 +43,14 @@ class RateForDistortion:
 
 
 def _segment_integral(pwl, M: float) -> np.ndarray:
-    """Per-segment values of the integral of (c/w + s) * G'_M(w) dw."""
-    bp = pwl.breakpoints
+    """Per-segment values of the integral of (c/w + s) * G'_M(w) dw, c = v - s b."""
+    bp, c = pwl.breakpoints, pwl.values[:-1] - pwl.slopes * pwl.breakpoints[:-1]
     # (1 - w)^(M-1) in one pass; an exponent of -inf (at w = 1 or past overflow) gives 0
     with np.errstate(divide="ignore", over="ignore"):
         surv = np.exp((M - 1) * np.log1p(-bp))
     g = -surv * ((M - 1) * bp + 1.0)
-    # M * (a difference of survivals) stays finite where intercepts * M would overflow
-    terms = pwl.intercepts * (M * (surv[:-1] - surv[1:])) + pwl.slopes * np.diff(g)
+    # M * (a difference of survivals) stays finite where c * M would overflow
+    terms = c * (M * (surv[:-1] - surv[1:])) + pwl.slopes * np.diff(g)
     terms[np.abs(terms) < 1e-300] = 0.0
     return terms
 
@@ -153,17 +153,17 @@ def _sign_changes(slope, lo: np.ndarray, hi: np.ndarray, *coef: np.ndarray) -> n
 def best_achievability(problem: Problem, rate: float) -> BestAchievability:
     """Least achievability_bound(problem, rate, lam).value over lam, and its lam.
 
-    On a segment c / w + s of dtilde, with a = -c >= 0, t = e^lam and w = t e^-rate, the bound
+    On a segment (v + s (w - b)) / w of dtilde, with a = s b - v >= 0, t = e^lam, w = t e^-rate,
     h = dtilde(w) + (d1 - dtilde(w)) f(lam) has dh/dlam = t^2 e^-t (a e^rate psi(t) - d1 + s),
     and psi(t) = (e^t - 1 - t - t^2) / t^3 = -1/(2t) + sum_{k>=3} t^(k-3) / k! increases
     strictly: h falls, then rises, and is least at an end or where a t psi = (d1 - s) w, a
     sign read divided by 1 + t psi = (e^t - 1 - t) / t^2 so that it stays finite. On the flat
-    first segments (a = 0) h only falls. Each end is also read at the nearest lam whose w (by
-    np.exp, as achievability_bound takes it) lies below it: at the end, c / w + s can cancel.
+    first segments (a = 0) h only falls. Each end b is also read at the nearest lam whose w (by
+    np.exp) lies below b, as exp(rate + log b - rate) can land above b, on a steeper segment.
     """
     pw = build_dtilde1(problem)
     flat = np.count_nonzero(pw.slopes == pw.slopes[0])
-    bp = pw.breakpoints[flat:]
+    bp, s = pw.breakpoints[flat:], pw.slopes[flat:]
     ends = np.minimum(rate + np.log(bp), math.nextafter(rate, -math.inf))
     below, step = ends.copy(), math.ulp(rate) + np.abs(np.spacing(np.log(bp)))
     up = np.arange(bp.size)  # doubling steps while w >= b: single ulps can take 2^52
@@ -171,7 +171,7 @@ def best_achievability(problem: Problem, rate: float) -> BestAchievability:
         below[up], step[up] = below[up] - step[up], 2.0 * step[up]
     roots = _sign_changes(
         lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),
-        ends[:-1], ends[1:], -pw.intercepts[flat:], dtilde(problem, 1.0) - pw.slopes[flat:])
+        ends[:-1], ends[1:], s * bp[:-1] - pw.values[flat:-1], dtilde(problem, 1.0) - s)
     lams = np.unique(np.r_[below, ends[1:], roots])
     values = achievability_bound(problem, rate, lams).value
     k = int(np.argmin(values))
@@ -193,8 +193,8 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     """Smallest certified rate achieving average distortion d_req.
 
     Minimizes rtilde(z) + P(y), y = (d_req - z) / (d1 - z), over dtilde(0) < z < d_req, with
-    P(y) = f_inverse(y) for rate and g(1/y) for rate_g. On a segment c / w + s of dtilde,
-    rtilde = log((s - z) / -c), and in u = f_inverse(y) (u = -log y for g) the sum's slope
+    P(y) = f_inverse(y) for rate and g(1/y) for rate_g. On a segment (v + s (w - b)) / w,
+    rtilde = log((s - z) / (s b - v)); in u = f_inverse(y) (u = -log y for g) the sum's slope
     has the sign of rho - Psi(u), rho = (s - d_req) / (d1 - d_req), Psi = y / (1 - y) *
     (kappa / (1 - y) - 1), kappa = -y' / (y P'): t^2 / (1 + t), t = e^u, for f; 2 u r / (1 + r),
     r = sqrt(1 + 9 / (2u)), for g. Psi decreases (to 50 digits up to u = 700, not proved;
@@ -211,7 +211,7 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     ends = np.unique(np.r_[kinks, math.nextafter(lo, math.inf),
                            math.nextafter(d_req, -math.inf)])
     # each interval's segment, looked up at its middle: its left end belongs to the last
-    s = pw.pieces(dtilde_inverse(problem, ends[:-1] + np.diff(ends) / 2))[2]
+    s = pw.slopes[pw.pieces(dtilde_inverse(problem, ends[:-1] + np.diff(ends) / 2))]
 
     def terms(z: np.ndarray, use_g: bool):  # u and the sum at each z, nan and inf outside
         y = (d_req - z) / (hi - z)

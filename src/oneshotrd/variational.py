@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dtilde import dtilde, dtilde1, dtilde_for_prior, test_channel
-from .model import EqualityCheckError, Problem, _readonly
+from .model import EqualityCheckError, Problem, _readonly, scaled_tol
 
-VARIATIONAL_TOL = 1e-9  # variational_check: largest gap between the forms accepted
+VARIATIONAL_TOL = 1e-9  # variational_check: largest gap, scaled for the forms, not the channels
 
 
 @dataclass(eq=False)
@@ -183,13 +183,13 @@ def inf_form_value(problem: Problem, rate: float) -> InfFormResult:
 
 def variational_check(problem: Problem, w: float) -> VariationalCheck:
     """Verify sup form == dtilde1(w), inf form == dtilde(w) and greedy channel
-    == packing channel at w; raise beyond VARIATIONAL_TOL."""
+    == packing channel at w; raise beyond VARIATIONAL_TOL (scaled_tol for the forms)."""
     direct1, direct = dtilde1(problem, w), dtilde(problem, w)
     sup_val = sup_form_value(problem, w)
     inf_res = inf_form_value(problem, -math.log(w))
     chan_gap = float(np.max(np.abs(inf_res.channel - test_channel(problem, w))))
-    if (abs(sup_val - direct1) > VARIATIONAL_TOL
-            or abs(inf_res.value - direct) > VARIATIONAL_TOL):
+    tol = scaled_tol(problem, VARIATIONAL_TOL)
+    if abs(sup_val - direct1) > tol or abs(inf_res.value - direct) > tol:
         raise EqualityCheckError(
             f"variational forms disagree: sup_form={sup_val!r} dtilde1={direct1!r} "
             f"inf_form={inf_res.value!r} dtilde={direct!r}")

@@ -16,11 +16,13 @@ never exceed, per-segment scans of the slack and of the distortion split
 that best_achievability and rate_for_distortion must never exceed, a
 count of the local minima inside each segment for the split (at most one,
 the shape rate_for_distortion relies on), the exact integral with a
-scalar power at both ends of every segment, and the
-per-row level routes that Problem.levels replaced: the np.unique profile,
-the strict-below and tie masses with the pairwise-correct probability and
-its inverse built on them, the acceptance matrix and witness built row by
-row, the piecewise-linear dtilde1 built from every row's profile, the
+scalar power at both ends of every segment, dtilde from the greedy fill
+in exact rational arithmetic with the largest relative shift of the
+breakpoints that build_dtilde1 merges, and the per-row level routes that
+Problem.levels replaced: the np.unique profile, the strict-below and tie
+masses with the pairwise-correct probability and its inverse built on
+them, the acceptance matrix and witness built row by row, the
+piecewise-linear dtilde1 built from every row's profile, the
 capacity-capped greedy channel filled level by level, and the three-stage
 search for the best memoryless prior (multiplicative weights, a grid and
 a softmax polish) that Nelder-Mead on the faces of the simplex replaced.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse, stats
@@ -164,15 +167,62 @@ def build_dtilde1_by_rows(problem: Problem) -> PiecewiseLinear:
         slopes += problem.p_x[x] * prof.levels[j]
 
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
-    intercepts = values[:-1] - slopes * bp[:-1]
     # slopes are exact sums of levels and never decrease, so the flat
     # segments are a prefix; rounding may still lift one of their right-end
     # values above dtilde(0), hence the mask by slope
-    rvals = (intercepts + slopes * bp[1:]) / bp[1:]
-    right_values = np.maximum.accumulate(np.where(slopes > slopes[0], rvals, -np.inf))
-    for a in (bp, intercepts, slopes, right_values):
+    right_values = np.maximum.accumulate(
+        np.where(slopes > slopes[0], values[1:] / bp[1:], -np.inf))
+    for a in (bp, values, slopes, right_values):
         a.setflags(write=False)
-    return PiecewiseLinear(bp, intercepts, slopes, right_values)
+    return PiecewiseLinear(bp, values, slopes, right_values)
+
+
+def dtilde_exact(problem: Problem, ws) -> list[Fraction]:
+    """dtilde at each w of ws in exact rational arithmetic: the greedy fill of
+    mass w over each row's letters in ascending d, with the float masses,
+    their running sums and every product taken exactly. w = 0 gives the
+    right limit, sum_x p_x min over q_y's support of d(x, y)."""
+    sup = problem.q_y > 0
+    if not sup.any():
+        raise InvariantViolation("q_y has empty support")
+    rows = [(Fraction(float(problem.p_x[x])),
+             [(Fraction(float(problem.d[x, y])), Fraction(float(problem.q_y[y])))
+              for y in problem.row_order[x] if sup[y]])
+            for x in range(problem.x_size)]
+    out = []
+    for w in ws:
+        w = Fraction(float(w))
+        if w == 0:
+            out.append(sum(p * row[0][0] for p, row in rows))
+            continue
+        total = Fraction(0)
+        for p, row in rows:
+            below = Fraction(0)
+            for d, q in row:
+                total += p * d * min(max(w - below, Fraction(0)), q)
+                below += q
+        out.append(total / w)
+    return out
+
+
+def exact_merge_shift(problem: Problem) -> float:
+    """The largest gap, relative to its upper end, between two distinct
+    exact breakpoints of the fill (0, 1, and each row's running prior sum
+    where a level of positive mass starts and at its end) that lie within
+    2 * BREAKPOINT_MERGE_TOL of each other, where build_dtilde1 may take
+    them as one; 0 if there are none."""
+    pts = {Fraction(0), Fraction(1)}
+    for x in range(problem.x_size):
+        below, d_prev = Fraction(0), None
+        for y in problem.row_order[x]:
+            if problem.q_y[y] > 0 and problem.d[x, y] != d_prev:
+                pts.add(below)
+                d_prev = problem.d[x, y]
+            below += Fraction(float(problem.q_y[y]))
+        pts.add(below)
+    pts = sorted(pts)
+    gaps = [(hi - lo) / hi for lo, hi in zip(pts, pts[1:])]
+    return float(max([g for g in gaps if g < 2 * BREAKPOINT_MERGE_TOL], default=0))
 
 
 def inf_form_by_rows(problem: Problem, rate: float) -> InfFormResult:
@@ -218,7 +268,8 @@ def segment_integral_by_ends(pwl: PiecewiseLinear, M: int) -> np.ndarray:
     surv_b = np.array([survival_pow(w, M - 1) for w in b])
     g_a = -surv_a * ((M - 1) * a + 1.0)
     g_b = -surv_b * ((M - 1) * b + 1.0)
-    terms = pwl.intercepts * M * (surv_a - surv_b) + pwl.slopes * (g_b - g_a)
+    c = pwl.values[:-1] - pwl.slopes * a
+    terms = c * M * (surv_a - surv_b) + pwl.slopes * (g_b - g_a)
     terms[np.abs(terms) < 1e-300] = 0.0
     return terms
 

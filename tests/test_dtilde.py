@@ -21,7 +21,10 @@ from oneshotrd import (
     rtilde,
     test_channel as packing_channel,
 )
-from oracles import build_dtilde1_by_rows, dtilde_of_u, validate_channel
+from oneshotrd.model import scaled_tol
+from oracles import (
+    build_dtilde1_by_rows, dtilde_exact, dtilde_of_u, exact_merge_shift, validate_channel,
+)
 
 
 def dtilde1_direct(problem, w):
@@ -48,6 +51,12 @@ def test_build_binary_hamming(binary_hamming):
     assert pw.value(1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_pieces_returns_the_segment_index(binary_hamming):
+    # a breakpoint belongs to the segment it opens, and w = 1 to the last one
+    pw = build_dtilde1(binary_hamming)
+    assert pw.pieces(np.array([0.0, 0.25, 0.5, 0.75, 1.0])).tolist() == [0, 0, 1, 1, 1]
+
+
 def test_build_constant_distortion():
     p = Problem([0.4, 0.6], [0.5, 0.5], [[0.7, 0.7], [0.7, 0.7]])
     pw = build_dtilde1(p)
@@ -70,11 +79,12 @@ def test_pwl_invariants_random(rng):
         assert np.all(np.diff(pw.breakpoints) > 0)
         assert pw.value(0.0) == 0.0
         assert np.all(np.diff(pw.slopes) >= -1e-12)
-        assert np.all(pw.intercepts <= 1e-12)
-        inner = pw.breakpoints[1:-1]
-        left = pw.intercepts[:-1] + pw.slopes[:-1] * inner
-        right = pw.intercepts[1:] + pw.slopes[1:] * inner
-        assert np.max(np.abs(left - right), initial=0.0) <= 1e-12
+        # convex through the origin: each segment's slope is at least
+        # dtilde1(b) / b at its left end b
+        assert np.all(pw.values[:-1] <= pw.slopes * pw.breakpoints[:-1] + 1e-12)
+        # each segment ends at the value the next one opens with
+        left = pw.values[:-1] + pw.slopes * np.diff(pw.breakpoints)
+        assert np.max(np.abs(left - pw.values[1:]), initial=0.0) <= 1e-12
 
 
 def test_dtilde1_matches_direct_sum(rng):
@@ -264,7 +274,7 @@ def test_fill_thresholds_match_quantile_levels(rng):
 def _assert_sweep_matches_rows(problem):
     new, old = build_dtilde1(problem), build_dtilde1_by_rows(problem)
     assert new.breakpoints.size == old.breakpoints.size
-    for name in ("breakpoints", "slopes", "intercepts"):
+    for name in ("breakpoints", "slopes", "values"):
         np.testing.assert_allclose(getattr(new, name), getattr(old, name),
                                    rtol=0.0, atol=1e-13, err_msg=name)
     assert np.all(np.diff(new.slopes) >= 0.0)
@@ -314,9 +324,9 @@ def test_one_evaluation_route_for_dtilde(problem, drawn):
     pw = build_dtilde1(problem)
     for w in (0.0, 5e-324, 1e-310, float(pw.breakpoints[1] / 2)):
         assert dtilde(problem, w) == pw.slopes[0], w
-    # nondecreasing up to the rounding of the intercepts' cumulative sum,
-    # about (segments) * 2^-53 * max d: with slopes 5e-192 and 1 the value
-    # 5e-192 before w = 0.5 reads 0 after it, at the parent too
+    # nondecreasing up to rounding: the first segment reads its slope s, and
+    # the next one opens at fl(fl(s b) / b), which can be an ulp below s;
+    # inside a segment each value is a few roundings of nonnegative terms
     assert np.all(np.diff(vals) >= -1e-13 * problem.d.max())
     # the fill for q_y is the same function, w = 0 included, for priors
     # without subnormal masses, which build_dtilde1 merges (see
@@ -326,8 +336,57 @@ def test_one_evaluation_route_for_dtilde(problem, drawn):
         np.testing.assert_allclose(fill, vals, rtol=0.0, atol=1e-12)
 
 
+_HEX = float.fromhex
+_Q1 = _HEX("0x1.dfc6f5250e350p-3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems() | quarter_problems(), scale=st.floats(-3.0, 3.0),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=4))
+# at its breakpoint 0x1.14e902073f4ccp-2 the intercept form c / w + s read
+# -8.67e-19, where the exact fill gives +3.89e-19
+@example(problem=Problem(
+    [_HEX("0x1.83d664bb07e83p-1"), 0, _HEX("0x1.da6a2ee52645dp-4"), _HEX("0x1.037155a14d3c1p-3")],
+    [_HEX(h) for h in ("0x1.3221995d67986p-5", "0x1.dd499db724b36p-3", "0x1.c184dacc3bbebp-4",
+                       "0x1.2f8315e0d482ap-2", "0x1.4b32b164dd40fp-2")],
+    [[0, 0, .04, .03, .01], [0, .02, .03, .02, .02], [.01, .03, .02, .04, 0],
+     [.01, 0, .02, 0, .03]]), scale=0.0, drawn=[])
+# dtilde(q1) is 0.5625; the intercept form read 0.5624999999999996
+@example(problem=Problem([1, 0], [0, 1 - _Q1, _Q1], [[0, 2.375, 0.5625], [0, 0, 0]]),
+         scale=0.0, drawn=[])
+# at b = 23/39, in the intercept form, the segment that closes there read
+# 0.021739130434782532 and the one that opens there 0.021739130434782483
+@example(problem=Problem([1, 0, 0, 0], np.array([0, 0, 0.4375, 1, 1]) / 2.4375,
+                         [[0, 0, 0, 1, 0.03125]] + [[0] * 5] * 3), scale=0.0, drawn=[])
+def test_dtilde_is_nonnegative_and_continuous_and_near_the_exact_fill(problem, scale, drawn):
+    problem = Problem(problem.p_x, problem.q_y, problem.d * 10.0**scale)
+    ws = _quantile_grid(problem, drawn)
+    vals = dtilde(problem, ws)
+    assert np.all(vals >= 0.0), ws[vals < 0.0]
+    # the segment that closes at each inner breakpoint b gives dtilde(b), bit for bit
+    pw = build_dtilde1(problem)
+    inner = pw.breakpoints[1:-1]
+    closing = (pw.values[:-2] + pw.slopes[:-1] * np.diff(pw.breakpoints[:-1])) / inner
+    assert closing.tolist() == dtilde(problem, inner).tolist()
+    # within 8 roundings in the scale of d of the exact fill, for the priors
+    # that validate() admits (build_dtilde1 merges a subnormal mass), plus
+    # the shift of breakpoints that build_dtilde1 merges: with q = [1e-14, 1]
+    # (normalized) a row's level at 1 - 1e-14 merges into its end at 1.
+    # Not of dtilde(1): with p = [1], q = [1, 128] / 129 and d = [[0.5, 0]]
+    # the float masses sum to 1 - 2^-56 but the last segment runs to 1, so
+    # dtilde(1) reads 6.9e-18, 16 roundings of itself, above the exact fill
+    if np.all((problem.q_y == 0.0) | (problem.q_y >= sys.float_info.min)):
+        err = np.abs(vals - np.array(dtilde_exact(problem, ws), dtype=float))
+        tol = scaled_tol(problem, 8 * 2.0**-53 + exact_merge_shift(problem))
+        # and the standard model's underflow term, the smallest subnormal per
+        # rounding, divided by w where dtilde divides
+        tol += problem.d.size * 2.0**-1074 / np.where(ws < pw.breakpoints[1], 1.0, ws)
+        assert np.all(err <= tol), (ws[np.argmax(err)], err.max())
+
+
 def test_dtilde_reads_the_right_limit_at_a_subnormal_w():
-    # (c + s w) / w loses digits at w = 4.2e-322; c / w + s does not
+    # dtilde1(w) = s w is subnormal at w = 4.2e-322 and has lost digits;
+    # the first segment reads its slope s instead
     problem = load_problem(Path(__file__).parent / "golden" / "integer_6x5.json")
     assert dtilde(problem, 4.2e-322) == dtilde(problem, 0.0) == 0.6224780106231073
 

@@ -1,12 +1,16 @@
 import gc
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_problem
+from conftest import make_random_problem, problems, quarter_problems
 from oneshotrd import (
+    EqualityCheckError,
     InvariantViolation,
     Problem,
     ProblemFormatError,
@@ -21,6 +25,8 @@ from oneshotrd import (
     test_channel as packing_channel,
     validate,
 )
+from oneshotrd.converse import code_distortion, converse_equality_check, dhat_sandwich
+from oneshotrd.variational import sup_form_value, variational_check
 from oracles import find_level, validate_channel
 
 
@@ -204,3 +210,36 @@ def test_load_rejects_a_list_and_a_missing_key(tmp_path):
     without_d = {k: v for k, v in BINARY.items() if k != "d"}
     with pytest.raises(ProblemFormatError, match="missing key 'd'"):
         load_problem(write_json(tmp_path, without_d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems() | quarter_problems(), k=st.integers(-12, 12), w=st.floats(0.05, 1.0),
+       code=st.lists(st.integers(0, 7), min_size=1, max_size=4), rate=st.floats(0.0, 2.0))
+# the greedy channel's average read 37500000.00000001 against dtilde's
+# 37500000.0, a gap of 7.5e-9 beyond an absolute 1e-9
+@example(problem=Problem([0.8, 0.2], [0.1, 0.9], [[2e7, 3e7], [2e7, 8e7]]), k=0, w=0.8,
+         code=[0], rate=0.5)
+def test_checks_hold_in_the_scale_of_d(problem, k, w, code, rate):
+    problem = Problem(problem.p_x, problem.q_y, problem.d * 10.0**k)
+    try:
+        validate(problem)
+    except InvariantViolation:
+        assume(False)
+    code = [c % problem.y_size for c in code]
+    # every check passes on a valid instance
+    variational_check(problem, w)
+    converse_equality_check(problem, code)
+    lower = dhat_sandwich(problem, rate).lower
+    # and a value moved by 1e-6 of the scale fails it
+    scale = problem.d[problem.p_x > 0].max()
+    assume(scale >= np.finfo(float).tiny)
+    shift = 1e-6 * scale
+    moved = [("variational.sup_form_value", lambda p, v: sup_form_value(p, v) + shift,
+              lambda: variational_check(problem, w)),
+             ("converse.code_distortion", lambda p, c: code_distortion(p, c) + shift,
+              lambda: converse_equality_check(problem, code)),
+             ("converse.exact_expected_distortion", lambda p, m: lower - shift,
+              lambda: dhat_sandwich(problem, rate))]
+    for name, value, check in moved:
+        with mock.patch(f"oneshotrd.{name}", value), pytest.raises(EqualityCheckError):
+            check()

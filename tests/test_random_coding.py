@@ -378,7 +378,8 @@ def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
 @settings(max_examples=150, deadline=None)
 @given(problem=problems() | quarter_problems(), m=st.integers(3, 5000))
 # dtilde is about 1e-233 up to w = 0.83, on a segment that is not exactly flat:
-# read at its end, the next segment's c / w + s cancels to 1.3e-15
+# at its end, np.exp(rate + log b - rate) puts w 3.3e-16 above b, on the next
+# segment, of slope 3, where the bound reads 1.2e-15 against the scan's 1.3e-22
 @example(problem=Problem([1.0], np.array([0, 19, 0, 64, 28]) / 111,
                          [[0, 3, 0, 1.06655185e-233, 0]]), m=67)
 def test_best_achievability_returns_the_bound_at_its_lam(problem, m):
@@ -525,8 +526,8 @@ def test_one_pass_integral_matches_the_scalar_ends(problem, m):
 
 def test_exact_reaches_the_largest_m():
     # M - 1 up to the largest double: the survival powers underflow to 0,
-    # and intercepts * M, which overflows for intercepts beyond 1.8, is not
-    # formed, so the average is dtilde(0) and not nan
+    # and c * M, for a segment's intercept c = v - s b, which overflows for
+    # |c| beyond 1.8, is not formed, so the average is dtilde(0) and not nan
     base = load_problem(GOLDEN / "integer_6x5.json")
     problem = Problem(base.p_x, base.q_y, base.d * 1e3)
     for m in (10**308, int(sys.float_info.max) + 1):
