@@ -11,7 +11,8 @@ is d at the least rank, in x's sorted row, that it holds: a running minimum
 over fewer codewords than letters, else a byte-wise lookup of its presence
 mask, filled in slices that double from 4 until it holds every row's first
 drawable letter or READ * ny codewords, when M >= 2 * READ * ny, and then by
-one multinomial draw. Below that M, values are a gather-and-min's, bit for bit.
+one multinomial draw over the letters it lacks. Below that M, values are a
+gather-and-min's, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import InvariantViolation, Problem
 CHUNK = 16384
 BUDGET = 1 << 22
 # a trial reads at most READ * ny codewords once M >= 2 * READ * ny
-READ = 16
+READ = 4
 # the largest codebook simulated: numpy's largest multinomial count
 MAX_M = 2**63 - 1
 # bins of the inverse-CDF table, indexed by the top 12 bits of a word, and their edges
@@ -145,7 +146,7 @@ def simulate_random_code(
     (block, nx) gather per codeword; else the least rank in a presence mask
     (see _ranks), filled in slices that double from 4 until it holds each
     row's first drawable letter. From M = 2c on, c = READ * ny, a trial has
-    c words, not M; one still open after them adds the letters of one
+    c words, not M; one still open after them adds the letters it lacks of one
     Multinomial(M - c, mass) draw from a (seed, 1) Philox stream, in trial order.
     """
     for name, value in (("M", M), ("trials", trials), ("seed", seed), ("chunk", chunk)):
@@ -191,7 +192,10 @@ def simulate_random_code(
                 active = np.flatnonzero(~held[:, final].all(axis=1))
                 j, step = j + step, 2 * step
             if active.size and read < M:
-                held[active] |= tail.multinomial(M - read, mass, size=active.size) > 0
+                # the held letters' mass goes to a last column: numpy fills it with the rest
+                lack = np.where(held[active], 0.0, mass)
+                counts = tail.multinomial(M - read, np.column_stack([lack, np.zeros(active.size)]))
+                held[active] |= counts[:, :-1] > 0
             if active.size:
                 k[active] = least(held[active])
         # pds[cols, k] is C-ordered (block, nx): numpy sums each row pairwise,

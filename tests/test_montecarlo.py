@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -78,25 +79,29 @@ def test_simulate_deterministic_and_chunk_invariant(binary_hamming):
 
 def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     # a small element budget keeps the test light; at M = 2 * READ * 8 a
-    # trial reads 128 codewords, so the blocks hold 2^16 / (4 * 128) = 128
-    # trials, and the trials still open take one multinomial draw a block
+    # trial reads READ * 8 codewords, so the blocks hold 2^16 / (4 * READ * 8)
+    # trials, and the trials still open take one multinomial draw a block.
+    # Both runs fill whole blocks, at least two, so both hold one block's
+    # words while the next block draws its own
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    m, block = 2 * READ * 8, (1 << 16) // (4 * READ * 8)
     peaks, means = [], []
-    for trials in (256, 4096):
+    for trials in (2 * block, 16 * block):
         tracemalloc.start()
-        means.append(simulate_random_code(p, 256, trials, seed=3).mean)
+        means.append(simulate_random_code(p, m, trials, seed=3).mean)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0]
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
     monkeypatch.undo()
-    assert simulate_random_code(p, 256, 4096, seed=3).mean == means[1]
+    assert simulate_random_code(p, m, 16 * block, seed=3).mean == means[1]
 
 
 def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
-    # M >= ny takes the presence-mask path; its (block, nx, ny) mask holds
-    # at most BUDGET bytes, and the blocks hold 2^16 / (4 * 256) = 64 trials
+    # M >= ny takes the presence-mask path, a (block, ny) mask of bytes; a
+    # trial reads all its M = 256 < 2 * READ * 64 codewords, so the blocks
+    # hold 2^16 / (4 * 256) = 64 trials
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     rng = np.random.default_rng(6)
     p = Problem(np.full(4, 0.25), rng.dirichlet(np.ones(64)),
@@ -112,10 +117,10 @@ def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
 
 
 def test_simulate_memory_does_not_grow_with_m(monkeypatch):
-    # a trial reads READ * 8 = 128 codewords at any M from 256 on, where a
-    # trial of 2^18 codewords drawn whole would peak at about 8 MB. Letter 7
-    # has mass 1e-12 and is the best letter of row 3, so no trial holds it
-    # within its 128 codewords, and every one takes the multinomial draw
+    # a trial reads READ * 8 codewords at any M from 2 * READ * 8 on, where
+    # a trial of 2^18 codewords drawn whole would peak at about 8 MB. Letter
+    # 7 has mass 1e-12 and is the best letter of row 3, so no trial holds it
+    # within its READ * 8 codewords, and every one takes the multinomial draw
     q = np.concatenate([np.full(7, (1 - 1e-12) / 7), [1e-12]])
     d = np.arange(32.0).reshape(4, 8)
     d[3, 7] = 0.0
@@ -134,14 +139,18 @@ def test_simulate_memory_does_not_grow_with_m(monkeypatch):
 
 
 def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch):
-    # letter 2's mass rounds away in the CDF, so it can never be drawn and
-    # a trial is final once it holds letters 0 and 1, which all 2000 trials
-    # do within their c = READ * 3 = 48 codewords: at any M from 2c on, the
-    # trials lie c words apart and take no multinomial draw, so their values
-    # are those of c codewords
-    p = Problem(np.full(3, 1 / 3), np.array([0.5, 0.5, 1e-300]),
-                np.array([[0.5, 1.0, 0.0], [1.0, 0.5, 0.0], [1.0, 1.0, 0.75]]))
+    # letter 2's mass rounds away in the CDF, so it can never be drawn, and
+    # letter 0, of mass 15/16, is every row's best drawable letter: a trial
+    # is final once it holds letter 0, which all 2000 trials do within their
+    # c = READ * 3 codewords. At any M from 2c on, the trials lie c words
+    # apart and take no multinomial draw, so their values are those of c
+    # codewords
+    q = np.array([0.9375, 0.0625, 1e-300])
+    p = Problem(np.full(3, 1 / 3), q,
+                np.array([[0.5, 1.0, 0.0], [0.25, 0.5, 0.0], [0.875, 1.0, 0.75]]))
     c = READ * 3
+    codes = inverse_cdf(q, words_to_doubles(montecarlo_mod._trial_words(5, 0, c, 0, 2000)))
+    assert (codes == 0).any(axis=1).all()
     words = []
     block = montecarlo_mod._word_block
 
@@ -152,7 +161,8 @@ def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch
     monkeypatch.setattr(montecarlo_mod, "_word_block", counted)
     one = simulate_random_code(p, montecarlo_mod.MAX_M, 1, seed=5)
     assert words == [c]
-    many = simulate_random_code(p, 10**9, 2000, seed=5)
+    many, draws = _tail_draws(monkeypatch, p, 10**9, 2000, seed=5)
+    assert draws == []
     monkeypatch.undo()
     assert _same_bits(one, simulate_gather_min(p, c, 1, seed=5))
     assert _same_bits(many, simulate_gather_min(p, c, 2000, seed=5))
@@ -160,11 +170,13 @@ def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch
 
 def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypatch):
     # letters 0 and 1, of mass 1/2 each, are the best letters of rows 0 and
-    # 1, so a trial is final once it holds both; its c = READ * 2 = 32
-    # codewords miss one of them with probability 2^-31. The 500 trials
-    # form one block, whose words come from one Philox call; only the
-    # slices a trial reads go through the inverse CDF: 4 words each, and 8
-    # more for the eighth of trials that the first 4 leave open
+    # 1, so a trial is final once it holds both. The 500 trials form one
+    # block, whose words come from one Philox call; only the slices a trial
+    # reads go through the inverse CDF: 4 words each, and the other 4 of
+    # its c = READ * 2 = 8 for the eighth of trials that the first 4 leave
+    # open. A trial that misses a letter in all 8 takes the tail, whose
+    # 4088 draws hold it but with probability 2^-4088, so every value is 0,
+    # as that of 32 codewords but with probability 2^-31
     p = Problem(np.full(2, 0.5), np.full(2, 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]))
     read = []
     inverse = montecarlo_mod._inverse_cdf
@@ -207,8 +219,9 @@ def test_simulate_blocks_where_some_trials_stop_early_and_others_never(m):
 
 def _tail_problem(last=1e-12):
     """The 4x4 instance above: letter 2, of mass 2^-7, is row 2's best letter
-    and letter 3, of mass 1e-12 by default, row 3's, so some trials stop
-    within their c = 64 codewords and the rest take the multinomial draw."""
+    and letter 3, of mass 1e-12 by default, row 3's, so a trial stops within
+    its c = READ * 4 codewords only if it holds letter 2 and, unless last is
+    0, letter 3; the rest take the multinomial draw."""
     q = np.array([0.5 - 2**-8 - last / 2, 0.5 - 2**-8 - last / 2, 2**-7, last])
     d = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
                   [0.75, 0.5, 0.0, 0.25], [1.0, 1.0, 0.5, 0.0]])
@@ -229,7 +242,7 @@ def _trial_values(monkeypatch, *args, **kwargs):
     return seen[0]
 
 
-@pytest.mark.parametrize("m", [2 * READ * 4, 257, 10**6, 2**62])
+@pytest.mark.parametrize("m", [2 * READ * 4, 128, 257, 10**6, 2**62])
 def test_simulate_past_the_read_limit_is_chunk_and_prefix_invariant(monkeypatch, m):
     # the multinomial draws come from one stream, taken in trial order
     # across blocks, so neither the block size nor the number of trials
@@ -246,7 +259,7 @@ def test_simulate_past_the_read_limit_is_chunk_and_prefix_invariant(monkeypatch,
 
 
 @pytest.mark.parametrize("last", [1e-12, 0.0])
-@pytest.mark.parametrize("m", [2 * READ * 4, 10**6, 2**62])
+@pytest.mark.parametrize("m", [2 * READ * 4, 128, 10**6, 2**62])
 def test_simulate_past_the_read_limit_matches_the_exact_average(m, last):
     # a z-test at 5 sigma. The sample does not see a rare event: holding
     # letter 3 lowers row 2 by at most 0.25 and row 3 by at most 1, so the
@@ -261,12 +274,81 @@ def test_simulate_past_the_read_limit_matches_the_exact_average(m, last):
     assert abs(mc.mean - exact) <= 5 * mc.stderr + allowance + 1e-12
 
 
+def _bench_problem(seed=3):
+    """The random-coding benchmark's 8x8 instance at rng seed `seed`: at
+    seed 3 most trials are still open, partly held, after their READ * 8
+    codewords."""
+    rng = np.random.default_rng(seed)
+    return Problem(rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8)),
+                   rng.integers(0, 5, (8, 8)).astype(float))
+
+
+def _tail_draws(monkeypatch, *args, **kwargs):
+    """A simulate_random_code call's estimate and every multinomial draw it
+    makes, as (count, rows) in call order."""
+    draws, generator = [], np.random.Generator
+
+    class Spy:
+        def __init__(self, bit_generator):
+            self._generator = generator(bit_generator)
+
+        def multinomial(self, n, pvals, size=None):
+            draws.append((n, np.array(pvals)))
+            return self._generator.multinomial(n, pvals, size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", Spy)
+        got = simulate_random_code(*args, **kwargs)
+    return got, draws
+
+
+@pytest.mark.parametrize("problem", [_tail_problem, _bench_problem], ids=["tail", "bench-seed3"])
+def test_simulate_tail_draws_only_the_letters_a_trial_lacks(monkeypatch, problem):
+    # a trial still open after its c = READ * ny codewords draws the rest
+    # from the prior's mass with its held letters set to 0, and one last
+    # column of 0, which numpy fills with the held letters' share; the
+    # oracle reads each trial's held letters off its c codewords, and it is
+    # open while some row's first held rank is not its first drawable one
+    p = problem()
+    ny, c = p.y_size, READ * p.y_size
+    _, mass = _inverse_cdf(p.q_y)
+    codes = inverse_cdf(p.q_y, words_to_doubles(montecarlo_mod._trial_words(2, 0, c, 0, 300)))
+    held = np.zeros((300, ny), dtype=bool)
+    held[np.arange(300)[:, None], codes] = True
+    drawable = first_held_rank((mass > 0)[None], p.row_order)
+    held = held[(first_held_rank(held, p.row_order) != drawable).any(axis=1)]
+    assert held.shape[0] > 150
+    want = np.column_stack([np.where(held, 0.0, mass), np.zeros(held.shape[0])])
+    for m in (2 * c, 10**6):
+        _, draws = _tail_draws(monkeypatch, p, m, 300, 2, chunk=64)
+        assert {n for n, _ in draws} == {m - c}
+        got = np.concatenate([rows for _, rows in draws])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("problem", [_tail_problem, _bench_problem, partial(_bench_problem, 1)],
+                         ids=["tail", "bench-seed3", "bench-seed1"])
+def test_simulate_tail_of_a_partly_held_trial_matches_the_exact_average(problem):
+    # a z-test at 5 sigma with the benchmark's allowance for an unseen
+    # outcome: one of probability 14 / trials is missed with chance e^-14,
+    # and moves the mean by at most spread / trials for each of those 14.
+    # A tail that gave the held letters' share to the last letter would
+    # hold that letter in every open trial: it fails here on the 4x4 tail
+    # instance and at seed 1, where the last letter is rare and some row's
+    # best; at seed 3 the last letter, of mass 0.23, is held anyway
+    p = problem()
+    ny, trials = p.y_size, 10**4
+    spread = np.ptp(p.d[np.ix_(p.p_x > 0, p.q_y > 0)])
+    for m in (2 * READ * ny, 2 * READ * ny + 1, 8 * READ * ny, 10**6):
+        mc = simulate_random_code(p, m, trials, seed=1)
+        exact = exact_expected_distortion(p, m)
+        assert abs(mc.mean - exact) <= max(5 * mc.stderr, 14 * spread / trials) + 1e-12
+
+
 def test_simulate_generates_at_most_the_read_limit_of_words_a_trial(monkeypatch):
     # at 8x8 with M = 512 a block asked Philox for every trial's 512 words;
-    # it now asks for READ * 8 = 128 of them
-    rng = np.random.default_rng(0)
-    p = Problem(rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8)),
-                rng.integers(0, 5, (8, 8)).astype(float))
+    # it now asks for READ * 8 of them
+    p = _bench_problem(0)
     words = []
     block = montecarlo_mod._word_block
 
@@ -292,7 +374,7 @@ def test_simulate_in_slices_matches_the_gather_and_min_kernel_bit_for_bit(monkey
     rng = np.random.default_rng(12)
     for nx, ny in ((3, 5), (6, 40)):
         p = make_random_problem(rng, nx=nx, ny=ny)
-        for m in (9, 21, 64):
+        for m in (9, 21, min(64, 2 * READ * ny - 1)):
             want = simulate_gather_min(p, m, 200, seed=m)
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo_mod, "BUDGET", 8)
