@@ -7,12 +7,12 @@ bit-identical however trials are chunked; the block size is a memory knob.
 numpy's double from a word w is (w >> 11) * 2^-53, so w >> 52 is its bin in
 the prior's inverse-CDF table; only words in bins that a cumulative sum
 splits become doubles and are searched. A codebook's distortion for letter x
-is d at the least rank, in x's sorted row, that it holds: a running minimum
-over fewer codewords than letters, else a byte-wise lookup of its presence
-mask, filled in slices that double from 4 until it holds every row's first
-drawable letter or READ * ny codewords, when M >= 2 * READ * ny, and then by
-one multinomial draw over the letters it lacks. Below that M, values are a
-gather-and-min's, bit for bit.
+is d at the least rank, in x's sorted row, that it holds: past 8 letters a
+running minimum over fewer codewords than letters, else a table lookup of its
+presence mask's bytes; up to 8, of its one byte's value. The mask fills in
+slices that double from 4 until it holds every row's first drawable letter or
+READ * ny codewords, when M >= 2 * READ * ny, then one multinomial draw over
+the letters it lacks. Below that M, values are a gather-and-min's, bit for bit.
 """
 
 from __future__ import annotations
@@ -102,10 +102,16 @@ def _inverse_cdf(q: np.ndarray):
     return draw, mass
 
 
+def _pack(held: np.ndarray) -> np.ndarray:
+    """np.packbits(held, axis=1, bitorder="little") of a (trials, 8n) mask, as
+    int64, by one multiply per 8 letters: byte i lands on bit 56 + i, carry-free."""
+    return ((held.view("<u8") * 0x0102040810204080) >> 56).view(np.int64)
+
+
 def _ranks(order: np.ndarray):
     """rank[y, x], letter y's place in row x's order, padded to whole bytes by
-    rows of ny, and least: each row's least rank held in a (trials, ny) mask
-    that holds some letter, a min over the packed mask's bytes b of
+    rows of ny, and least: each row's least rank in the packed masks
+    (see _pack) of trials that hold some letter, a min over bytes b of
     table[b, v, x], the least rank in row x of the letters 8b + i with bit i
     of v set (ny for v = 0), built by eight doublings on the first call."""
     nx, ny = order.shape
@@ -114,13 +120,12 @@ def _ranks(order: np.ndarray):
     rank[order, np.arange(nx)[:, None]] = np.arange(ny)
     table = None
 
-    def least(held: np.ndarray) -> np.ndarray:
+    def least(packed: np.ndarray) -> np.ndarray:
         nonlocal table
         if table is None:
             table = np.full((nbytes, 256, nx), ny, dtype=rank.dtype)
             for i, r in enumerate(rank.reshape(nbytes, 8, 1, nx).swapaxes(0, 1)):
                 np.minimum(table[:, :1 << i], r, out=table[:, 1 << i:2 << i])
-        packed = np.packbits(held, axis=1, bitorder="little")
         k = table[0].take(packed[:, 0], axis=0)
         for b in range(1, nbytes):
             np.minimum(k, table[b].take(packed[:, b], axis=0), out=k)
@@ -142,12 +147,13 @@ def simulate_random_code(
     and chunk may be of any integer type.
 
     A trial's minimum for letter x is dsorted[x, k], k the lowest rank, in
-    x's sort order of d, of any codeword: for M < ny a running minimum, one
-    (block, nx) gather per codeword; else the least rank in a presence mask
-    (see _ranks), filled in slices that double from 4 until it holds each
-    row's first drawable letter. From M = 2c on, c = READ * ny, a trial has
-    c words, not M; one still open after them adds the letters it lacks of one
-    Multinomial(M - c, mass) draw from a (seed, 1) Philox stream, in trial order.
+    x's sort order of d, of any codeword: past 8 letters, for M < ny a running
+    minimum, else the least rank in a presence mask (see _ranks); up to 8 the
+    mask is one byte, indexing a table of trial values. It fills in slices that
+    double from 4 until it holds each row's first drawable letter. From M = 2c
+    on, c = READ * ny, a trial has c words, not M; one still open after them
+    adds the letters it lacks of one Multinomial(M - c, mass) draw from a
+    (seed, 1) Philox stream, in trial order.
     """
     for name, value in (("M", M), ("trials", trials), ("seed", seed), ("chunk", chunk)):
         if not hasattr(type(value), "__index__"):
@@ -164,42 +170,51 @@ def simulate_random_code(
     order = problem.row_order
     cols = np.arange(nx)
     rank, least = _ranks(order)
+    width = rank.shape[0]  # the mask's letters, whole bytes
+    bytewise = ny <= 8  # a trial's value is a function of its one mask byte
     read = M if M < 2 * READ * ny else READ * ny  # the words a trial reads
     if read < M:
         tail = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], np.uint64)))
-    if M >= ny:
+    # pds[k + at[x]] is p_x d (= d p_x) at rank k of row x; a take of (trials, nx)
+    # is C-ordered, so numpy sums each row pairwise, as the trial-major gather-and-min
+    pds, at = (problem.p_x[:, None] * problem.levels.ds).ravel(), cols * ny
+    if bytewise:  # a byte that holds no letter is no trial's, and clips
+        byte_value = np.sum(pds.take(least(np.arange(256)[:, None]) + at, mode="clip"), axis=1)
+    if M >= ny or bytewise:
         # a trial holding each row's first drawable letter is final
         first = (mass > 0)[order].argmax(axis=1)
         final = np.unique(order[cols, first])
-    pds = problem.p_x[:, None] * problem.levels.ds
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, nx * read, chunk):
         words = _trial_words(seed, 0, read, t0, t1)
-        if M < ny:
+        if M < ny and not bytewise:
             codes = draw(words)
             k = rank.take(codes[:, 0], axis=0)
             for j in range(1, M):
                 np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
         else:
-            # a trial that stops early has k = first; the rest read the mask
-            k = np.tile(first, (t1 - t0, 1))
-            held = np.zeros((t1 - t0, ny), dtype=bool)
+            held = np.zeros((t1 - t0, width), dtype=bool)
             active = np.arange(t1 - t0)
             j, step = 0, 4
             while j < read and active.size:
                 w = words[:, j:j + step] if active.size == t1 - t0 else words[active, j:j + step]
-                held.ravel()[draw(w) + ny * active[:, None]] = True
+                held.ravel()[draw(w) + width * active[:, None]] = True
                 active = np.flatnonzero(~held[:, final].all(axis=1))
                 j, step = j + step, 2 * step
             if active.size and read < M:
                 # the held letters' mass goes to a last column: numpy fills it with the rest
-                lack = np.where(held[active], 0.0, mass)
+                lack = np.where(held[active, :ny], 0.0, mass)
                 counts = tail.multinomial(M - read, np.column_stack([lack, np.zeros(active.size)]))
-                held[active] |= counts[:, :-1] > 0
-            if active.size:
-                k[active] = least(held[active])
-        # pds[cols, k] is C-ordered (block, nx): numpy sums each row pairwise,
-        # as the trial-major gather-and-min; p_x d and d p_x are equal doubles
-        values[t0:t1] = np.sum(pds[cols, k], axis=1)
+                held[active, :ny] |= counts[:, :-1] > 0
+            if bytewise:
+                values[t0:t1] = byte_value.take(_pack(held)[:, 0])
+            else:
+                # a trial that stops early has k = first; the rest read the mask
+                k = np.tile(first, (t1 - t0, 1))
+                if active.size:
+                    k[active] = least(_pack(held)[active])
+        if not bytewise:
+            values[t0:t1] = np.sum(pds.take(k + at), axis=1)
+        del words  # before the next block draws its own
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MCEstimate(float(np.mean(values)), stderr, trials, seed)

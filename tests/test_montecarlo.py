@@ -15,7 +15,7 @@ from oneshotrd import (
     exact_expected_distortion,
     simulate_random_code,
 )
-from oneshotrd.montecarlo import _BINS, READ, _inverse_cdf, _ranks, _word_block
+from oneshotrd.montecarlo import _BINS, READ, _inverse_cdf, _pack, _ranks, _word_block
 from oracles import (
     first_held_rank,
     inverse_cdf,
@@ -81,8 +81,7 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     # a small element budget keeps the test light; at M = 2 * READ * 8 a
     # trial reads READ * 8 codewords, so the blocks hold 2^16 / (4 * READ * 8)
     # trials, and the trials still open take one multinomial draw a block.
-    # Both runs fill whole blocks, at least two, so both hold one block's
-    # words while the next block draws its own
+    # Both runs fill whole blocks, at least two
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
     m, block = 2 * READ * 8, (1 << 16) // (4 * READ * 8)
@@ -96,6 +95,24 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
     monkeypatch.undo()
     assert simulate_random_code(p, m, 16 * block, seed=3).mean == means[1]
+
+
+def test_simulate_frees_a_blocks_words_before_drawing_the_next(monkeypatch):
+    # the instance above at one and two blocks, after a call that builds the
+    # problem's cached tables: a block's words are its largest temporary, so
+    # a second block that drew its words while the first one's were alive
+    # would peak about one block's words higher
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    m, block = 2 * READ * 8, (1 << 16) // (4 * READ * 8)
+    simulate_random_code(p, m, 1, seed=3)
+    peaks = []
+    for trials in (block, 2 * block):
+        tracemalloc.start()
+        simulate_random_code(p, m, trials, seed=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
@@ -560,7 +577,7 @@ def test_simulate_matches_the_gather_and_min_kernel_bit_for_bit(problem, data):
         draw, _ = _inverse_cdf(p.q_y)
         np.testing.assert_array_equal(draw(w), inverse_cdf(p.q_y, words_to_doubles(w)))
         np.testing.assert_array_equal(draw(w), draw(w >> 11 << 11))
-        for m in {max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, min(257, 2 * READ * ny - 1)}:
+        for m in {1, 2, max(ny - 1, 1), ny, ny + 1, 4 * ny + 3, min(257, 2 * READ * ny - 1)}:
             got = simulate_random_code(p, m, 150, seed)
             assert _same_bits(got, simulate_gather_min(p, m, 150, seed))
             assert _same_bits(got, simulate_random_code(p, m, 150, seed, chunk=chunk))
@@ -588,13 +605,45 @@ def test_simulate_matches_the_gather_and_min_kernel_on_wide_sources():
                               simulate_gather_min(p, m, 500, 0))
 
 
+def test_simulate_matches_the_gather_and_min_kernel_on_wide_sources_of_few_letters():
+    # up to 8 letters a trial's value is looked up by its mask byte in a table
+    # summed over rows of nx > 8, pairwise, as the oracle sums its trials; at
+    # every M below the tail, with zero and tiny masses
+    rng = np.random.default_rng(14)
+    q = rng.dirichlet(np.ones(7))
+    q[[1, 4]] = 0.0, 1e-12
+    for nx, ny, prior in ((9, 1, None), (12, 5, None), (40, 8, None), (17, 7, q / q.sum())):
+        p = make_random_problem(rng, nx=nx, ny=ny)
+        if prior is not None:
+            p = Problem(p.p_x, prior, p.d)
+        for m in range(1, 2 * READ * ny):
+            assert _same_bits(simulate_random_code(p, m, 60, seed=m),
+                              simulate_gather_min(p, m, 60, seed=m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 40).map(lambda n: 8 * n), data=st.data())
+def test_pack_is_packbits_in_little_bit_order(width, data):
+    # one multiply per 8 letters against numpy's own packing, from one-letter
+    # masks padded to a byte up to 320 letters, with all-zero and all-one rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ny = data.draw(st.integers(max(width - 7, 1), width))
+    held = np.zeros((data.draw(st.integers(1, 40)), width), dtype=bool)
+    held[:, :ny] = rng.random((held.shape[0], ny)) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    held[0], held[-1] = True, False
+    got = _pack(held)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.packbits(held, axis=1, bitorder="little"))
+
+
 @pytest.mark.parametrize("ny", [1, 7, 8, 9, 255, 256, 300, None])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_least_rank_table_finds_each_rows_first_held_letter(ny, data):
     # the packed-byte lookup against the gather in every row's order and an
     # argmax, on random row orders and masks, down to single-letter ones; the
-    # table turns uint16 at 256 letters
+    # table turns uint16 at 256 letters. The kernel packs masks padded to
+    # whole bytes
     ny = ny or data.draw(st.integers(1, 300))
     nx = data.draw(st.integers(1, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -607,5 +656,6 @@ def test_least_rank_table_finds_each_rows_first_held_letter(ny, data):
                                   np.tile(np.arange(ny), (nx, 1)))
     assert (rank[ny:] == ny).all() and rank.dtype == np.min_scalar_type(ny)
     want = first_held_rank(held, order)
+    packed = _pack(np.pad(held, ((0, 0), (0, rank.shape[0] - ny))))
     for _ in range(2):  # the second call reads the table the first one built
-        np.testing.assert_array_equal(least(held), want)
+        np.testing.assert_array_equal(least(packed), want)
