@@ -60,6 +60,7 @@ from .model import (
 from .montecarlo import (
     MCEstimate,
     simulate_random_code,
+    simulate_random_codes,
 )
 from .pairwise import (
     DistortionProfile,

@@ -39,7 +39,7 @@ from .excess import (
     m_functional,
 )
 from .model import EqualityCheckError, load_problem, scaled_tol
-from .montecarlo import simulate_random_code
+from .montecarlo import simulate_random_code, simulate_random_codes
 from .random_coding import (
     achievability_bound,
     best_achievability,
@@ -102,12 +102,10 @@ def _cmd_dtilde(problem, args):
 
 def _cmd_exact(problem, args):
     ms = [int(m) for m in args.M.split(",")]
-    rows = []
-    for m in ms:
-        exact = exact_expected_distortion(problem, m)
-        mc = simulate_random_code(problem, m, args.trials, args.seed)
-        bound = best_achievability(problem, math.log(m - 1)).value if m > 2 else exact
-        rows.append((m, exact, bound, mc.mean, mc.stderr))
+    exact = [exact_expected_distortion(problem, m) for m in ms]  # every M's first range check,
+    mcs = simulate_random_codes(problem, ms, args.trials, args.seed)  # then its second
+    rows = [(m, e, best_achievability(problem, math.log(m - 1)).value if m > 2 else e,
+             mc.mean, mc.stderr) for m, e, mc in zip(ms, exact, mcs)]
     if args.out or args.csv:
         return ["M", "exact", "corollary1_bound", "mc_estimate", "mc_stderr"], rows
     report = BoundReport("exact-random-coding")

@@ -12,7 +12,8 @@ running minimum over fewer codewords than letters, else a table lookup of its
 presence mask's bytes; up to 8, of its one byte's value. The mask fills in
 slices that double from 4 until it holds every row's first drawable letter or
 READ * ny codewords, when M >= 2 * READ * ny, then one multinomial draw over
-the letters it lacks. Below that M, values are a gather-and-min's, bit for bit.
+the letters it lacks. Below that M, values are a gather-and-min's, bit for
+bit. Several M share one sample, each read off a prefix of the largest M's words.
 """
 
 from __future__ import annotations
@@ -134,33 +135,35 @@ def _ranks(order: np.ndarray):
     return rank, least
 
 
-def simulate_random_code(
-    problem: Problem, M: int, trials: int, seed: int, chunk: int = CHUNK
-) -> MCEstimate:
-    """Sample codebooks of M prior draws; average the exact per-source minimum.
+def simulate_random_codes(
+    problem: Problem, Ms, trials: int, seed: int, chunk: int = CHUNK
+) -> list[MCEstimate]:
+    """Sample codebooks of prior draws and average the exact per-source minimum,
+    for every M of Ms from one sample: an MCEstimate per entry of Ms, in order.
 
-    The expectation over the source is a finite sum and is computed exactly
-    per trial, so the only sampling noise comes from the codewords. Trials
-    run in blocks of at most chunk, fewer when a trial reads many words, so
-    that the largest temporary stays near BUDGET elements. The per-trial
-    values are kept whole, 8 bytes a trial. M (at most MAX_M), trials, seed
-    and chunk may be of any integer type.
+    The source's expectation is exact per trial, so the only noise is the
+    codewords'. Blocks hold at most chunk trials and about BUDGET elements; the
+    values are kept whole, 8 bytes a trial and M. Ms (each at most MAX_M),
+    trials, seed and chunk may be of any integer type.
 
-    A trial's minimum for letter x is dsorted[x, k], k the lowest rank, in
-    x's sort order of d, of any codeword: past 8 letters, for M < ny a running
-    minimum, else the least rank in a presence mask (see _ranks); up to 8 the
-    mask is one byte, indexing a table of trial values. It fills in slices that
-    double from 4 until it holds each row's first drawable letter. From M = 2c
-    on, c = READ * ny, a trial has c words, not M; one still open after them
-    adds the letters it lacks of one Multinomial(M - c, mass) draw from a
-    (seed, 1) Philox stream, in trial order.
+    A trial draws the largest M's words once, M or, from M = 2c on, c = READ * ny,
+    and each M reads their prefix: the running minimum and the mask's slices
+    (see the module's note) stop at each M. For each M above the words drawn, a
+    trial still open after them adds the letters it lacks of one Multinomial(M -
+    c, mass) draw from Philox stream (seed, i), in trial order: i = 1 for the
+    largest M, 2 for the next, and so on. So the estimates are correlated
+    across M, each valid alone, and the largest M's is that of its own call.
     """
-    for name, value in (("M", M), ("trials", trials), ("seed", seed), ("chunk", chunk)):
+    Ms = list(Ms)
+    for name, value in (*[("M", M) for M in Ms], ("trials", trials), ("seed", seed),
+                        ("chunk", chunk)):
         if not hasattr(type(value), "__index__"):
             raise TypeError(f"{name} must be an integer, got {value!r}")
-    M, trials, seed, chunk = map(operator.index, (M, trials, seed, chunk))
-    if not 1 <= M <= MAX_M:
-        raise ValueError(f"M must be between 1 and {MAX_M}, got {M}")
+    Ms = [operator.index(M) for M in Ms]
+    trials, seed, chunk = map(operator.index, (trials, seed, chunk))
+    for M in Ms or [0]:  # no M at all fails as M = 0 does
+        if not 1 <= M <= MAX_M:
+            raise ValueError(f"M must be between 1 and {MAX_M}, got {M}")
     if min(trials, chunk) < 1:
         raise ValueError(f"trials and chunk must be at least 1, got {trials} and {chunk}")
     if not problem.q_y.any():
@@ -168,53 +171,71 @@ def simulate_random_code(
     nx, ny = problem.d.shape
     draw, mass = _inverse_cdf(problem.q_y)
     order = problem.row_order
-    cols = np.arange(nx)
     rank, least = _ranks(order)
     width = rank.shape[0]  # the mask's letters, whole bytes
     bytewise = ny <= 8  # a trial's value is a function of its one mask byte
-    read = M if M < 2 * READ * ny else READ * ny  # the words a trial reads
-    if read < M:
-        tail = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], np.uint64)))
+    sizes = sorted(set(Ms))
+    read = sizes[-1] if sizes[-1] < 2 * READ * ny else READ * ny  # the words a trial reads
+    low = [M for M in sizes if M < ny and not bytewise]  # the running minimum's M
+    stops = sorted({min(M, read) for M in sizes[len(low):]})  # the mask's
+    tails = {M: np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, i], np.uint64)))
+             for i, M in enumerate(sizes[::-1], 1) if M > read}
     # pds[k + at[x]] is p_x d (= d p_x) at rank k of row x; a take of (trials, nx)
     # is C-ordered, so numpy sums each row pairwise, as the trial-major gather-and-min
-    pds, at = (problem.p_x[:, None] * problem.levels.ds).ravel(), cols * ny
+    pds, at = (problem.p_x[:, None] * problem.levels.ds).ravel(), np.arange(nx) * ny
     if bytewise:  # a byte that holds no letter is no trial's, and clips
         byte_value = np.sum(pds.take(least(np.arange(256)[:, None]) + at, mode="clip"), axis=1)
-    if M >= ny or bytewise:
-        # a trial holding each row's first drawable letter is final
-        first = (mass > 0)[order].argmax(axis=1)
-        final = np.unique(order[cols, first])
-    values = np.empty(trials)
-    for t0, t1 in _blocks(trials, nx * read, chunk):
+    first = (mass > 0)[order].argmax(axis=1)
+    final = np.unique(order[np.arange(nx), first])  # a trial holding all of these is final
+
+    def value(held, active):  # a block's values from its mask and its trials still open
+        if bytewise:
+            return byte_value.take(_pack(held)[:, 0])
+        k = np.tile(first, (held.shape[0], 1))  # a trial that stops early has k = first
+        if active.size:
+            k[active] = least(_pack(held)[active])
+        return np.sum(pds.take(k + at), axis=1)
+
+    def fill(t0, t1):  # its temporaries die with it, before the next block draws its words
         words = _trial_words(seed, 0, read, t0, t1)
-        if M < ny and not bytewise:
-            codes = draw(words)
+        if low:
+            codes = draw(words[:, :low[-1]])
             k = rank.take(codes[:, 0], axis=0)
-            for j in range(1, M):
-                np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
-        else:
-            held = np.zeros((t1 - t0, width), dtype=bool)
-            active = np.arange(t1 - t0)
-            j, step = 0, 4
-            while j < read and active.size:
-                w = words[:, j:j + step] if active.size == t1 - t0 else words[active, j:j + step]
+            for j in range(low[-1]):
+                if j:
+                    np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
+                if j + 1 in low:
+                    values[j + 1][t0:t1] = np.sum(pds.take(k + at), axis=1)
+        held = np.zeros((t1 - t0, width), dtype=bool)
+        active, j = np.arange(t1 - t0), 0
+        for stop in stops:
+            while j < stop and active.size:  # words up to 4, 12, 28, ... and stop
+                end = min(4 * (2 ** (j // 4 + 1).bit_length() - 1), stop)
+                w = words[:, j:end] if active.size == t1 - t0 else words[active, j:end]
                 held.ravel()[draw(w) + width * active[:, None]] = True
                 active = np.flatnonzero(~held[:, final].all(axis=1))
-                j, step = j + step, 2 * step
-            if active.size and read < M:
-                # the held letters' mass goes to a last column: numpy fills it with the rest
-                lack = np.where(held[active, :ny], 0.0, mass)
-                counts = tail.multinomial(M - read, np.column_stack([lack, np.zeros(active.size)]))
-                held[active, :ny] |= counts[:, :-1] > 0
-            if bytewise:
-                values[t0:t1] = byte_value.take(_pack(held)[:, 0])
-            else:
-                # a trial that stops early has k = first; the rest read the mask
-                k = np.tile(first, (t1 - t0, 1))
-                if active.size:
-                    k[active] = least(_pack(held)[active])
-        if not bytewise:
-            values[t0:t1] = np.sum(pds.take(k + at), axis=1)
-        del words  # before the next block draws its own
-    stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MCEstimate(float(np.mean(values)), stderr, trials, seed)
+                j = end
+            if stop in values:
+                values[stop][t0:t1] = value(held, active)
+        if active.size and tails:
+            # the held letters' mass goes to a last column: numpy fills it with the rest
+            lack = np.column_stack([np.where(held[active, :ny], 0.0, mass), np.zeros(active.size)])
+        for M, tail in tails.items():  # the largest first; the smallest ORs into held itself
+            mask = held if M == min(tails) else held.copy()
+            if active.size:
+                mask[active, :ny] |= tail.multinomial(M - read, lack)[:, :-1] > 0
+            values[M][t0:t1] = value(mask, active)
+
+    values = {M: np.empty(trials) for M in sizes}
+    for t0, t1 in _blocks(trials, nx * read, chunk):
+        fill(t0, t1)
+    for M, v in values.items():
+        stderr = float(np.std(v, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        values[M] = float(np.mean(v)), stderr
+    return [MCEstimate(*values[M], trials, seed) for M in Ms]
+
+
+def simulate_random_code(problem: Problem, M: int, trials: int, seed: int,
+                         chunk: int = CHUNK) -> MCEstimate:
+    """simulate_random_codes at one M."""
+    return simulate_random_codes(problem, [M], trials, seed, chunk)[0]

@@ -55,7 +55,7 @@ from oneshotrd.converse import (
 from oneshotrd.dtilde import BREAKPOINT_MERGE_TOL, dtilde, dtilde_for_prior
 from oneshotrd.model import PROB_ATOL, EqualityCheckError, _readonly
 from oneshotrd.montecarlo import (
-    CHUNK, MCEstimate, _blocks, _inverse_cdf, _trial_words,
+    CHUNK, MCEstimate, _blocks, _inverse_cdf, _trial_words, _word_block,
 )
 from oneshotrd.random_coding import AchievabilityBound, _g_of_log
 from oneshotrd.variational import InfFormResult
@@ -414,12 +414,18 @@ def inverse_cdf(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def simulate_gather_min(problem: Problem, M: int, trials: int, seed: int,
-                        chunk: int = CHUNK) -> MCEstimate:
+                        chunk: int = CHUNK, stride: int | None = None) -> MCEstimate:
     """simulate_random_code by a search per draw and the (nx, B, M) gather of
-    d over the codewords, then a min: same streams, blocks and sums."""
+    d over the codewords, then a min: same streams, blocks and sums. A trial's
+    codewords are the first M of its stride words (by default M rounded up
+    to a multiple of 4, as a call at M alone reads them)."""
+    stride = stride or (M + 3) // 4 * 4
+    if not (M <= stride and stride % 4 == 0):
+        raise ValueError(f"stride must be a multiple of 4 of at least M, got {stride}")
     values = np.empty(trials)
     for t0, t1 in _blocks(trials, problem.x_size * M, chunk):
-        codes = inverse_cdf(problem.q_y, _trial_uniforms(seed, 0, M, t0, t1))
+        words = _word_block(seed, 0, t0 * stride, (t1 - t0) * stride)
+        codes = inverse_cdf(problem.q_y, words_to_doubles(words.reshape(-1, stride)[:, :M]))
         best = problem.d[:, codes].min(axis=2)
         values[t0:t1] = np.sum(problem.p_x[:, None] * best, axis=0)
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -315,6 +315,46 @@ def test_exact_bounds_each_m_in_one_call(binary_path, monkeypatch, capsys):
     assert calls == [math.log(2), math.log(8)]
 
 
+@pytest.mark.parametrize("ms, message", [
+    ("100000000,0", "M must be at least 1"),
+    (f"3,{10**400}", "M must be at least 1"),
+    (f"3,{10**20}", "M must be between 1 and 9223372036854775807"),
+], ids=["1e8-then-0", "3-then-1e400", "3-then-1e20"])
+def test_exact_checks_every_m_before_it_samples(monkeypatch, ms, message):
+    # an invalid M after a valid one exits 1 before any row's sample or
+    # slack search: the Monte Carlo kernel never draws a word
+    import oneshotrd.cli as cli_mod
+    import oneshotrd.montecarlo as montecarlo_mod
+
+    calls = []
+    for module, name in ((montecarlo_mod, "_word_block"), (cli_mod, "best_achievability")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    status, out, err = _run_captured(_golden_argv(["exact", "--M", ms, "--trials", "10"]))
+    assert (status, out, calls) == (1, "", [])
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_exact_rows_share_one_sample_with_the_largest_ms_own(capsys):
+    # the largest M, 64, on the tail at 5 letters, is simulate's estimate in
+    # hex beside smaller M, repeated and unsorted ones included, and the rows
+    # come in the order given
+    def records(argv):
+        status, out, err = _run_captured(_golden_argv(argv))
+        assert (status, err) == (0, "")
+        return [(r["quantity"], r["value"]) for r in json.loads(out)["records"]]
+
+    alone = dict(records(["simulate", "--M", "64", "--trials", "500", "--seed", "3", "--json"]))
+    rows = {}
+    for ms in ("2,5,48,64", "64,2,2", "64"):
+        got = records(["exact", "--M", ms, "--trials", "500", "--seed", "3", "--json"])
+        assert [q for q, _ in got[::4]] == [f"exact[M={m}]" for m in ms.split(",")]
+        rows[ms] = got = dict(got)
+        assert got["mc[M=64]"].hex() == alone["mean"].hex()
+        assert got["mc_stderr[M=64]"].hex() == alone["stderr"].hex()
+    assert rows["2,5,48,64"]["mc[M=2]"] == rows["64,2,2"]["mc[M=2]"]
+
+
 def test_product_problem_structure(binary_hamming):
     prod = product_problem(binary_hamming, 2)
     assert prod.x_size == 4 and prod.y_size == 4

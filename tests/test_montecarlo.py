@@ -14,6 +14,7 @@ from oneshotrd import (
     Problem,
     exact_expected_distortion,
     simulate_random_code,
+    simulate_random_codes,
 )
 from oneshotrd.montecarlo import _BINS, READ, _inverse_cdf, _pack, _ranks, _word_block
 from oracles import (
@@ -113,6 +114,23 @@ def test_simulate_frees_a_blocks_words_before_drawing_the_next(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.05 * peaks[0]
+
+
+def test_simulate_codes_memory_is_one_call_at_the_largest_m_and_its_values(monkeypatch):
+    # the instance above at M = 5 (a prefix of the words), 40 and 64 (two
+    # tails): one sample holds one block's temporaries, as the call at M = 64
+    # alone does, and one more value array of 8 bytes a trial for each other M
+    monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
+    p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
+    m, trials = 2 * READ * 8, 16 * (1 << 16) // (4 * READ * 8)
+    simulate_random_code(p, m, 1, seed=3)
+    peaks = []
+    for call in (partial(simulate_random_codes, p, [m]), partial(simulate_random_codes, p, [5, 40, m])):
+        tracemalloc.start()
+        call(trials, seed=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.05 * (peaks[0] + 2 * 8 * trials)
 
 
 def test_simulate_memory_at_least_as_many_codewords_as_letters(monkeypatch):
@@ -659,3 +677,83 @@ def test_least_rank_table_finds_each_rows_first_held_letter(ny, data):
     packed = _pack(np.pad(held, ((0, 0), (0, rank.shape[0] - ny))))
     for _ in range(2):  # the second call reads the table the first one built
         np.testing.assert_array_equal(least(packed), want)
+
+
+@st.composite
+def shared_samples(draw):
+    """A problem, up to 5 letters or 9 to 40 on the reproduction side, and
+    the Ms of one shared call: M at most the words a trial reads, and with a
+    largest M from 2 * READ * ny on, a second one past those words, so that
+    two multinomial streams run."""
+    if draw(st.booleans()):
+        p = draw(problems())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = make_random_problem(rng, nx=draw(st.integers(1, 12)), ny=draw(st.integers(9, 40)))
+    c = READ * p.y_size
+    top = draw(st.integers(1, 2 * c - 1) | st.integers(2 * c, 3 * c) | st.just(10**9))
+    read = top if top < 2 * c else c
+    ms = draw(st.lists(st.integers(1, read), max_size=4))
+    if top >= 2 * c:
+        ms.append(draw(st.integers(c + 1, top - 1)))
+    return p, draw(st.permutations([*ms, top, *ms[:1]])), read
+
+
+def _shares_bits(a, b):
+    return (a.mean.hex(), a.stderr.hex(), a.trials, a.seed) == \
+        (b.mean.hex(), b.stderr.hex(), b.trials, b.seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=shared_samples(), seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 120),
+       chunk=st.integers(1, 64))
+def test_simulate_codes_read_every_m_from_one_sample_bit_for_bit(sample, seed, trials, chunk):
+    # each M at most the words a trial reads is the gather-and-min of the
+    # first M words of the largest M's rows; the largest M is its own call's;
+    # and no chunk changes any M, the two tail streams included
+    p, ms, read = sample
+    got = simulate_random_codes(p, ms, trials, seed)
+    assert len(got) == len(ms)
+    stride = (read + 3) // 4 * 4
+    for m, mc in zip(ms, got):
+        if m <= read:
+            assert _shares_bits(mc, simulate_gather_min(p, m, trials, seed, stride=stride))
+    assert _shares_bits(got[ms.index(max(ms))], simulate_random_code(p, max(ms), trials, seed))
+    for a, b in zip(got, simulate_random_codes(p, ms, trials, seed, chunk=chunk)):
+        assert _shares_bits(a, b)
+
+
+def test_simulate_codes_streams_each_tail_m_apart(monkeypatch):
+    # past the words a trial reads, the largest M draws its multinomials from
+    # stream (seed, 1) and the next from (seed, 2): the smaller tail M's trials
+    # equal a call at that M with stream 1 relabelled as 2
+    p = _tail_problem()
+    c = READ * p.y_size
+    seen, std = [], np.std
+
+    def spy(values, *rest, **kw):
+        seen.append(values.copy())
+        return std(values, *rest, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "std", spy)
+        simulate_random_codes(p, [3 * c, 2 * c], 300, 4, chunk=64)
+    philox = np.random.Philox
+
+    def relabelled(key):  # stream 0 holds the codewords
+        return philox(key=np.array([key[0], 2 if key[1] == 1 else key[1]], np.uint64))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Philox", relabelled)
+        alone = _trial_values(monkeypatch, p, 2 * c, 300, 4)
+    assert alone.tobytes() == seen[0].tobytes()
+    assert seen[1].tobytes() == _trial_values(monkeypatch, p, 3 * c, 300, 4).tobytes()
+    assert not np.array_equal(seen[0], _trial_values(monkeypatch, p, 2 * c, 300, 4))
+
+
+def test_simulate_codes_validates_every_m(binary_hamming):
+    for ms in ([], [3, 0], [2, montecarlo_mod.MAX_M + 1]):
+        with pytest.raises(ValueError, match="M must be between 1 and 9223372036854775807"):
+            simulate_random_codes(binary_hamming, ms, 10, seed=0)
+    with pytest.raises(TypeError, match="^M must be an integer, got 3.0"):
+        simulate_random_codes(binary_hamming, [2, 3.0], 10, seed=0)
