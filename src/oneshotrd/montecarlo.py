@@ -9,11 +9,13 @@ the prior's inverse-CDF table; only words in bins that a cumulative sum
 splits become doubles and are searched. A codebook's distortion for letter x
 is d at the least rank, in x's sorted row, that it holds: past 8 letters a
 running minimum over fewer codewords than letters, else a table lookup of its
-presence mask's bytes; up to 8, of its one byte's value. The mask fills in
-slices that double from 4 until it holds every row's first drawable letter or
-READ * ny codewords, when M >= 2 * READ * ny, then one multinomial draw over
-the letters it lacks. Below that M, values are a gather-and-min's, bit for
-bit. Several M share one sample, each read off a prefix of the largest M's words.
+presence mask's bytes; up to 8, of its one byte's value. The mask fills from
+codes drawn in one pass, or, where the rarest of the rows' first drawable
+letters is due at least once in a trial's words, in slices that double from 4
+until it holds them all. At READ * ny codewords, when M >= 2 * READ * ny, it
+takes one multinomial draw over the letters it lacks. Below that M, values are
+a gather-and-min's, bit for bit. Several M share one sample, each read off a
+prefix of the largest M's words.
 """
 
 from __future__ import annotations
@@ -147,12 +149,15 @@ def simulate_random_codes(
     trials, seed and chunk may be of any integer type.
 
     A trial draws the largest M's words once, M or, from M = 2c on, c = READ * ny,
-    and each M reads their prefix: the running minimum and the mask's slices
-    (see the module's note) stop at each M. For each M above the words drawn, a
-    trial still open after them adds the letters it lacks of one Multinomial(M -
-    c, mass) draw from Philox stream (seed, i), in trial order: i = 1 for the
-    largest M, 2 for the next, and so on. So the estimates are correlated
-    across M, each valid alone, and the largest M's is that of its own call.
+    and each M reads their prefix: the running minimum and the mask stop at each
+    M. Only where mass * (words drawn) >= 1 for each letter a final trial must
+    hold does the mask read in slices and drop the final trials; else a block's
+    codes are drawn in one pass and every trial is open until, before a tail,
+    one final test at c. For each M above the words drawn, a trial still open
+    after them adds the letters it lacks of one Multinomial(M - c, mass) draw
+    from Philox stream (seed, i), in trial order: i = 1 for the largest M, 2 for
+    the next, and so on. So the estimates are correlated across M, each valid
+    alone, and the largest M's is that of its own call.
     """
     Ms = list(Ms)
     for name, value in (*[("M", M) for M in Ms], ("trials", trials), ("seed", seed),
@@ -187,19 +192,28 @@ def simulate_random_codes(
         byte_value = np.sum(pds.take(least(np.arange(256)[:, None]) + at, mode="clip"), axis=1)
     first = (mass > 0)[order].argmax(axis=1)
     final = np.unique(order[np.arange(nx), first])  # a trial holding all of these is final
+    # slice only if the rarest final letter is due at least once in a trial's
+    # words: at x = mass * read < 1 a trial reads at least (1 - e^-x) / x > 63%
+    # of them, which does not pay for the slices' narrow draws and final tests
+    sliced = mass[final].min() * read >= 1
 
     def value(held, active):  # a block's values from its mask and its trials still open
         if bytewise:
             return byte_value.take(_pack(held)[:, 0])
-        k = np.tile(first, (held.shape[0], 1))  # a trial that stops early has k = first
-        if active.size:
-            k[active] = least(_pack(held)[active])
+        if active.size == held.shape[0]:  # no trial known to be final
+            k = least(_pack(held))
+        else:
+            k = np.tile(first, (held.shape[0], 1))  # a trial that stops early has k = first
+            if active.size:
+                k[active] = least(_pack(held)[active])
         return np.sum(pds.take(k + at), axis=1)
 
     def fill(t0, t1):  # its temporaries die with it, before the next block draws its words
-        words = _trial_words(seed, 0, read, t0, t1)
+        words, code = _trial_words(seed, 0, read, t0, t1), draw
+        if not sliced:  # one pass: every word's code at once, at 1/8 of the words' size
+            words, code = draw(words), np.asarray
         if low:
-            codes = draw(words[:, :low[-1]])
+            codes = code(words[:, :low[-1]])
             k = rank.take(codes[:, 0], axis=0)
             for j in range(low[-1]):
                 if j:
@@ -210,10 +224,11 @@ def simulate_random_codes(
         active, j = np.arange(t1 - t0), 0
         for stop in stops:
             while j < stop and active.size:  # words up to 4, 12, 28, ... and stop
-                end = min(4 * (2 ** (j // 4 + 1).bit_length() - 1), stop)
+                end = min(4 * (2 ** (j // 4 + 1).bit_length() - 1), stop) if sliced else stop
                 w = words[:, j:end] if active.size == t1 - t0 else words[active, j:end]
-                held.ravel()[draw(w) + width * active[:, None]] = True
-                active = np.flatnonzero(~held[:, final].all(axis=1))
+                held.ravel()[code(w) + width * active[:, None]] = True
+                if sliced or (end == read and tails):  # one pass tests once, before the tail
+                    active = np.flatnonzero(~held[:, final].all(axis=1))
                 j = end
             if stop in values:
                 values[stop][t0:t1] = value(held, active)

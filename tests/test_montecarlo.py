@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -82,17 +83,20 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     # a small element budget keeps the test light; at M = 2 * READ * 8 a
     # trial reads READ * 8 codewords, so the blocks hold 2^16 / (4 * READ * 8)
     # trials, and the trials still open take one multinomial draw a block.
-    # Both runs fill whole blocks, at least two
+    # Both runs fill whole blocks, at least two. The values, 8 bytes a trial,
+    # are kept whole by design; what the call holds besides them must not grow
+    # by 2%, about 5 KB of temporaries here
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
     m, block = 2 * READ * 8, (1 << 16) // (4 * READ * 8)
-    peaks, means = [], []
+    peaks, rest, means = [], [], []
     for trials in (2 * block, 16 * block):
         tracemalloc.start()
         means.append(simulate_random_code(p, m, trials, seed=3).mean)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[1] < 1.25 * peaks[0]
+        rest.append(peaks[-1] - 8 * trials)
+    assert rest[1] < 1.02 * rest[0]
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
     monkeypatch.undo()
     assert simulate_random_code(p, m, 16 * block, seed=3).mean == means[1]
@@ -229,6 +233,31 @@ def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypa
     monkeypatch.undo()
     assert 0 < sum(read) <= 500 * 6
     assert _same_bits(got, simulate_gather_min(p, 32, 500, seed=9))
+
+
+@pytest.mark.parametrize("ms", [[5, 40], [5, 2 * READ * 12]], ids=["prefix", "tail"])
+def test_simulate_draws_each_word_once_where_no_trial_is_due_to_stop_early(monkeypatch, ms):
+    # 12 letters, each row's best its own, and letter 0 of mass 0.01: a trial
+    # is final only once it holds letter 0, due 0.4 or 0.48 times in the 40
+    # or READ * 12 = 48 words it reads, so its codes are drawn in one pass,
+    # and the running minimum of M = 5 < 12 reads their first 5. Every word
+    # goes through the inverse CDF once; the tail's multinomial draws none
+    q = np.concatenate([[0.01], np.full(11, 0.09)])
+    p = Problem(np.full(12, 1 / 12), q, 1.0 - np.eye(12))
+    read = []
+    inverse = montecarlo_mod._inverse_cdf
+
+    def counted(q):
+        draw, mass = inverse(q)
+
+        def counting_draw(w):
+            read.append(w.size)
+            return draw(w)
+        return counting_draw, mass
+
+    monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
+    simulate_random_codes(p, ms, 300, seed=2, chunk=64)
+    assert len(read) == 5 and sum(read) == 300 * min(max(ms), READ * 12)
 
 
 @pytest.mark.parametrize("m", [4 * 4 + 3, 2 * READ * 4 - 1])
@@ -721,6 +750,38 @@ def test_simulate_codes_read_every_m_from_one_sample_bit_for_bit(sample, seed, t
     assert _shares_bits(got[ms.index(max(ms))], simulate_random_code(p, max(ms), trials, seed))
     for a, b in zip(got, simulate_random_codes(p, ms, trials, seed, chunk=chunk)):
         assert _shares_bits(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 64))
+def test_simulate_where_one_letter_is_every_rows_best_matches_the_gather_and_min(data, seed,
+                                                                                  chunk):
+    # past 8 letters, letter b has a zero column of d and mass m >= 0.3, so a
+    # trial is final once it holds b, due m * read times in the words it
+    # reads: Ms below 1 / m read them in one pass (m * read < 1), Ms with
+    # one at least ny in slices. An M past those words takes the tail, which
+    # no trial needs once every trial holds b within them (assumed)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nx, ny = data.draw(st.integers(1, 12)), data.draw(st.integers(9, 40))
+    b, m = data.draw(st.integers(0, ny - 1)), data.draw(st.integers(30, 90)) / 100
+    q = np.insert(rng.dirichlet(np.ones(ny - 1)) * (1 - m), b, m)
+    d = rng.integers(1, 5, (nx, ny)).astype(float)
+    d[:, b] = 0.0
+    p, c, trials = Problem(rng.dirichlet(np.ones(nx)), q, d), READ * ny, 150
+    few = data.draw(st.lists(st.integers(1, math.ceil(1 / m) - 1), min_size=1, max_size=3))
+    many = data.draw(st.lists(st.integers(1, 3 * c) | st.just(10**9), max_size=3))
+    many.append(data.draw(st.integers(ny, 3 * c) | st.just(10**9)))
+    for ms, one_pass in ((few, True), (many, False)):
+        read = max(ms) if max(ms) < 2 * c else c
+        assert (_inverse_cdf(q)[1][b] * read < 1) == one_pass
+        if max(ms) > read:
+            codes = inverse_cdf(q, words_to_doubles(montecarlo_mod._trial_words(seed, 0, read, 0,
+                                                                                  trials)))
+            assume((codes == b).any(axis=1).all())
+        stride = (read + 3) // 4 * 4
+        for size, got in zip(ms, simulate_random_codes(p, ms, trials, seed, chunk=chunk)):
+            want = simulate_gather_min(p, min(size, read), trials, seed, stride=stride)
+            assert _shares_bits(got, want)
 
 
 def test_simulate_codes_streams_each_tail_m_apart(monkeypatch):
