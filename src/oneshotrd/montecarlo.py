@@ -7,15 +7,15 @@ bit-identical however trials are chunked; the block size is a memory knob.
 numpy's double from a word w is (w >> 11) * 2^-53, so w >> 52 is its bin in
 the prior's inverse-CDF table; only words in bins that a cumulative sum
 splits become doubles and are searched. A codebook's distortion for letter x
-is d at the least rank, in x's sorted row, that it holds: past 8 letters a
-running minimum over fewer codewords than letters, else a table lookup of its
-presence mask's bytes; up to 8, of its one byte's value. The mask fills from
-codes drawn in one pass, or, where the rarest of the rows' first drawable
-letters is due at least once in a trial's words, in slices that double from 4
-until it holds them all. At READ * ny codewords, when M >= 2 * READ * ny, it
-takes one multinomial draw over the letters it lacks. Below that M, values are
-a gather-and-min's, bit for bit. Several M share one sample, each read off a
-prefix of the largest M's words.
+is d at the least rank, in x's sorted row, that it holds, read off its presence
+mask: past 8 letters by a table lookup of the mask's bytes, at every M; up to 8,
+as its one byte's value. The mask fills from codes drawn in one pass, or, where
+the rarest of the rows' first drawable letters is due at least once in a
+trial's words, in slices that double from 4 until it holds them all. At
+READ * ny codewords, when M >= 2 * READ * ny, it takes one multinomial draw
+over the letters it lacks. Below that M, values are a gather-and-min's, bit for
+bit. Several M share one sample, each read off a prefix of the largest M's
+words, each word drawn once.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def _pack(held: np.ndarray) -> np.ndarray:
 
 
 def _ranks(order: np.ndarray):
-    """rank[y, x], letter y's place in row x's order, padded to whole bytes by
-    rows of ny, and least: each row's least rank in the packed masks
-    (see _pack) of trials that hold some letter, a min over bytes b of
+    """rank[y, x], letter y's place in row x's order, padded to the mask's
+    whole bytes by rows of ny, and least: each row's least rank in the packed
+    masks (see _pack) of trials that hold some letter, a min over bytes b of
     table[b, v, x], the least rank in row x of the letters 8b + i with bit i
-    of v set (ny for v = 0), built by eight doublings on the first call."""
+    of v set (ny for v = 0), built from rank by eight doublings on first call."""
     nx, ny = order.shape
     nbytes = -(-ny // 8)
     rank = np.full((8 * nbytes, nx), ny, dtype=np.min_scalar_type(ny))
@@ -145,15 +145,15 @@ def simulate_random_codes(
 
     The source's expectation is exact per trial, so the only noise is the
     codewords'. Blocks hold at most chunk trials and about BUDGET elements; the
-    values are kept whole, 8 bytes a trial and M. Ms (each at most MAX_M),
-    trials, seed and chunk may be of any integer type.
+    values are kept whole, 8 bytes a trial and M, and reduced in place. Ms (each
+    at most MAX_M), trials, seed and chunk may be of any integer type.
 
     A trial draws the largest M's words once, M or, from M = 2c on, c = READ * ny,
-    and each M reads their prefix: the running minimum and the mask stop at each
-    M. Only where mass * (words drawn) >= 1 for each letter a final trial must
-    hold does the mask read in slices and drop the final trials; else a block's
-    codes are drawn in one pass and every trial is open until, before a tail,
-    one final test at c. For each M above the words drawn, a trial still open
+    and each M reads their prefix: the mask stops at each M, where its values
+    are read. Only where mass * (words drawn) >= 1 for each letter a final trial
+    must hold does the mask read in slices and drop the final trials; else a
+    block's codes are drawn in one pass and every trial is open until, before a
+    tail, one final test at c. For each M above the words drawn, a trial still open
     after them adds the letters it lacks of one Multinomial(M - c, mass) draw
     from Philox stream (seed, i), in trial order: i = 1 for the largest M, 2 for
     the next, and so on. So the estimates are correlated across M, each valid
@@ -181,8 +181,7 @@ def simulate_random_codes(
     bytewise = ny <= 8  # a trial's value is a function of its one mask byte
     sizes = sorted(set(Ms))
     read = sizes[-1] if sizes[-1] < 2 * READ * ny else READ * ny  # the words a trial reads
-    low = [M for M in sizes if M < ny and not bytewise]  # the running minimum's M
-    stops = sorted({min(M, read) for M in sizes[len(low):]})  # the mask's
+    stops = sorted({min(M, read) for M in sizes})  # where the mask's values are read
     tails = {M: np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, i], np.uint64)))
              for i, M in enumerate(sizes[::-1], 1) if M > read}
     # pds[k + at[x]] is p_x d (= d p_x) at rank k of row x; a take of (trials, nx)
@@ -197,29 +196,16 @@ def simulate_random_codes(
     # of them, which does not pay for the slices' narrow draws and final tests
     sliced = mass[final].min() * read >= 1
 
-    def value(held, active):  # a block's values from its mask and its trials still open
+    def value(held):  # a block's values from its presence mask
+        # a final trial's least is first: no letter ranked before it has mass
         if bytewise:
             return byte_value.take(_pack(held)[:, 0])
-        if active.size == held.shape[0]:  # no trial known to be final
-            k = least(_pack(held))
-        else:
-            k = np.tile(first, (held.shape[0], 1))  # a trial that stops early has k = first
-            if active.size:
-                k[active] = least(_pack(held)[active])
-        return np.sum(pds.take(k + at), axis=1)
+        return np.sum(pds.take(least(_pack(held)) + at), axis=1)
 
     def fill(t0, t1):  # its temporaries die with it, before the next block draws its words
         words, code = _trial_words(seed, 0, read, t0, t1), draw
         if not sliced:  # one pass: every word's code at once, at 1/8 of the words' size
             words, code = draw(words), np.asarray
-        if low:
-            codes = code(words[:, :low[-1]])
-            k = rank.take(codes[:, 0], axis=0)
-            for j in range(low[-1]):
-                if j:
-                    np.minimum(k, rank.take(codes[:, j], axis=0), out=k)
-                if j + 1 in low:
-                    values[j + 1][t0:t1] = np.sum(pds.take(k + at), axis=1)
         held = np.zeros((t1 - t0, width), dtype=bool)
         active, j = np.arange(t1 - t0), 0
         for stop in stops:
@@ -231,7 +217,7 @@ def simulate_random_codes(
                     active = np.flatnonzero(~held[:, final].all(axis=1))
                 j = end
             if stop in values:
-                values[stop][t0:t1] = value(held, active)
+                values[stop][t0:t1] = value(held)
         if active.size and tails:
             # the held letters' mass goes to a last column: numpy fills it with the rest
             lack = np.column_stack([np.where(held[active, :ny], 0.0, mass), np.zeros(active.size)])
@@ -239,14 +225,16 @@ def simulate_random_codes(
             mask = held if M == min(tails) else held.copy()
             if active.size:
                 mask[active, :ny] |= tail.multinomial(M - read, lack)[:, :-1] > 0
-            values[M][t0:t1] = value(mask, active)
+            values[M][t0:t1] = value(mask)
 
     values = {M: np.empty(trials) for M in sizes}
     for t0, t1 in _blocks(trials, nx * read, chunk):
         fill(t0, t1)
-    for M, v in values.items():
-        stderr = float(np.std(v, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        values[M] = float(np.mean(v)), stderr
+    for M, v in values.items():  # np.std(v, ddof=1)'s steps, in place of its copy of v
+        mean = np.mean(v)
+        v -= mean
+        var = np.sum(np.square(v, out=v)) / (trials - 1) if trials > 1 else 0.0
+        values[M] = float(mean), math.sqrt(var) / math.sqrt(trials)
     return [MCEstimate(*values[M], trials, seed) for M in Ms]
 
 

@@ -83,14 +83,15 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     # a small element budget keeps the test light; at M = 2 * READ * 8 a
     # trial reads READ * 8 codewords, so the blocks hold 2^16 / (4 * READ * 8)
     # trials, and the trials still open take one multinomial draw a block.
-    # Both runs fill whole blocks, at least two. The values, 8 bytes a trial,
-    # are kept whole by design; what the call holds besides them must not grow
-    # by 2%, about 5 KB of temporaries here
+    # Both runs fill whole blocks, 2 and 64. The values, 8 bytes a trial, are
+    # kept whole by design, and their mean and stderr are taken in place;
+    # what the call holds besides them must not grow by 2%, about 5 KB of
+    # temporaries here (a copy of the values at 64 blocks is 256 KB)
     monkeypatch.setattr(montecarlo_mod, "BUDGET", 1 << 16)
     p = Problem(np.full(4, 0.25), np.full(8, 0.125), np.arange(32.0).reshape(4, 8))
     m, block = 2 * READ * 8, (1 << 16) // (4 * READ * 8)
     peaks, rest, means = [], [], []
-    for trials in (2 * block, 16 * block):
+    for trials in (2 * block, 64 * block):
         tracemalloc.start()
         means.append(simulate_random_code(p, m, trials, seed=3).mean)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -99,7 +100,7 @@ def test_simulate_memory_does_not_grow_with_trials(monkeypatch):
     assert rest[1] < 1.02 * rest[0]
     assert peaks[1] < 3 * 8 * montecarlo_mod.BUDGET
     monkeypatch.undo()
-    assert simulate_random_code(p, m, 16 * block, seed=3).mean == means[1]
+    assert simulate_random_code(p, m, 64 * block, seed=3).mean == means[1]
 
 
 def test_simulate_frees_a_blocks_words_before_drawing_the_next(monkeypatch):
@@ -207,6 +208,25 @@ def test_simulate_stops_a_trial_once_it_holds_every_rows_best_letter(monkeypatch
     assert _same_bits(many, simulate_gather_min(p, c, 2000, seed=5))
 
 
+def _drawn_words(monkeypatch, *args, **kwargs):
+    """A simulate_random_codes call's estimates and every array of words that
+    goes through its inverse CDF, in call order."""
+    drawn, inverse = [], montecarlo_mod._inverse_cdf
+
+    def counted(q):
+        draw, mass = inverse(q)
+
+        def counting_draw(w):
+            drawn.append(w.copy())
+            return draw(w)
+        return counting_draw, mass
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo_mod, "_inverse_cdf", counted)
+        got = simulate_random_codes(*args, **kwargs)
+    return got, drawn
+
+
 def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypatch):
     # letters 0 and 1, of mass 1/2 each, are the best letters of rows 0 and
     # 1, so a trial is final once it holds both. The 500 trials form one
@@ -217,21 +237,8 @@ def test_simulate_stops_reading_a_trial_inside_a_block_once_it_is_final(monkeypa
     # 4088 draws hold it but with probability 2^-4088, so every value is 0,
     # as that of 32 codewords but with probability 2^-31
     p = Problem(np.full(2, 0.5), np.full(2, 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    read = []
-    inverse = montecarlo_mod._inverse_cdf
-
-    def counted(q):
-        draw, mass = inverse(q)
-
-        def counting_draw(w):
-            read.append(w.size)
-            return draw(w)
-        return counting_draw, mass
-
-    monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
-    got = simulate_random_code(p, 4096, 500, seed=9)
-    monkeypatch.undo()
-    assert 0 < sum(read) <= 500 * 6
+    (got,), drawn = _drawn_words(monkeypatch, p, [4096], 500, seed=9)
+    assert 0 < sum(w.size for w in drawn) <= 500 * 6
     assert _same_bits(got, simulate_gather_min(p, 32, 500, seed=9))
 
 
@@ -240,24 +247,25 @@ def test_simulate_draws_each_word_once_where_no_trial_is_due_to_stop_early(monke
     # 12 letters, each row's best its own, and letter 0 of mass 0.01: a trial
     # is final only once it holds letter 0, due 0.4 or 0.48 times in the 40
     # or READ * 12 = 48 words it reads, so its codes are drawn in one pass,
-    # and the running minimum of M = 5 < 12 reads their first 5. Every word
-    # goes through the inverse CDF once; the tail's multinomial draws none
+    # and the mask of M = 5 < 12 reads their first 5. Every word goes through
+    # the inverse CDF once; the tail's multinomial draws none
     q = np.concatenate([[0.01], np.full(11, 0.09)])
     p = Problem(np.full(12, 1 / 12), q, 1.0 - np.eye(12))
-    read = []
-    inverse = montecarlo_mod._inverse_cdf
+    _, drawn = _drawn_words(monkeypatch, p, ms, 300, seed=2, chunk=64)
+    assert len(drawn) == 5 and sum(w.size for w in drawn) == 300 * min(max(ms), READ * 12)
 
-    def counted(q):
-        draw, mass = inverse(q)
 
-        def counting_draw(w):
-            read.append(w.size)
-            return draw(w)
-        return counting_draw, mass
-
-    monkeypatch.setattr(montecarlo_mod, "_inverse_cdf", counted)
-    simulate_random_codes(p, ms, 300, seed=2, chunk=64)
-    assert len(read) == 5 and sum(read) == 300 * min(max(ms), READ * 12)
+def test_simulate_in_slices_draws_each_word_once_with_m_on_both_sides_of_ny(monkeypatch):
+    # the instance above with a uniform prior: letter 0 is due 40 / 12 times
+    # in the 40 words a trial reads, so the mask reads them in slices, which
+    # also stop at M = 5 < 12. No word goes through the inverse CDF twice
+    p = Problem(np.full(12, 1 / 12), np.full(12, 1 / 12), 1.0 - np.eye(12))
+    got, drawn = _drawn_words(monkeypatch, p, [5, 40], 300, seed=2, chunk=64)
+    words = np.concatenate([w.ravel() for w in drawn])
+    assert 300 * 5 < words.size <= 300 * 40
+    assert np.unique(words).size == words.size
+    for m, mc in zip((5, 40), got):
+        assert _shares_bits(mc, simulate_gather_min(p, m, 300, seed=2, stride=40))
 
 
 @pytest.mark.parametrize("m", [4 * 4 + 3, 2 * READ * 4 - 1])
@@ -293,15 +301,15 @@ def _tail_problem(last=1e-12):
 
 
 def _trial_values(monkeypatch, *args, **kwargs):
-    """Every trial's value, as simulate_random_code hands them to np.std."""
-    seen, std = [], np.std
+    """Every trial's value, as simulate_random_code hands them to np.mean."""
+    seen, mean = [], np.mean
 
     def spy(values, *rest, **kw):
         seen.append(values.copy())
-        return std(values, *rest, **kw)
+        return mean(values, *rest, **kw)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "std", spy)
+        patch.setattr(np, "mean", spy)
         simulate_random_code(*args, **kwargs)
     return seen[0]
 
@@ -338,13 +346,16 @@ def test_simulate_past_the_read_limit_matches_the_exact_average(m, last):
     assert abs(mc.mean - exact) <= 5 * mc.stderr + allowance + 1e-12
 
 
-def _bench_problem(seed=3):
-    """The random-coding benchmark's 8x8 instance at rng seed `seed`: at
-    seed 3 most trials are still open, partly held, after their READ * 8
-    codewords."""
+def _bench_problem(seed=3, n=8):
+    """The random-coding benchmark's n x n instance, n of 8, 20 and 50, at rng
+    seed `seed`: at seed 3 most trials of the 8x8 one are still open, partly
+    held, after their READ * 8 codewords."""
     rng = np.random.default_rng(seed)
-    return Problem(rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8)),
-                   rng.integers(0, 5, (8, 8)).astype(float))
+    for size in (8, 20, 50):
+        p = Problem(rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)),
+                    rng.integers(0, 5, (size, size)).astype(float))
+        if size == n:
+            return p
 
 
 def _tail_draws(monkeypatch, *args, **kwargs):
@@ -364,6 +375,57 @@ def _tail_draws(monkeypatch, *args, **kwargs):
         patch.setattr(np.random, "Generator", Spy)
         got = simulate_random_code(*args, **kwargs)
     return got, draws
+
+
+def _twelve_letters(q, p_x=np.full(12, 1 / 12)):
+    """12 letters at prior q, each row's best letter its own."""
+    return Problem(p_x, np.array(q), 1.0 - np.eye(12))
+
+
+# the CI's 12x12 instance: letter 0, of mass 0.03, is the rarest a final trial must hold
+_CI_12 = partial(_twelve_letters, [0.03, 0.07] + [0.09] * 10, np.array([0.08] * 10 + [0.1, 0.1]))
+
+
+# (mean, stderr) as float.hex past 8 letters, so that a change to the kernel
+# that moves a bit fails here, not only against the gather-and-min oracle
+PINNED = {
+    "ci-one-pass": (
+        _CI_12, [5, 12, 20], 2000, 3,
+        [("0x1.4be0ded288ce6p-1", "0x1.60d2ca6a228cdp-10"),
+         ("0x1.70941c8216c61p-2", "0x1.0a74a842df9e7p-9"),
+         ("0x1.8678c0053e2d6p-3", "0x1.fcea41abaa285p-10")]),
+    "ci-sliced-tail": (
+        _CI_12, [5, 12, 100], 2000, 3,
+        [("0x1.4c408d8ec95bfp-1", "0x1.5f1be9a7ade0ep-10"),
+         ("0x1.70e5604189375p-2", "0x1.0d91838ebfcd3p-9"),
+         ("0x1.0e0221426fe73p-8", "0x1.9eac4b6536db1p-12")]),
+    "one-pass-tail": (
+        partial(_twelve_letters, [0.01] + [0.09] * 11), [5, 12, 100], 2000, 3,
+        [("0x1.4d4fdf3b645a2p-1", "0x1.56f1db8fc8488p-10"),
+         ("0x1.79c54a6921735p-2", "0x1.088d34fded429p-9"),
+         ("0x1.01b4e81b4e81bp-5", "0x1.d9b52ad7ff261p-11")]),
+    "sliced": (
+        partial(_twelve_letters, [1 / 12] * 12), [5, 12, 40], 300, 2,
+        [("0x1.48641fdb97531p-1", "0x1.a85ca94eac11dp-9"),
+         ("0x1.6b851eb851eb8p-2", "0x1.3ed57583aa68cp-8"),
+         ("0x1.1a2b3c4d5e6f7p-5", "0x1.6e0e65092842fp-9")]),
+    "bench-50": (
+        partial(_bench_problem, 0, 50), [2, 8, 64], 5000, 0,
+        [("0x1.58d747d15411bp+0", "0x1.f44699e6881b5p-9"),
+         ("0x1.77ca6f551af35p-2", "0x1.ec90fd7f700cdp-10"),
+         ("0x1.1a8d48d5b67bap-6", "0x1.6da12f679e159p-11")]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_simulate_past_8_letters_keeps_its_pinned_bits(case):
+    # M below, at and above ny, from codes drawn in one pass and in slices,
+    # with and without a tail: the CI's 12x12 calls with M = 12 added, which
+    # reads a prefix and moves no other M, and the random-coding benchmark's
+    # 50x50 exact call at seed 0
+    problem, ms, trials, seed, want = PINNED[case]
+    got = simulate_random_codes(problem(), ms, trials, seed)
+    assert [(mc.mean.hex(), mc.stderr.hex()) for mc in got] == want
 
 
 @pytest.mark.parametrize("problem", [_tail_problem, _bench_problem], ids=["tail", "bench-seed3"])
@@ -790,14 +852,14 @@ def test_simulate_codes_streams_each_tail_m_apart(monkeypatch):
     # equal a call at that M with stream 1 relabelled as 2
     p = _tail_problem()
     c = READ * p.y_size
-    seen, std = [], np.std
+    seen, mean = [], np.mean
 
     def spy(values, *rest, **kw):
         seen.append(values.copy())
-        return std(values, *rest, **kw)
+        return mean(values, *rest, **kw)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "std", spy)
+        patch.setattr(np, "mean", spy)
         simulate_random_codes(p, [3 * c, 2 * c], 300, 4, chunk=64)
     philox = np.random.Philox
 
