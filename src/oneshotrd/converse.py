@@ -5,9 +5,10 @@ dtilde(1/M, Q_C) where Q_C is the empirical distribution of its codewords.
 Minimizing dtilde(exp(-R), Q) over priors Q therefore lower-bounds the best
 achievable distortion at rate R; the exact average distortion of a random
 code of floor(e^R) words drawn from a prior is achievable, and the two
-sandwich the operational curve. The product
-experiment compares the best memoryless prior on an n-fold source with
-the unrestricted optimum.
+sandwich the operational curve. The product experiment compares the best
+memoryless prior on an n-fold source with the unrestricted optimum. Only the
+LP and the product prior's Nelder-Mead search need scipy, imported at their
+first call: about 0.5 s saved in every process that runs neither.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, minimize
 
 from .dtilde import dtilde_for_prior
 from .model import EqualityCheck, EqualityCheckError, Problem, _readonly, scaled_tol
@@ -27,6 +26,18 @@ from .random_coding import exact_expected_distortion
 
 EQUALITY_TOL = 1e-10  # converse_equality_check: largest |lhs - rhs|, times the scale of d
 SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper, times the scale of d
+
+
+def __getattr__(name: str):
+    """converse.linprog or converse.minimize: scipy.optimize's, imported on
+    first use (PEP 562), or whatever has been set in its place since. This
+    module calls it too, as a bare name lookup skips module __getattr__."""
+    if name not in ("linprog", "minimize"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        import scipy.optimize
+        globals()[name] = getattr(scipy.optimize, name)
+    return globals()[name]
 
 
 class SandwichBounds(NamedTuple):
@@ -180,6 +191,8 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     Where HiGHS ends without an optimum, as it does once costs reach about
     1e18, a ValueError names the largest cost.
     """
+    from scipy import sparse
+
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     t = _lp_size(problem, rate)
@@ -212,10 +225,10 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
         shape=(g, g + ny))
     # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
     # go unoptimized; 1e-10 is the tightest it accepts
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(g), A_eq=a_eq,
-                  b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    res = __getattr__("linprog")(cost, A_ub=a_ub, b_ub=np.zeros(g), A_eq=a_eq,
+                                 b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise ValueError(f"k-median LP failed (largest cost p_x d_xy = "
                          f"{cost.max():.3g}): {res.message}")
@@ -292,9 +305,9 @@ def _nelder_mead(objective, q0: np.ndarray, free: np.ndarray):
         q[free] = e / e.sum()
         return q
 
-    nm = minimize(lambda theta: objective(prior(theta)),
-                  np.log(np.clip(q0[free], 1e-12, None)), method="Nelder-Mead",
-                  options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
+    nm = __getattr__("minimize")(lambda theta: objective(prior(theta)),
+                                 np.log(np.clip(q0[free], 1e-12, None)), method="Nelder-Mead",
+                                 options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
     return nm.fun, prior(nm.x)
 
 

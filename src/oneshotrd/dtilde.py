@@ -22,17 +22,19 @@ import numpy as np
 from .model import InvariantViolation, Problem, _like, _readonly
 from .pairwise import accept_probability
 
-# Breakpoints closer than this, relative to the larger, are one breakpoint:
-# each row's cumulative sum adds the prior masses in its own order, so sums
-# equal in exact arithmetic can differ by rounding, up to about ny * 2^-53 of
-# their value. Relative, so that a real mass of 1e-300 at the bottom of a row
-# still opens a segment and dtilde(0) stays the minimum over the prior's
-# support; but never below the smallest normal double: at a subnormal b the
-# value dtilde1(b) is subnormal, short of digits, and dtilde divides it by w.
-# That floor is the smallest mass validate() admits, and a gap equal to it is
-# kept, so such a mass opens a segment, as the fill sees it. PROB_ATOL
-# (model.py), how far an input simplex may sum from 1, is a separate quantity.
-BREAKPOINT_MERGE_TOL = 1e-14
+# Breakpoints closer than y_size times this, relative to the larger, are one
+# breakpoint: each row sums the prior masses in its own order, so sums equal in
+# exact arithmetic can differ by rounding, in practice by at most about
+# y_size * 2^-53 of their value (a pair left apart opens a segment only as wide
+# as that), while real breakpoints further apart stay apart: at two letters, a
+# mass of 1e-14 at the top of a row opens a segment. Relative, so that a real
+# mass of 1e-300 at the bottom of a row still opens a segment and dtilde(0)
+# stays the minimum over the prior's support; but never below the smallest
+# normal double: at a subnormal b the value dtilde1(b) is subnormal, short of
+# digits, and dtilde divides it by w. That floor is the smallest mass
+# validate() admits, and a gap equal to it is kept, so such a mass opens a
+# segment, as the fill sees it. PROB_ATOL (model.py) is a separate quantity.
+BREAKPOINT_MERGE_TOL = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +87,7 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     rises[:x.size] = problem.p_x[x] * np.where(below > 0, np.diff(level, prepend=0), level)
     by_pt = np.argsort(pts, kind="stable")
     pts = pts[by_pt]
-    gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
+    gap = np.maximum(BREAKPOINT_MERGE_TOL * problem.y_size * pts[1:], np.finfo(float).tiny)
     keep = np.concatenate(([True], np.diff(pts) >= gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0

@@ -151,7 +151,7 @@ def build_dtilde1_by_rows(problem: Problem) -> PiecewiseLinear:
     profs = [profile_unique(problem, x) for x in range(problem.x_size)]
     pts = np.concatenate([p.cumulative for p in profs] + [np.array([0.0, 1.0])])
     pts = np.sort(pts)
-    gap = np.maximum(BREAKPOINT_MERGE_TOL * pts[1:], np.finfo(float).tiny)
+    gap = np.maximum(BREAKPOINT_MERGE_TOL * problem.y_size * pts[1:], np.finfo(float).tiny)
     keep = np.concatenate(([True], np.diff(pts) >= gap))
     bp = pts[keep].copy()
     bp[0], bp[-1] = 0.0, 1.0
@@ -209,8 +209,8 @@ def exact_merge_shift(problem: Problem) -> float:
     """The largest gap, relative to its upper end, between two distinct
     exact breakpoints of the fill (0, 1, and each row's running prior sum
     where a level of positive mass starts and at its end) that lie within
-    2 * BREAKPOINT_MERGE_TOL of each other, where build_dtilde1 may take
-    them as one; 0 if there are none."""
+    2 * y_size * BREAKPOINT_MERGE_TOL of each other, where build_dtilde1 may
+    take them as one; 0 if there are none."""
     pts = {Fraction(0), Fraction(1)}
     for x in range(problem.x_size):
         below, d_prev = Fraction(0), None
@@ -222,7 +222,8 @@ def exact_merge_shift(problem: Problem) -> float:
         pts.add(below)
     pts = sorted(pts)
     gaps = [(hi - lo) / hi for lo, hi in zip(pts, pts[1:])]
-    return float(max([g for g in gaps if g < 2 * BREAKPOINT_MERGE_TOL], default=0))
+    tol = 2 * problem.y_size * BREAKPOINT_MERGE_TOL
+    return float(max([g for g in gaps if g < tol], default=0))
 
 
 def inf_form_by_rows(problem: Problem, rate: float) -> InfFormResult:

@@ -494,16 +494,6 @@ def test_variational_accepts_the_smallest_normal_w(golden):
     assert status == 0 and "channel_gap" in out
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second and 20 MB on every import, and
-    # only the test oracles use it
-    src = str(Path(oneshotrd.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, oneshotrd, oneshotrd.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
 def _golden_argv(call, golden="integer_6x5"):
     return [call[0], "--problem", str(GOLDEN / f"{golden}.json"), *call[1:]]
 
@@ -604,6 +594,66 @@ def test_adapters_return_what_run_prints(call, capsys):
         _write_csv(*result, None)
     printed = capsys.readouterr().out
     assert _run_captured(argv) == (0, printed, "")
+
+
+# runs each argv of the JSON list in argv[1] through cli.run in turn; prints
+# whether scipy was loaded after the import, then each call's status, stdout,
+# stderr and whether scipy was loaded after it
+FRESH_RUNS = """
+import contextlib, io, json, sys
+import oneshotrd, oneshotrd.cli
+seen = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = oneshotrd.cli.run(argv)
+    seen.append([status, out.getvalue(), err.getvalue(), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _fresh_runs(argvs):
+    """FRESH_RUNS in a fresh interpreter: unlike this test process, it has
+    not imported scipy yet."""
+    src = str(Path(oneshotrd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(argvs)],
+                          env=env, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+# the calls that solve the k-median LP or search by Nelder-Mead, the only
+# ones that need scipy; n = 2 runs Nelder-Mead, n = 1 only the LP
+SCIPY_CALLS = [
+    ["converse", "--rate", "0.9"],
+    ["optimize-prior", "--rate", "0.9"],
+    ["product-prior-experiment", "--n", "2", "--rate", "0.4"],
+]
+
+
+def test_only_the_lp_and_nelder_mead_load_scipy():
+    # scipy costs about 0.5 s and 49 MB in every process that imports it;
+    # the in-process tests have loaded it long before, so a fresh interpreter
+    # checks that the import and every other call leave it unloaded
+    calls = [_golden_argv(c) for c in ADAPTER_CALLS
+             if c[0] not in ("optimize-prior", "product-prior-experiment")
+             and c[:2] != ["converse", "--rate"]]
+    imported, *runs = _fresh_runs(calls)
+    assert not imported
+    for argv, (status, out, err, loaded) in zip(calls, runs):
+        assert (status, err, loaded) == (0, "", False), argv
+        assert out, argv
+
+
+def test_scipy_calls_print_in_a_fresh_interpreter_what_they_print_here():
+    # the first call loads linprog, the last minimize: each at its first use
+    calls = [_golden_argv(c, "binary_hamming") for c in SCIPY_CALLS]
+    imported, *runs = _fresh_runs(calls)
+    assert not imported
+    for argv, (status, out, err, loaded) in zip(calls, runs):
+        assert (status, out, err) == _run_captured(argv), argv
+        assert status == 0 and loaded, argv
 
 
 def _uniform_channel(problem, w):

@@ -17,6 +17,7 @@ from oneshotrd import (
     dtilde_for_prior,
     dtilde_inverse,
     dtilde_subgradient,
+    exact_expected_distortion,
     load_problem,
     rtilde,
     test_channel as packing_channel,
@@ -370,8 +371,8 @@ def test_dtilde_is_nonnegative_and_continuous_and_near_the_exact_fill(problem, s
     assert closing.tolist() == dtilde(problem, inner).tolist()
     # within 8 roundings in the scale of d of the exact fill, for the priors
     # that validate() admits (build_dtilde1 merges a subnormal mass), plus
-    # the shift of breakpoints that build_dtilde1 merges: with q = [1e-14, 1]
-    # (normalized) a row's level at 1 - 1e-14 merges into its end at 1.
+    # the shift of breakpoints that build_dtilde1 merges, exact ones within
+    # about y_size roundings of each other.
     # Not of dtilde(1): with p = [1], q = [1, 128] / 129 and d = [[0.5, 0]]
     # the float masses sum to 1 - 2^-56 but the last segment runs to 1, so
     # dtilde(1) reads 6.9e-18, 16 roundings of itself, above the exact fill
@@ -382,6 +383,17 @@ def test_dtilde_is_nonnegative_and_continuous_and_near_the_exact_fill(problem, s
         # rounding, divided by w where dtilde divides
         tol += problem.d.size * 2.0**-1074 / np.where(ws < pw.breakpoints[1], 1.0, ws)
         assert np.all(err <= tol), (ws[np.argmax(err)], err.max())
+
+
+def test_a_real_mass_at_the_top_of_a_row_opens_its_segment():
+    # the level at 0.25 starts at 1 - 1e-14 and ends at 1: a real mass, not the
+    # rounding of a row's sum, so neither dtilde(1) nor the average of a
+    # one-word code reads 0 where the exact value sum p q d is 2.5e-15
+    problem = Problem([1.0], np.array([1e-14, 1.0]) / (1 + 1e-14), [[0.25, 0.0]])
+    assert build_dtilde1(problem).breakpoints.size == 3
+    exact = float(dtilde_exact(problem, [1.0])[0])
+    assert dtilde(problem, 1.0) == pytest.approx(exact, rel=1e-12)
+    assert exact_expected_distortion(problem, 1) == pytest.approx(exact, rel=1e-12)
 
 
 def test_dtilde_reads_the_right_limit_at_a_subnormal_w():

@@ -9,6 +9,9 @@ from its file and not modified.
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,33 @@ def test_tracer_finds_every_span(tracing, binary_hamming, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert missing == []
+
+
+def test_tracer_wraps_linprog_before_scipy_is_loaded(binary_hamming, tmp_path):
+    # converse imports scipy at its first LP; a tracer installed in a fresh
+    # interpreter, before any LP, must still find and count converse.linprog
+    path = tmp_path / "p.json"
+    oneshotrd.save_problem(binary_hamming, path)
+    code = f"""
+import contextlib, importlib.util, io, sys
+import oneshotrd.cli
+assert "scipy" not in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert oneshotrd.cli.run(["converse", "--problem", {str(path)!r}, "--rate", "0.5"]) == 0
+tracer.uninstall()
+print(tracer.totals["cli.run"][0], tracer.totals["converse.linprog"][0])
+"""
+    src = str(Path(oneshotrd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_simulate_signature_binds_traced_arguments(binary_hamming):
