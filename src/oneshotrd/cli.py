@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -49,6 +48,7 @@ from .random_coding import (
 from .variational import VARIATIONAL_TOL, variational_check
 
 FMT = "%.12g"  # 12 significant digits everywhere
+_RECORDS = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 class BoundRecord(NamedTuple):
@@ -71,11 +71,13 @@ class BoundReport:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
-            doc = {
-                "name": self.name,
-                "records": [r._asdict() for r in self.records],
-            }
-            print(json.dumps(doc, indent=2))
+            # json.dumps(doc, indent=2)'s bytes from the C encoder, which CPython
+            # skips where indent is set; no encoded string holds a raw newline
+            records = _RECORDS.encode([r._asdict() for r in self.records])
+            if self.records:
+                records = "[\n    {\n      " + records[2:-2].replace(
+                    "},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+            print(f'{{\n  "name": {json.dumps(self.name)},\n  "records": {records}\n}}')
         else:
             for r in self.records:
                 tol = "" if r.tolerance is None else f"  (tol {FMT % r.tolerance})"
@@ -83,12 +85,14 @@ class BoundReport:
 
 
 def _write_csv(header, rows, out: str | None) -> None:
+    # csv.writer's bytes with FMT for each float: no header or value needs
+    # quoting, and every row's values have the first row's types
+    rows = [tuple(row) for row in rows]
+    fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\r\n" if rows else ""
+    text = ",".join(header) + "\r\n" + "".join([fmt % row for row in rows])
     with (open(out, "w", newline="", encoding="utf-8") if out
           else contextlib.nullcontext(sys.stdout)) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
+        handle.write(text)
 
 
 # Each _cmd_* adapter takes the loaded problem and the parsed arguments and

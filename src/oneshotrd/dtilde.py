@@ -76,28 +76,29 @@ def build_dtilde1(problem: Problem) -> PiecewiseLinear:
     if problem._dtilde1 is not None:
         return problem._dtilde1
     table = problem.levels
-    x, k = np.nonzero(table.head & (table.mass > 0))
-    if x.size == 0:
+    i = (table.head & (table.mass > 0)).ravel().nonzero()[0]
+    if i.size == 0:
         raise InvariantViolation("q_y has empty support")
-    level, below = table.ds[x, k], table.below[x, k]
+    level, below = table.ds.ravel()[i], table.below.ravel()[i]
     # a row's lowest level starts at below = 0; each row's total ends its
     # top level and adds a breakpoint only
     pts = np.concatenate((below, table.below[:, -1] + table.mass[:, -1], [1.0]))
     rises = np.zeros(pts.size)
-    rises[:x.size] = problem.p_x[x] * np.where(below > 0, np.diff(level, prepend=0), level)
-    by_pt = np.argsort(pts, kind="stable")
+    rises[1:i.size] = np.where(below[1:] > 0, level[:-1], 0.0)
+    rises[:i.size] = problem.p_x[i // problem.y_size] * (level - rises[:i.size])
+    by_pt = pts.argsort(kind="stable")
     pts = pts[by_pt]
     gap = np.maximum(BREAKPOINT_MERGE_TOL * problem.y_size * pts[1:], np.finfo(float).tiny)
-    keep = np.concatenate(([True], np.diff(pts) >= gap))
-    bp = pts[keep].copy()
+    keep = np.concatenate(([True], pts[1:] - pts[:-1] >= gap))
+    bp = pts[keep]
     bp[0], bp[-1] = 0.0, 1.0
     # each merged breakpoint adds its rises to the slope of the segments
     # after it; the rises at w = 1 open no segment
-    rise = np.bincount(np.cumsum(keep) - 1, weights=rises[by_pt], minlength=bp.size)
-    slopes = np.cumsum(rise[:-1])
+    rise = np.bincount(keep.cumsum() - 1, weights=rises[by_pt], minlength=bp.size)
+    slopes = rise[:-1].cumsum()
 
     # a sequential sum: each segment ends bit for bit at the next one's value
-    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(bp))))
+    values = np.concatenate(([0.0], (slopes * (bp[1:] - bp[:-1])).cumsum()))
     # slopes never decrease, so the flat segments are a prefix; rounding may
     # lift one of their right-end values above dtilde(0), hence the mask
     right_values = np.maximum.accumulate(

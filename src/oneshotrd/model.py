@@ -106,18 +106,20 @@ class Problem:
         head is True where a level starts, and below and mass are the prior
         masses strictly below and at its level, from one sum per row.
         """
-        ds = np.take_along_axis(self.d, self.row_order, axis=1)
-        head = np.ones(ds.shape, dtype=bool)
+        nx, ny = self.d.shape
+        ds = self.d[np.arange(nx)[:, None], self.row_order]
+        edge = np.ones(ds.size + 1, dtype=bool)  # head, and one more True past the end
+        head = edge[:-1].reshape(nx, ny)
         head[:, 1:] = ds[:, 1:] != ds[:, :-1]
-        cum = np.zeros((ds.shape[0], ds.shape[1] + 1))
-        np.cumsum(self.q_y[self.row_order], axis=1, out=cum[:, 1:])
+        cum = np.zeros((nx, ny + 1))
+        self.q_y[self.row_order].cumsum(axis=1, out=cum[:, 1:])
         # cum's flat index of (x, k) is x * ny + k + x; a level ends at the
-        # next head, so a row's last one at (x + 1) * ny + x, the row's end
-        starts = np.flatnonzero(head)
-        rows = starts // ds.shape[1]
-        below = cum.ravel()[starts + rows]
-        mass = cum.ravel()[np.append(starts[1:], head.size) + rows] - below
-        level = np.cumsum(head).reshape(ds.shape) - 1
+        # next edge, so a row's last one at (x + 1) * ny + x, the row's end
+        edges = edge.nonzero()[0]
+        rows = edges[:-1] // ny
+        below = cum.ravel()[edges[:-1] + rows]
+        mass = cum.ravel()[edges[1:] + rows] - below
+        level = head.cumsum().reshape(nx, ny) - 1
         table = LevelTable(ds, head, below[level], mass[level])
         for a in table:
             a.setflags(write=False)
@@ -127,6 +129,14 @@ class Problem:
 def validate(problem: Problem) -> None:
     """Check every Problem invariant, raising on the first violation."""
     p, q, d = problem.p_x, problem.q_y, problem.d
+    # whole-array reductions accept a valid problem (a NaN fails a min, an inf
+    # a sum or max); only a failure walks the ordered checks to name the first
+    if (p.ndim == q.ndim == 1 and d.shape == (p.size, q.size) and p.size and q.size
+            and p.min() >= 0 and q.min() >= 0 and d.min() >= 0 and d.max() < np.inf
+            and abs(float(np.sum(p)) - 1.0) <= PROB_ATOL
+            and abs(float(np.sum(q)) - 1.0) <= PROB_ATOL
+            and not ((q > 0) & (q < np.finfo(float).tiny)).any()):
+        return
     for name, v in (("p_x", p), ("q_y", q)):
         if v.ndim != 1 or v.size == 0:
             raise InvariantViolation(f"{name} must be a nonempty vector")

@@ -25,7 +25,10 @@ them, the acceptance matrix and witness built row by row, the
 piecewise-linear dtilde1 built from every row's profile, the
 capacity-capped greedy channel filled level by level, and the three-stage
 search for the best memoryless prior (multiplicative weights, a grid and
-a softmax polish) that Nelder-Mead on the faces of the simplex replaced.
+a softmax polish) that Nelder-Mead on the faces of the simplex replaced,
+validate()'s checks in their order, each run on every problem, which name
+the violation a rejected problem must report, and the CLI's CSV table
+written through csv.writer one formatted value at a time.
 
 The samplers read the library's own Philox words and blocks (streams 1 and
 2; the random-code simulator reads its codewords from stream 0) and turn
@@ -35,6 +38,7 @@ and a patched ``oneshotrd.montecarlo.BUDGET`` bounds their memory too.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +52,7 @@ from oneshotrd import (
     DistortionProfile, InvariantViolation, PiecewiseLinear, Problem, build_dtilde1, f_inverse,
     f_of, rtilde,
 )
+from oneshotrd.cli import FMT
 from oneshotrd.converse import (
     PRODUCT_RANDOM_STARTS, ProductPriorReport, PriorOptResult, _dual_bound,
     _lp_size, _product_power, dtilde_subgradient, optimize_prior, product_problem,
@@ -334,6 +339,40 @@ def validate_channel(w: np.ndarray) -> None:
         raise InvariantViolation(
             f"channel row {bad[0]} sums to {sums[bad[0]]:.12g}"
         )
+
+
+def validate_ordered(problem: Problem) -> None:
+    """validate() as ordered checks alone, each run on every problem: the
+    first violation in this order is the one validate() must name."""
+    p, q, d = problem.p_x, problem.q_y, problem.d
+    for name, v in (("p_x", p), ("q_y", q)):
+        if v.ndim != 1 or v.size == 0:
+            raise InvariantViolation(f"{name} must be a nonempty vector")
+        if not np.all(np.isfinite(v)):
+            raise InvariantViolation(f"{name} has non-finite entries")
+        if np.any(v < 0):
+            raise InvariantViolation(f"{name} has negative entries")
+        s = float(np.sum(v))
+        if abs(s - 1.0) > PROB_ATOL:
+            raise InvariantViolation(f"{name} sums to {s:.12g}")
+    if np.any((q > 0) & (q < np.finfo(float).tiny)):
+        raise InvariantViolation("q_y has subnormal entries")
+    if d.shape != (p.size, q.size):
+        raise InvariantViolation(
+            f"distortion matrix has shape {d.shape}, expected {(p.size, q.size)}"
+        )
+    if np.any(np.isnan(d)) or np.any(np.isinf(d)):
+        raise InvariantViolation("non-finite distortion")
+    if np.any(d < 0):
+        raise InvariantViolation("negative distortion")
+
+
+def write_csv_per_value(header, rows, handle) -> None:
+    """The CLI's CSV table through csv.writer, formatting each float on its own."""
+    writer = csv.writer(handle)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oneshotrd
@@ -27,6 +27,7 @@ from oneshotrd import (
 )
 from oneshotrd.cli import _FLOAT_OPTIONS, BoundReport, _build_parser, _write_csv, run
 from oneshotrd.converse import product_prior_experiment, product_problem
+from oracles import write_csv_per_value
 
 
 @pytest.fixture
@@ -548,6 +549,61 @@ def test_out_writes_the_bytes_the_call_prints(case, tmp_path):
     path = tmp_path / "out.csv"
     assert _run_captured([*argv, "--out", str(path)]) == (0, "", "")
     assert path.read_bytes() == printed.encode()
+
+
+REPORT_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308]))
+REPORT_TEXT = st.text(alphabet=st.sampled_from(
+    list('ab "\\/\n\r\t{}[],:') + ["\u00e9", "\u65e5", "\u2028", "\U0001f600", "\x00"]), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=REPORT_TEXT, records=st.lists(st.tuples(
+    REPORT_TEXT, REPORT_FLOATS, REPORT_TEXT,
+    st.none() | REPORT_FLOATS | REPORT_FLOATS.map(np.float64)), max_size=20))
+@example(name="r", records=[])
+@example(name="r", records=[('x"},\n      {"', -0.0, '\\"}\n    },', None)])
+def test_json_report_is_the_indented_dumps_byte_for_byte(name, records):
+    report = BoundReport(name)
+    for quantity, value, method, tolerance in records:
+        report.add(quantity, value, method, tolerance)
+    doc = {"name": name, "records": [r._asdict() for r in report.records]}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        report.emit(True)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows whose columns are all ints or all floats, as the
+    adapters return them: tuples, lists or a zip, floats as numpy's or not."""
+    kinds = draw(st.lists(st.sampled_from(["int", "float", "float64"]), min_size=1, max_size=5))
+    header = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
+                           min_size=len(kinds), max_size=len(kinds)))
+    cell = {"int": st.integers(-10**20, 10**20), "float": REPORT_FLOATS,
+            "float64": REPORT_FLOATS.map(np.float64)}
+    rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=30))
+    return header, draw(st.sampled_from([list, lambda r: [list(v) for v in r],
+                                         lambda r: zip(*zip(*r)) if r else iter(r)]))(rows), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=csv_tables())
+@example(table=(["w"], [], []))
+@example(table=(["M", "exact"], [(1, 0.25), (64, -0.0)], [(1, 0.25), (64, -0.0)]))
+def test_csv_is_the_per_value_csv_writer_byte_for_byte(table, tmp_path_factory):
+    header, rows, plain = table
+    expected = io.StringIO()
+    write_csv_per_value(header, plain, expected)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _write_csv(header, rows, None)
+    assert out.getvalue() == expected.getvalue()
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    _write_csv(header, plain, str(path))
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert expected.getvalue().count("\r\n") == len(plain) + 1
 
 
 def test_out_in_a_missing_directory_exits_1(tmp_path):

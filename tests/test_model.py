@@ -26,8 +26,9 @@ from oneshotrd import (
     validate,
 )
 from oneshotrd.converse import code_distortion, converse_equality_check, dhat_sandwich
+from oneshotrd.model import PROB_ATOL
 from oneshotrd.variational import sup_form_value, variational_check
-from oracles import find_level, validate_channel
+from oracles import find_level, validate_channel, validate_ordered
 
 
 def write_json(tmp_path, doc, name="prob.json"):
@@ -159,6 +160,84 @@ def test_validate_reports_negative_entries():
     p = Problem([1.5, -0.5], [0.5, 0.5], [[0, 1], [1, 0]])
     with pytest.raises(InvariantViolation, match="p_x has negative"):
         validate(p)
+
+
+def _sum_edges():
+    """The largest and the smallest double within PROB_ATOL of 1."""
+    edges = []
+    for step in (2.0, 0.0):
+        edge = 1.0
+        while abs(np.nextafter(edge, step) - 1.0) <= PROB_ATOL:
+            edge = np.nextafter(edge, step)
+        edges.append(float(edge))
+    return edges
+
+
+HIGH, LOW = _sum_edges()
+TINY = float(np.finfo(float).tiny)
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, -0.5, 5e-324, TINY / 2, TINY, 1.0]
+
+
+@st.composite
+def raw_problems(draw):
+    """Problems as drawn, valid or not: normalized vectors, empty ones too,
+    and a distortion matrix of the right shape or not, with up to three
+    entries replaced by a special value."""
+    nx, ny = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    arrays = []
+    for n in (nx, ny):
+        v = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        arrays.append(v / v.sum() if v.sum() > 0 else v)
+    rows, cols = draw(st.sampled_from([(nx, ny), (ny, nx), (nx, ny + 1)]))
+    d = draw(st.lists(st.floats(0.0, 5.0), min_size=rows * cols, max_size=rows * cols))
+    arrays.append(np.reshape(d, (rows, cols)))
+    for _ in range(draw(st.integers(0, 3))):
+        a = arrays[draw(st.integers(0, 2))]
+        if a.size:
+            a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from(SPECIAL))
+    return Problem(*arrays)
+
+
+def _verdict(check, problem):
+    try:
+        check(problem)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=raw_problems())
+@example(problem=Problem([0.3, 0.7], [0.6, 0.4], [[0, 1], [1, 0]]))
+@example(problem=Problem([np.nan, 1.0], [1.0], [[0.0], [0.0]]))
+@example(problem=Problem([1.0], [np.inf, 0.0], [[0.0, 0.0]]))
+@example(problem=Problem([1.0], [1.0], [[-np.inf]]))
+@example(problem=Problem([1.0], [1.0], [[np.nan]]))
+@example(problem=Problem([1.0], [1.0], [[np.inf]]))
+@example(problem=Problem([1.5, -0.5], [1.0], [[0.0], [0.0]]))
+@example(problem=Problem([1.0], [1.0], [[-1.0]]))
+@example(problem=Problem([1.0, -0.0], [-0.0, 1.0], [[-0.0, 0.0], [0.0, -0.0]]))
+@example(problem=Problem([1.0], [1.0, 1e-310], [[0.0, 0.0]]))
+@example(problem=Problem([1.0], [1.0, 5e-324], [[0.0, 0.0]]))
+@example(problem=Problem([1.0], [1.0, TINY], [[0.0, 0.0]]))
+@example(problem=Problem([HIGH], [LOW], [[0.0]]))
+@example(problem=Problem([np.nextafter(HIGH, 2.0)], [1.0], [[0.0]]))
+@example(problem=Problem([LOW], [HIGH], [[0.0]]))
+@example(problem=Problem([1.0], [np.nextafter(LOW, 0.0)], [[0.0]]))
+@example(problem=Problem([1.0], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]))
+@example(problem=Problem([1.0], [1.0], [[0.0, 1.0]]))
+@example(problem=Problem([], [1.0], np.zeros((0, 1))))
+@example(problem=Problem([1.0], [], np.zeros((1, 0))))
+@example(problem=Problem([[0.5, 0.5]], [1.0], [[0.0], [0.0]]))
+def test_validate_keeps_the_ordered_checks_verdicts(problem):
+    # the one-pass acceptance takes exactly the problems the ordered checks
+    # take, and a rejection names the violation they name first
+    assert _verdict(validate, problem) == _verdict(validate_ordered, problem)
+
+
+def test_sum_edges_lie_one_ulp_inside_the_tolerance():
+    assert HIGH - 1.0 <= PROB_ATOL < np.nextafter(HIGH, 2.0) - 1.0
+    assert 1.0 - LOW <= PROB_ATOL < 1.0 - np.nextafter(LOW, 0.0)
 
 
 def test_problem_arrays_are_readonly(binary_hamming):
