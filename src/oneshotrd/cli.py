@@ -85,8 +85,7 @@ class BoundReport:
 
 
 def _write_csv(header, rows, out: str | None) -> None:
-    # csv.writer's bytes with FMT for each float: no header or value needs
-    # quoting, and every row's values have the first row's types
+    # csv.writer's bytes with FMT for each float, under the table rule below
     rows = [tuple(row) for row in rows]
     fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\r\n" if rows else ""
     text = ",".join(header) + "\r\n" + "".join([fmt % row for row in rows])
@@ -96,7 +95,9 @@ def _write_csv(header, rows, out: str | None) -> None:
 
 
 # Each _cmd_* adapter takes the loaded problem and the parsed arguments and
-# returns a BoundReport or a CSV table (header, rows); run() prints it.
+# returns a BoundReport or a CSV table (header, rows); run() prints it. In a
+# table every column holds one type, int or float, and no header needs quoting:
+# _write_csv takes each column's format from the first row.
 
 def _cmd_dtilde(problem, args):
     grid = np.union1d(np.linspace(0.0, 1.0, args.grid), build_dtilde1(problem).breakpoints)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,7 @@ ADAPTER_CALLS = [
     ["dtilde", "--grid", "11"],
     ["exact", "--M", "1,3", "--trials", "300"],
     ["exact", "--M", "3", "--trials", "300", "--csv"],
+    ["exact", "--M", "1,2,3", "--trials", "300", "--csv"],
     ["achieve", "--dreq", "1.2", "--json"],
     ["achieve", "--rate", "1", "--slack", "0.5"],
     ["converse", "--code", "0,4,2"],
@@ -647,7 +649,12 @@ def test_adapters_return_what_run_prints(call, capsys):
     if isinstance(result, BoundReport):
         result.emit(args.json)
     else:
-        _write_csv(*result, None)
+        header, rows = result[0], [tuple(row) for row in result[1]]
+        # the table rule _write_csv relies on: one type per column, no quoting
+        assert rows and all(re.fullmatch(r"[A-Za-z0-9_]+", h) for h in header)
+        for column in zip(*rows):
+            assert {float if isinstance(v, float) else type(v) for v in column} in ({int}, {float})
+        _write_csv(header, rows, None)
     printed = capsys.readouterr().out
     assert _run_captured(argv) == (0, printed, "")
 

@@ -216,6 +216,11 @@ def _verdict(check, problem):
 @example(problem=Problem([1.0], [1.0], [[np.inf]]))
 @example(problem=Problem([1.5, -0.5], [1.0], [[0.0], [0.0]]))
 @example(problem=Problem([1.0], [1.0], [[-1.0]]))
+@example(problem=Problem([-1.0, np.inf], [1.0], [[0.0], [0.0]]))
+@example(problem=Problem([1.0], [1.0, -np.inf], [[0.0, 0.0]]))
+@example(problem=Problem([1.0], [1.0], [[-1.0, np.nan]]))
+@example(problem=Problem([1.0], [1.0], [[-np.inf, np.inf]]))
+@example(problem=Problem([1.0], [1.0], [[1e308, -1e308]]))
 @example(problem=Problem([1.0, -0.0], [-0.0, 1.0], [[-0.0, 0.0], [0.0, -0.0]]))
 @example(problem=Problem([1.0], [1.0, 1e-310], [[0.0, 0.0]]))
 @example(problem=Problem([1.0], [1.0, 5e-324], [[0.0, 0.0]]))
@@ -230,8 +235,8 @@ def _verdict(check, problem):
 @example(problem=Problem([1.0], [], np.zeros((1, 0))))
 @example(problem=Problem([[0.5, 0.5]], [1.0], [[0.0], [0.0]]))
 def test_validate_keeps_the_ordered_checks_verdicts(problem):
-    # the one-pass acceptance takes exactly the problems the ordered checks
-    # take, and a rejection names the violation they name first
+    # the min/max checks take exactly the problems the ordered checks take,
+    # and a rejection names the violation they name first
     assert _verdict(validate, problem) == _verdict(validate_ordered, problem)
 
 
