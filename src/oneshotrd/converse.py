@@ -7,15 +7,16 @@ achievable distortion at rate R; the exact average distortion of a random
 code of floor(e^R) words drawn from a prior is achievable, and the two
 sandwich the operational curve. The product experiment compares the best
 memoryless prior on an n-fold source with the unrestricted optimum. Only the
-LP and the product prior's Nelder-Mead search need scipy, imported at their
-first call: about 0.5 s saved in every process that runs neither.
+LP, solved on the HiGHS binding that scipy bundles, and the product prior's
+Nelder-Mead search need scipy, imported at their first call: about 0.5 s
+saved in every process that runs neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -29,14 +30,17 @@ SANDWICH_TOL = 1e-9   # dhat_sandwich: largest lower - upper, times the scale of
 
 
 def __getattr__(name: str):
-    """converse.linprog or converse.minimize: scipy.optimize's, imported on
-    first use (PEP 562), or whatever has been set in its place since. This
-    module calls it too, as a bare name lookup skips module __getattr__."""
+    """converse.linprog, _highs on scipy's bundled HiGHS binding, or
+    converse.minimize, scipy.optimize's: bound on first use (PEP 562), or
+    whatever has been set in its place since. This module calls them too, as
+    a bare name lookup skips module __getattr__. As a partial, linprog is not
+    a function of this module, so a tracer of those wraps it only by name."""
     if name not in ("linprog", "minimize"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if name not in globals():
         import scipy.optimize
-        globals()[name] = getattr(scipy.optimize, name)
+        from scipy.optimize._highspy import _core
+        globals()[name] = partial(_highs, _core) if name == "linprog" else scipy.optimize.minimize
     return globals()[name]
 
 
@@ -169,13 +173,40 @@ def _dual_bound(problem: Problem, t: float, alpha: np.ndarray) -> float:
     return float(np.sum(alpha) - t * np.max(np.sum(excess, axis=0)))
 
 
+def _highs(core, cost, start, index, coef, lower, upper):
+    """min cost . x over x >= 0 subject to lower <= A x <= upper, A given
+    column-wise by (start, index, coef), on a fresh Highs of scipy's binding
+    core. Returns HiGHS's model status, and x and the row duals if optimal."""
+    lp, n = core.HighsLp(), cost.size
+    # the binding takes col_cost_ fastest as an array, every other field as a list
+    lp.num_col_, lp.num_row_ = n, upper.size
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, [0.0] * n, [np.inf] * n
+    lp.row_lower_, lp.row_upper_ = lower.tolist(), upper.tolist()
+    matrix = lp.a_matrix_
+    matrix.start_, matrix.index_, matrix.value_ = start.tolist(), index.tolist(), coef.tolist()
+    highs = core._Highs()
+    # linprog(method="highs")'s options, with both feasibility tolerances at
+    # 1e-10: HiGHS's default 1e-7 would let costs p_x d_xy below 1e-7 go unoptimized
+    for option in (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
+                   ("output_flag", False), ("simplex_strategy", 1),
+                   ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
+        highs.setOptionValue(*option)
+    highs.passModel(lp)
+    highs.run()
+    if (status := highs.getModelStatus()) != core.HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(status), None, None
+    solution = highs.getSolution()
+    return "Optimal", np.array(solution.col_value), np.array(solution.row_dual)
+
+
 def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     """Minimize prior -> dtilde(exp(-rate), prior) over the simplex.
 
     The minimum is the k-median LP relaxation at t = e^rate (repeated
     centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
-    sum_y r_y = t and z_xy <= r_y; q_star = r / t. HiGHS solves it over
-    the distinct levels of each row of d instead of its letters: one
+    sum_y r_y = t and z_xy <= r_y; q_star = r / t. HiGHS solves it, through
+    scipy's bundled binding with the options linprog would set (_highs),
+    over the distinct levels of each row of d instead of its letters: one
     z_xk <= sum_{y at level k} r_y per (x, level). The two LPs have the
     same optimum, since the letters of a level share the cost p_x d_xk,
     so z_xk is the sum of their z_xy, and any z_xk splits back as
@@ -188,17 +219,13 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     within its 1e-10 tolerances, so where costs p_x d_xy differ by about
     1e-10, value can sit up to about 5e-10 above the minimum;
     certificate_gap reports that distance, and dual_bound stays valid.
-    Where HiGHS ends without an optimum, as it does once costs reach about
-    1e18, a ValueError names the largest cost.
+    Where HiGHS ends without an optimum, as it can once costs reach about
+    1e17, a ValueError names the largest cost and HiGHS's model status.
     """
-    from scipy import sparse
-
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     t = _lp_size(problem, rate)
     nx, ny = problem.x_size, problem.y_size
-    nz = nx * ny
-    k = np.arange(nz)
     # (x, y) in each row's ascending order, and where each level starts
     ranked = (np.arange(nx)[:, None] * ny + problem.row_order).ravel()
     head = problem.levels.head.ravel()
@@ -206,44 +233,31 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     # is its smallest (x, y); levels are numbered in that order
     heads = ranked[head]
     by_head = np.argsort(heads)
-    level = np.empty(nz, dtype=np.intp)
+    level = np.empty(nx * ny, dtype=np.intp)
     level[ranked] = np.argsort(by_head)[np.cumsum(head) - 1]
     heads = heads[by_head]
     g = heads.size
     cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel()[heads],
                            np.zeros(ny)])
-    # rows 0..nx-1: sum_k z_xk = 1; row nx: sum_y r_y = t
-    a_eq = sparse.csr_array(
-        (np.ones(g + ny),
-         (np.concatenate([heads // ny, np.full(ny, nx)]), np.arange(g + ny))),
-        shape=(nx + 1, g + ny))
-    # row (x, level k): z_xk - sum_{y at level k} r_y <= 0
-    a_ub = sparse.csr_array(
-        (np.concatenate([np.ones(g), -np.ones(nz)]),
-         (np.concatenate([np.arange(g), level]),
-          np.concatenate([np.arange(g), g + k % ny]))),
-        shape=(g, g + ny))
-    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
-    # go unoptimized; 1e-10 is the tightest it accepts
-    res = __getattr__("linprog")(cost, A_ub=a_ub, b_ub=np.zeros(g), A_eq=a_eq,
-                                 b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
-                                 options={"primal_feasibility_tolerance": 1e-10,
-                                          "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
+    # rows k: z_xk - sum_{y at level k} r_y <= 0, g + x: sum_k z_xk = 1 and
+    # g + nx: sum_y r_y = t, read column by column with rows ascending: z_xk's
+    # are k and g + x, and r_y's its level in each x (in order), then g + nx
+    index = np.concatenate([np.column_stack([np.arange(g), g + heads // ny]).ravel(),
+                            np.vstack([level.reshape(nx, ny), np.full(ny, g + nx)]).T.ravel()])
+    start = np.concatenate([np.arange(0, 2 * g, 2), np.arange(2 * g, index.size + 1, nx + 1)])
+    coef = np.concatenate([np.ones(2 * g), np.tile(np.append(-np.ones(nx), 1.0), ny)])
+    upper = np.concatenate([np.zeros(g), np.ones(nx), [t]])
+    lower = np.concatenate([np.full(g, -np.inf), upper[g:]])
+    status, x, duals = __getattr__("linprog")(cost, start, index, coef, lower, upper)
+    if x is None:
         raise ValueError(f"k-median LP failed (largest cost p_x d_xy = "
-                         f"{cost.max():.3g}): {res.message}")
-    q = np.clip(res.x[g:], 0.0, None)
+                         f"{cost.max():.3g}): HiGHS model status {status}")
+    q = np.clip(x[g:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
-    alpha = res.eqlin.marginals[:nx]
+    alpha = duals[g:g + nx]
     bound = _dual_bound(problem, t, alpha)
-    return PriorOptResult(
-        q_star=_readonly(q),
-        value=value,
-        dual_bound=bound,
-        certificate_gap=value - bound,
-        alpha=_readonly(alpha),
-    )
+    return PriorOptResult(_readonly(q), value, bound, value - bound, _readonly(alpha))
 
 
 def dhat_sandwich(problem: Problem, rate: float) -> SandwichBounds:

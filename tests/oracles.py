@@ -10,6 +10,8 @@ a search of the prior's CDF for every draw and a gather of d over every
 codeword, then a min, and its first held letter of a presence mask: the
 mask gathered in every row's order, then an argmax, the prior LP with one
 variable per (x, y) pair rather than per distinct distortion level, the
+level LP assembled as sparse matrices and solved through scipy's linprog
+rather than on HiGHS's binding directly, the
 best code of at most M words by exhaustive search, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
 never exceed, per-segment scans of the slack and of the distortion split
@@ -479,16 +481,38 @@ def first_held_rank(held: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.take(held, order, axis=1).argmax(axis=2)
 
 
+def _prior_by_linprog(problem: Problem, t: float, cost, a_ub, a_eq) -> PriorOptResult:
+    """optimize_prior's result from min cost . (z, r) subject to
+    a_ub (z, r) <= 0 and a_eq (z, r) = (1, ..., 1, t), r the last y_size
+    columns, solved by scipy's linprog(method="highs"); q_star = r / t. The
+    dual bound is recomputed in numpy from the equality duals alpha, without
+    trusting the solver's objective.
+    """
+    nx = problem.x_size
+    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
+    # go unoptimized; 1e-10 is the tightest it accepts
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                  b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"k-median LP failed: {res.message}")
+    q = np.clip(res.x[-problem.y_size:], 0.0, None)
+    q = q / q.sum()
+    value = dtilde_for_prior(problem, 1.0 / t, q)
+    alpha = res.eqlin.marginals[:nx]
+    bound = _dual_bound(problem, t, alpha)
+    return PriorOptResult(_readonly(q), value, bound, value - bound, _readonly(alpha))
+
+
 def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
     """optimize_prior by the k-median LP over every (x, y) pair.
 
     The minimum is the k-median LP relaxation at t = e^rate (repeated
     centres allowed): min sum p_x d_xy z_xy subject to sum_y z_xy = 1,
-    sum_y r_y = t and z_xy <= r_y, solved by HiGHS with sparse
-    constraints; q_star = r / t. For t >= y_size the minimum is the floor
-    sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
-    recomputed in numpy from the equality duals alpha, without trusting
-    the solver's objective.
+    sum_y r_y = t and z_xy <= r_y, solved by linprog with sparse
+    constraints. For t >= y_size the minimum is the floor
+    sum_x p_x min_y d_xy, so t is clamped there.
     """
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
@@ -507,26 +531,46 @@ def kmedian_lp_per_letter(problem: Problem, rate: float) -> PriorOptResult:
         (np.concatenate([np.ones(nz), -np.ones(nz)]),
          (np.concatenate([k, k]), np.concatenate([k, nz + k % ny]))),
         shape=(nz, nz + ny))
-    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
-    # go unoptimized; 1e-10 is the tightest it accepts
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nz), A_eq=a_eq,
-                  b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError(f"k-median LP failed: {res.message}")
-    q = np.clip(res.x[nz:], 0.0, None)
-    q = q / q.sum()
-    value = dtilde_for_prior(problem, 1.0 / t, q)
-    alpha = res.eqlin.marginals[:nx]
-    bound = _dual_bound(problem, t, alpha)
-    return PriorOptResult(
-        q_star=_readonly(q),
-        value=value,
-        dual_bound=bound,
-        certificate_gap=value - bound,
-        alpha=_readonly(alpha),
-    )
+    return _prior_by_linprog(problem, t, cost, a_ub, a_eq)
+
+
+def kmedian_lp_by_levels_linprog(problem: Problem, rate: float) -> PriorOptResult:
+    """optimize_prior's LP over the distinct levels of each row of d,
+    assembled as sparse CSR blocks and solved by linprog, with the same
+    columns, rows and options as optimize_prior's call into HiGHS, so the
+    two agree bit for bit.
+    """
+    if not rate >= 0:
+        raise ValueError(f"rate must be nonnegative, got {rate}")
+    t = _lp_size(problem, rate)
+    nx, ny = problem.x_size, problem.y_size
+    nz = nx * ny
+    k = np.arange(nz)
+    # (x, y) in each row's ascending order, and where each level starts
+    ranked = (np.arange(nx)[:, None] * ny + problem.row_order).ravel()
+    head = problem.levels.head.ravel()
+    # each level is numbered by its smallest (x, y), its first entry in the
+    # stable row order
+    heads = ranked[head]
+    by_head = np.argsort(heads)
+    level = np.empty(nz, dtype=np.intp)
+    level[ranked] = np.argsort(by_head)[np.cumsum(head) - 1]
+    heads = heads[by_head]
+    g = heads.size
+    cost = np.concatenate([(problem.p_x[:, None] * problem.d).ravel()[heads],
+                           np.zeros(ny)])
+    # rows 0..nx-1: sum_k z_xk = 1; row nx: sum_y r_y = t
+    a_eq = sparse.csr_array(
+        (np.ones(g + ny),
+         (np.concatenate([heads // ny, np.full(ny, nx)]), np.arange(g + ny))),
+        shape=(nx + 1, g + ny))
+    # row (x, level k): z_xk - sum_{y at level k} r_y <= 0
+    a_ub = sparse.csr_array(
+        (np.concatenate([np.ones(g), -np.ones(nz)]),
+         (np.concatenate([np.arange(g), level]),
+          np.concatenate([np.arange(g), g + k % ny]))),
+        shape=(g, g + ny))
+    return _prior_by_linprog(problem, t, cost, a_ub, a_eq)
 
 
 def best_code_distortion(problem: Problem, m: int | None) -> float:

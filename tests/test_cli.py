@@ -126,9 +126,9 @@ def test_converse_rate_solves_each_distinct_lp_once(rng, tmp_path, monkeypatch, 
     sizes = []
     real = converse_mod.linprog
 
-    def recording(*args, **kwargs):
-        sizes.append(kwargs["b_eq"][-1])
-        return real(*args, **kwargs)
+    def recording(cost, start, index, coef, lower, upper):
+        sizes.append(upper[-1])  # the last row is sum_y r_y = t
+        return real(cost, start, index, coef, lower, upper)
 
     monkeypatch.setattr(converse_mod, "linprog", recording)
     assert run(["converse", "--problem", str(path), "--rate", "1", "--csv"]) == 0

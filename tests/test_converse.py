@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oneshotrd.converse as converse_mod
@@ -31,8 +31,17 @@ from oneshotrd.converse import (
     EQUALITY_TOL, _dual_bound, _lp_size, product_prior_experiment,
 )
 from oracles import (
-    best_code_distortion, kmedian_lp_per_letter, product_prior_three_stage,
+    best_code_distortion, kmedian_lp_by_levels_linprog, kmedian_lp_per_letter,
+    product_prior_three_stage,
 )
+
+
+def instance_45x50(seed=0):
+    """A 45x50 instance with integer d; at seed 0, the converse-sandwich
+    benchmark's fixed one."""
+    g = np.random.default_rng(seed)
+    return Problem(g.dirichlet(np.ones(45)), g.dirichlet(np.ones(50)),
+                   g.integers(0, 5, (45, 50)).astype(float))
 
 
 def random_code(rng, problem, max_m=6):
@@ -255,9 +264,9 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
     sizes = []
     real = converse_mod.linprog
 
-    def recording(*args, **kwargs):
-        sizes.append(kwargs["b_eq"][-1])
-        return real(*args, **kwargs)
+    def recording(cost, start, index, coef, lower, upper):
+        sizes.append(upper[-1])  # the last row is sum_y r_y = t
+        return real(cost, start, index, coef, lower, upper)
 
     monkeypatch.setattr(converse_mod, "linprog", recording)
     for rate in (0.0, 0.25, 0.5, 1.0, 1.5, 2.3, 3.0, 5.0, 1e17):
@@ -267,9 +276,7 @@ def test_dhat_sandwich_solves_each_lp_size_once(rng, monkeypatch):
         assert sizes == [_lp_size(p, rate)]
         assert bounds.lower == optimize_prior(p, rate).dual_bound
     # the 45x50 instance of test_dhat_sandwich_lower_is_the_lp_minimum_45x50
-    g = np.random.default_rng(0)
-    p = Problem(g.dirichlet(np.ones(45)), g.dirichlet(np.ones(50)),
-                g.integers(0, 5, (45, 50)).astype(float))
+    p = instance_45x50()
     sizes.clear()
     bounds = dhat_sandwich(p, 1.0)
     assert sizes == [math.exp(1.0)]
@@ -381,19 +388,71 @@ def test_level_lp_has_one_column_per_distinct_level(monkeypatch):
     shapes = []
     real = converse_mod.linprog
 
-    def recording(c, *args, **kwargs):
-        shapes.append((c.size, kwargs["A_ub"].shape))
-        return real(c, *args, **kwargs)
+    def recording(cost, start, index, coef, lower, upper):
+        # columns, and the inequality rows (the ones with no lower end)
+        shapes.append((cost.size, (int(np.sum(lower == -np.inf)), start.size - 1)))
+        return real(cost, start, index, coef, lower, upper)
 
     monkeypatch.setattr(converse_mod, "linprog", recording)
-    rng = np.random.default_rng(0)
-    p = Problem(rng.dirichlet(np.ones(45)), rng.dirichlet(np.ones(50)),
-                rng.integers(0, 5, (45, 50)).astype(float))
+    p = instance_45x50()
     res = optimize_prior(p, 1.0)
     g = _distinct_levels(p)
     assert shapes == [(g + 50, (g, g + 50))]
     assert g + 50 <= 275
     assert res.certificate_gap <= 1e-9
+
+
+def _same_bits(res, ref):
+    return (res.q_star.tobytes() == ref.q_star.tobytes()
+            and res.alpha.tobytes() == ref.alpha.tobytes()
+            and res.value.hex() == ref.value.hex()
+            and res.dual_bound.hex() == ref.dual_bound.hex())
+
+
+# the examples pin a tie with zero masses on both sides, both one-letter
+# alphabets and 1x1, and t clamped at y_size by rate log(ny), 1e17 and inf
+@settings(max_examples=200, deadline=None)
+@given(problem=problems() | quarter_problems(),
+       rate=st.floats(0.0, 10.0) | st.sampled_from(["log ny", 0.0, 1e17, math.inf]))
+@example(problem=Problem([0.0, 0.4, 0.6], [0.5, 0.0, 0.5],
+                         [[1.0, 1.0, 0.5], [0.5, 0.0, 0.5], [2.0, 1.0, 1.0]]), rate=0.7)
+@example(problem=Problem([1.0], [0.3, 0.0, 0.7], [[1.0, 0.0, 1.0]]), rate=0.5)
+@example(problem=Problem([0.25, 0.75], [1.0], [[2.0], [0.5]]), rate=0.5)
+@example(problem=Problem([1.0], [1.0], [[0.5]]), rate=0.0)
+@example(problem=Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.5]]), rate="log ny")
+@example(problem=Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.5]]), rate=1e17)
+@example(problem=Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.5]]), rate=math.inf)
+def test_optimize_prior_is_the_linprog_route_bit_for_bit(problem, rate):
+    # the same LP, column for column and row for row, with linprog's options
+    if rate == "log ny":
+        rate = math.log(problem.y_size)
+    assert _same_bits(optimize_prior(problem, rate), kmedian_lp_by_levels_linprog(problem, rate))
+
+
+def test_optimize_prior_is_the_linprog_route_bit_for_bit_at_scale():
+    # the benchmark's 45x50 instance, and a tie-free 60x60 one
+    g = np.random.default_rng(0)
+    tie_free = Problem(g.dirichlet(np.ones(60)), g.dirichlet(np.ones(60)), g.random((60, 60)))
+    for problem in (instance_45x50(), tie_free):
+        assert _same_bits(optimize_prior(problem, 1.0),
+                          kmedian_lp_by_levels_linprog(problem, 1.0))
+
+
+def test_optimize_prior_names_the_largest_cost_where_highs_fails():
+    # with the 45x50 instance's d scaled up to 1e18, HiGHS's run ends in
+    # error; with costs p_x d_xy of 5e20, HiGHS ends without a status; on
+    # the same LP linprog fails too
+    big = instance_45x50()
+    for problem, rate, tail in (
+            (Problem(big.p_x, big.q_y, big.d * 2.5e17), 1.0,
+             "1.2e+17): HiGHS model status Solve error"),
+            (Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e21], [1e21, 0.0]]), 0.3,
+             "5e+20): HiGHS model status Unknown")):
+        with pytest.raises(ValueError) as info:
+            optimize_prior(problem, rate)
+        assert str(info.value) == "k-median LP failed (largest cost p_x d_xy = " + tail
+        with pytest.raises(RuntimeError, match="k-median LP failed"):
+            kmedian_lp_by_levels_linprog(problem, rate)
 
 
 def test_converse_dominance_exhaustive(rng):
@@ -435,9 +494,7 @@ def test_dhat_sandwich_random(rng):
 def test_dhat_sandwich_lower_is_the_lp_minimum_45x50(seed, expected):
     # above 2000 channel entries the lower bound once came from a heuristic
     # alone and overstated the minimum by about 0.1
-    rng = np.random.default_rng(seed)
-    p = Problem(rng.dirichlet(np.ones(45)), rng.dirichlet(np.ones(50)),
-                rng.integers(0, 5, (45, 50)).astype(float))
+    p = instance_45x50(seed)
     oracle = dense_prior_lp(p, math.exp(-1.0))
     lower = dhat_sandwich(p, 1.0).lower
     assert lower <= oracle + 1e-9

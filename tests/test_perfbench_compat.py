@@ -77,6 +77,25 @@ print(tracer.totals["cli.run"][0], tracer.totals["converse.linprog"][0])
     assert proc.stdout.split() == ["1", "1"]
 
 
+def test_tracer_wraps_linprog_once_after_an_lp_has_run(tracing, binary_hamming):
+    # an LP run before install leaves converse.linprog bound in the module;
+    # the tracer wraps the module's public functions and then linprog, and a
+    # second wrap would leave the outer span with no self time
+    oneshotrd.optimize_prior(binary_hamming, 0.5)
+    bound = vars(oneshotrd.converse)["linprog"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        oneshotrd.optimize_prior(binary_hamming, 0.5)
+    finally:
+        tracer.uninstall()
+    calls, self_s = tracer.totals["converse.linprog"]
+    assert calls == 1 and self_s > 0
+    spans = [tracer.names[span[0]] for span in tracer.spans]
+    assert spans.count("converse.linprog") == 1
+    assert vars(oneshotrd.converse)["linprog"] is bound
+
+
 def test_simulate_signature_binds_traced_arguments(binary_hamming):
     bound = inspect.signature(simulate_random_code).bind(
         problem=binary_hamming, M=2, trials=10, seed=0)
