@@ -21,6 +21,8 @@ import numpy as np
 from .dtilde import build_dtilde1, dtilde, dtilde1, dtilde_inverse, rtilde
 from .model import Problem, _like
 
+_PARTS = np.arange(1, 64) / 64  # _sign_changes' 63 inner points, as fractions of a bracket
+
 
 @dataclass(eq=False)
 class AchievabilityBound:
@@ -141,11 +143,16 @@ def _e2(t: np.ndarray) -> np.ndarray:
 def _sign_changes(slope, lo: np.ndarray, hi: np.ndarray, *coef: np.ndarray) -> np.ndarray:
     """Both ends of a bracket of the one sign change of slope(x, *coef) in [lo, hi], entry by
     entry where it goes from negative to positive: 10 rounds each keep one of 64 parts."""
-    k = np.flatnonzero((slope(lo, *coef) < 0) & (slope(hi, *coef) > 0))
+    at_lo, at_hi = slope(np.stack([lo, hi]), *coef)  # both ends in one call
+    k = np.flatnonzero((at_lo < 0) & (at_hi > 0))
+    if not k.size:
+        return np.empty(0)
     a, b, coef, rows = lo[k], hi[k], [c[k, None] for c in coef], np.arange(k.size)
-    for _ in range(10 if k.size else 0):
-        x = np.column_stack([a, a[:, None] + (b - a)[:, None] * (np.arange(1, 64) / 64), b])
-        j = np.count_nonzero(slope(x[:, 1:-1], *coef) <= 0, axis=1)
+    x = np.empty((k.size, 65))  # a, a + (b - a) i / 64 for i = 1..63, b
+    for _ in range(10):
+        x[:, 0], x[:, -1] = a, b
+        np.add(a[:, None], (b - a)[:, None] * _PARTS, out=x[:, 1:-1])
+        j = (slope(x[:, 1:-1], *coef) <= 0).sum(axis=1)
         a, b = x[rows, j], x[rows, j + 1]
     return np.concatenate([a, b])
 
@@ -171,8 +178,8 @@ def best_achievability(problem: Problem, rate: float) -> BestAchievability:
         below[up], step[up] = below[up] - step[up], 2.0 * step[up]
     roots = _sign_changes(
         lambda x, a, e: a - (a + e * np.exp(x - rate)) / _e2(np.exp(np.minimum(x, 6.5))),
-        ends[:-1], ends[1:], s * bp[:-1] - pw.values[flat:-1], dtilde(problem, 1.0) - s)
-    lams = np.unique(np.r_[below, ends[1:], roots])
+        ends[:-1], ends[1:], s * bp[:-1] - pw.values[flat:-1], pw.values[-1] - s)
+    lams = np.unique(np.concatenate([below, ends, roots]))
     values = achievability_bound(problem, rate, lams).value
     k = int(np.argmin(values))
     return BestAchievability(value=float(values[k]), lam=float(lams[k]))
@@ -202,36 +209,39 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     to one, or at the sign change. With no finite value strictly inside (dtilde(0), d_req),
     as for d_req a few ulps above dtilde(0), it raises ValueError.
     """
-    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    pw = build_dtilde1(problem)
+    lo, hi = float(pw.slopes[0]), float(pw.values[-1])  # dtilde(0) and dtilde(1)
     if not lo < d_req < hi:
         raise ValueError(f"d_req must be inside ({lo}, {hi}), got {d_req}")
-    pw = build_dtilde1(problem)
     # dtilde_inverse reads a segment up to its right_values entry and the next one past it
     kinks = pw.right_values[(lo < pw.right_values) & (pw.right_values < d_req)]
-    ends = np.unique(np.r_[kinks, math.nextafter(lo, math.inf),
-                           math.nextafter(d_req, -math.inf)])
+    ends = np.unique(np.concatenate([kinks, np.nextafter([lo, d_req], [math.inf, -math.inf])]))
     # each interval's segment, looked up at its middle: its left end belongs to the last
     s = pw.slopes[pw.pieces(dtilde_inverse(problem, ends[:-1] + np.diff(ends) / 2))]
 
-    def terms(z: np.ndarray, use_g: bool):  # u and the sum at each z, nan and inf outside
+    def split(z: np.ndarray):  # where z is strictly inside, and y and rtilde there
         y = (d_req - z) / (hi - z)
         ok = (lo < z) & (z < d_req) & (0.0 < y) & (y < 1.0)
-        u, vals = np.full(z.size, math.nan), np.full(z.size, math.inf)
-        u[ok] = -np.log(y[ok]) if use_g else f_inverse(y[ok])  # finite at a subnormal y
-        vals[ok] = rtilde(problem, z[ok]) + (_g_of_log(u[ok]) if use_g else u[ok])
+        return ok, y[ok], rtilde(problem, z[ok])
+
+    def terms(ok, y, r, use_g: bool):  # u and the sum at each split, nan and inf outside
+        u, vals = np.full(ok.size, math.nan), np.full(ok.size, math.inf)
+        u[ok] = -np.log(y) if use_g else f_inverse(y)  # finite at a subnormal y
+        vals[ok] = r + (_g_of_log(u[ok]) if use_g else u[ok])
         return u, vals
 
-    out = []
+    z = np.concatenate([ends, np.nextafter(kinks, -math.inf), np.nextafter(kinks, math.inf)])
+    shared, out = split(z), []  # both forms read the ends and the doubles beside each kink
     for use_g in (False, True):
-        u = terms(ends, use_g)[0]
-        roots = _sign_changes(lambda x, rho: rho - _split(x, use_g)[1], u[:-1], u[1:],
-                              (s - d_req) / (hi - d_req))
-        z = np.r_[ends, np.nextafter(kinks, -math.inf), np.nextafter(kinks, math.inf),
-                  hi - (hi - d_req) / _split(roots, use_g)[0]]
-        vals = terms(z, use_g)[1]
+        u, vals = terms(*shared, use_g)
+        roots = _sign_changes(lambda x, rho: rho - _split(x, use_g)[1], u[:ends.size - 1],
+                              u[1:ends.size], (s - d_req) / (hi - d_req))
+        if roots.size:  # the splits where u brackets the sign change
+            roots = hi - (hi - d_req) / _split(roots, use_g)[0]
+            vals = np.concatenate([vals, terms(*split(roots), use_g)[1]])
         k = int(np.argmin(vals))
         if vals[k] == math.inf:
             raise ValueError(f"no distortion split strictly inside (dtilde(0), d_req) = "
                              f"({lo!r}, {d_req!r}) gives a finite rate")
-        out += [max(float(vals[k]), 0.0), float(z[k])]
+        out += [max(float(vals[k]), 0.0), float(z[k] if k < z.size else roots[k - z.size])]
     return RateForDistortion(rate=out[0], z=out[1], rate_g=out[2])

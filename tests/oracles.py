@@ -15,7 +15,8 @@ rather than on HiGHS's binding directly, the
 best code of at most M words by exhaustive search, the 40-point slack grid of
 scalar achievability_bound calls that exact's split-quantile bound must
 never exceed, per-segment scans of the slack and of the distortion split
-that best_achievability and rate_for_distortion must never exceed, a
+that best_achievability and rate_for_distortion must never exceed, their
+bracket search with a grid stacked afresh by np.column_stack each round, a
 count of the local minima inside each segment for the split (at most one,
 the shape rate_for_distortion relies on), the exact integral with a
 scalar power at both ends of every segment, dtilde from the greedy fill
@@ -620,6 +621,20 @@ def segment_scan_lams(problem: Problem, rate: float, points: int = 64) -> np.nda
     ends = np.minimum(rate + np.log(build_dtilde1(problem).breakpoints[1:]), hi)
     ends = np.concatenate([[ends[0] - 5.0], ends])
     return np.linspace(ends[:-1], ends[1:], points + 2).ravel()
+
+
+def sign_changes_column_stack(slope, lo: np.ndarray, hi: np.ndarray,
+                              *coef: np.ndarray) -> np.ndarray:
+    """_sign_changes with one slope call for each end of the brackets and a
+    fresh grid each round: a, the 63 inner points and b stacked by
+    np.column_stack, the points at or below zero counted by np.count_nonzero."""
+    k = np.flatnonzero((slope(lo, *coef) < 0) & (slope(hi, *coef) > 0))
+    a, b, coef, rows = lo[k], hi[k], [c[k, None] for c in coef], np.arange(k.size)
+    for _ in range(10 if k.size else 0):
+        x = np.column_stack([a, a[:, None] + (b - a)[:, None] * (np.arange(1, 64) / 64), b])
+        j = np.count_nonzero(slope(x[:, 1:-1], *coef) <= 0, axis=1)
+        a, b = x[rows, j], x[rows, j + 1]
+    return np.concatenate([a, b])
 
 
 def rate_sum(problem: Problem, d_req: float, z: np.ndarray, use_g: bool) -> np.ndarray:

@@ -33,7 +33,7 @@ from oneshotrd import (
 )
 from oneshotrd.cli import run
 from oneshotrd.dtilde import build_dtilde1
-from oneshotrd.random_coding import _segment_integral
+from oneshotrd.random_coding import _e2, _segment_integral, _sign_changes, _split
 from oracles import (
     achievability_bound_scalar,
     exact_split_quantile_bound,
@@ -45,6 +45,7 @@ from oracles import (
     segment_integral_by_ends,
     segment_scan_lams,
     segment_scan_splits,
+    sign_changes_column_stack,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -382,6 +383,10 @@ def test_exact_bound_at_m4096_reaches_the_best_slack(tmp_path):
 # segment, of slope 3, where the bound reads 1.2e-15 against the scan's 1.3e-22
 @example(problem=Problem([1.0], np.array([0, 19, 0, 64, 28]) / 111,
                          [[0, 3, 0, 1.06655185e-233, 0]]), m=67)
+# the one rising segment starts at b = 0.00196; read only at the lam below rate + log b,
+# the bound stood 1.05e-15 above the scan's 0.4650658917788041, which rate + log b gives
+@example(problem=Problem([1, 0, 0, 0], [0, 0.9980442947851766, 0, 0.0019557052148233395],
+                         [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]), m=916)
 def test_best_achievability_returns_the_bound_at_its_lam(problem, m):
     rate = math.log(m - 1)
     best = best_achievability(problem, rate)
@@ -489,6 +494,84 @@ def test_rate_for_distortion_beats_a_dense_scan_and_is_achieved(problem, frac):
     big = int(sys.float_info.max) + 1
     m = big if res.rate > math.log(big - 1) else min(int(math.exp(res.rate)) + 1, big)
     assert exact_expected_distortion(problem, m) <= d_req + 1e-9
+
+
+def _rate_queries_problem(n, seed=0):
+    """The rate-queries benchmark's n x n instance, n of 4, 20, 50 and 100, at rng
+    seed `seed`: Dirichlet masses and integer d, redrawn until dtilde spans over 0.05."""
+    rng = np.random.default_rng(seed)
+    for size in (4, 20, 50, 100):
+        while True:
+            p = Problem(rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)),
+                        rng.integers(0, 5, (size, size)).astype(float))
+            if dtilde(p, 1.0) - dtilde(p, 0.0) > 0.05:
+                break
+        if size == n:
+            return p
+        rng.uniform(0.5, 2.5)  # the rate of the benchmark's --slack call
+
+
+# (rate, z, rate_g) as float.hex: the rate-queries benchmark's instances at seed 0,
+# each at a quarter, a half and three quarters of (dtilde(0), dtilde(1)), and the
+# 6x5 golden at d_req 0.9 and 2.0; in all but the 4-letter cases and bench-50-0.5,
+# bench-50-0.75, bench-100-0.25 and bench-100-0.5 at least one form brackets a root
+# of its slope, and the root moves the result
+PINNED_RATES = {
+    "bench-4-0.25": ("0x1.27c130b81fd53p+1", "0x1.0bc8b93e32fc7p+0", "0x1.3041e119bcf30p+1"),
+    "bench-4-0.5": ("0x1.b1e78147e13cep+0", "0x1.0bc8b93e32fc7p+0", "0x1.bacab3a6c7187p+0"),
+    "bench-4-0.75": ("0x1.0706252a0bb72p+0", "0x1.929c16c92d9a3p+0", "0x1.0d87b79de382ap+0"),
+    "bench-20-0.25": ("0x1.6484fe089c3f8p+1", "0x1.5dc20b6abe919p-2", "0x1.6d7c82b9f2c2ap+1"),
+    "bench-20-0.5": ("0x1.01b7cf45e53e1p+1", "0x1.5058ca1ce8bf4p-1", "0x1.07b58b78185dfp+1"),
+    "bench-20-0.75": ("0x1.33e6dc95dcc4ap+0", "0x1.0404d80e73fefp+0", "0x1.3aedca14a97fap+0"),
+    "bench-50-0.25": ("0x1.5345eae1db49cp+1", "0x1.5988652816988p-2", "0x1.5c55d83e7fde2p+1"),
+    "bench-50-0.5": ("0x1.d08fe1ae3875ep+0", "0x1.3700111da83b8p-1", "0x1.dc44a8736311cp+0"),
+    "bench-50-0.75": ("0x1.0f5de378d80c4p+0", "0x1.c7b5d260dcecap-1", "0x1.15ba76df63054p+0"),
+    "bench-100-0.25": ("0x1.46dd2c881225fp+1", "0x1.1a2a44e900aacp-2", "0x1.4f302ae47a455p+1"),
+    "bench-100-0.5": ("0x1.cb4f266558432p+0", "0x1.2a3bc633f5318p-1", "0x1.d6e5e0c435f61p+0"),
+    "bench-100-0.75": ("0x1.0c85b3320e745p+0", "0x1.c0dfdd9c6aebap-1", "0x1.12ea07586cb3ap+0"),
+    "6x5-0.9": ("0x1.2748075aa91b7p+2", "0x1.92a72dce79b62p-1", "0x1.2c137f834039ap+2"),
+    "6x5-2.0": ("0x1.2e5fbddc15bdcp+0", "0x1.8ebb1e59c339ep+0", "0x1.341aca45e003ap+0"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_RATES)
+def test_rate_for_distortion_keeps_its_pinned_bits(case):
+    where, at = case.rsplit("-", 1)
+    if where == "6x5":
+        problem, d_req = load_problem(GOLDEN / "integer_6x5.json"), float(at)
+    else:
+        problem = _rate_queries_problem(int(where.split("-")[1]))
+        lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+        d_req = lo + float(at) * (hi - lo)
+    res = rate_for_distortion(problem, d_req)
+    assert (res.rate.hex(), res.z.hex(), res.rate_g.hex()) == PINNED_RATES[case]
+
+
+# the slopes of rate_for_distortion's two forms (in u, against rho) and of
+# best_achievability's (in lam at rate 0, against a >= 0 and d1 - s)
+_SLOPES = {
+    "rate": lambda x, rho, _: rho - _split(x, False)[1],
+    "rate_g": lambda x, rho, _: rho - _split(x, True)[1],
+    "slack": lambda x, a, e: abs(a) - (abs(a) + e * np.exp(x)) / _e2(np.exp(np.minimum(x, 6.5))),
+    "line": lambda x, c, _: x - c,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_SLOPES)),
+       rows=st.lists(st.tuples(st.floats(1e-6, 60.0), st.floats(0.0, 60.0),
+                               st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), max_size=6))
+def test_sign_changes_matches_the_column_stack_grid(kind, rows):
+    lo, width, c, e = np.array(rows, dtype=float).reshape(-1, 4).T
+    hi = lo + width
+    if kind == "slack":
+        lo, hi = -lo, -lo + width  # brackets on both sides of the rate, 0
+    if kind == "line":
+        c = lo + (hi - lo) * (c + 4.0) / 8.0  # a root inside every bracket
+    want = sign_changes_column_stack(_SLOPES[kind], lo, hi, c, e)
+    got = _sign_changes(_SLOPES[kind], lo, hi, c, e)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
