@@ -185,8 +185,8 @@ def _highs(core, cost, start, index, coef, lower, upper):
     matrix = lp.a_matrix_
     matrix.start_, matrix.index_, matrix.value_ = start.tolist(), index.tolist(), coef.tolist()
     highs = core._Highs()
-    # linprog(method="highs")'s options, with both feasibility tolerances at
-    # 1e-10: HiGHS's default 1e-7 would let costs p_x d_xy below 1e-7 go unoptimized
+    # linprog(method="highs")'s options, with both feasibility tolerances at 1e-10:
+    # HiGHS's default 1e-7 would let costs below 1e-7 of the largest go unoptimized
     for option in (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
                    ("output_flag", False), ("simplex_strategy", 1),
                    ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
@@ -215,12 +215,14 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     LP column for column. For t >= y_size the minimum is the floor
     sum_x p_x min_y d_xy, so t is clamped there. The dual bound is
     recomputed in numpy from the equality duals alpha against the full
-    p_x d matrix, without trusting the solver's objective. HiGHS stops
-    within its 1e-10 tolerances, so where costs p_x d_xy differ by about
-    1e-10, value can sit up to about 5e-10 above the minimum;
-    certificate_gap reports that distance, and dual_bound stays valid.
-    Where HiGHS ends without an optimum, as it can once costs reach about
-    1e17, a ValueError names the largest cost and HiGHS's model status.
+    p_x d matrix, without trusting the solver's objective. HiGHS gets the
+    costs divided by the power of two at their top, exactly (alpha is
+    multiplied back), so its fixed 1e-10 tolerances act in the scale of the
+    costs: where costs differ by about 1e-10 of the largest, value can sit
+    up to about 5e-10 of the largest above the minimum; certificate_gap
+    reports that distance, and dual_bound stays valid.
+    Where HiGHS ends without an optimum, a ValueError names the largest
+    cost and HiGHS's model status.
     """
     if not rate >= 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
@@ -248,14 +250,16 @@ def optimize_prior(problem: Problem, rate: float) -> PriorOptResult:
     coef = np.concatenate([np.ones(2 * g), np.tile(np.append(-np.ones(nx), 1.0), ny)])
     upper = np.concatenate([np.zeros(g), np.ones(nx), [t]])
     lower = np.concatenate([np.full(g, -np.inf), upper[g:]])
-    status, x, duals = __getattr__("linprog")(cost, start, index, coef, lower, upper)
+    top = np.frexp(cost.max())[1]
+    status, x, duals = __getattr__("linprog")(np.ldexp(cost, -top), start, index, coef,
+                                              lower, upper)
     if x is None:
         raise ValueError(f"k-median LP failed (largest cost p_x d_xy = "
                          f"{cost.max():.3g}): HiGHS model status {status}")
     q = np.clip(x[g:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
-    alpha = duals[g:g + nx]
+    alpha = np.ldexp(duals[g:g + nx], top)
     bound = _dual_bound(problem, t, alpha)
     return PriorOptResult(_readonly(q), value, bound, value - bound, _readonly(alpha))
 
@@ -349,7 +353,7 @@ def product_prior_experiment(
     drops that letter (held at exactly 0) and keeps the result if it
     improves. That is at most y_size + PRODUCT_RANDOM_STARTS + 1
     Nelder-Mead runs. The full-simplex LP is solved exactly, so full_value
-    <= product_value holds up to solver tolerance. Exploratory: the sign
+    <= product_value holds up to scaled_tol(base, 1e-9). Exploratory: the sign
     and size of the remaining gap are reported, not asserted.
     """
     if n < 1:
@@ -387,7 +391,7 @@ def product_prior_experiment(
 
     full = optimize_prior(prod, total_rate)
     gap = full.value - best_val
-    if gap > 1e-9:
+    if gap > scaled_tol(base, 1e-9):
         raise EqualityCheckError(
             "full-simplex optimum exceeded the product-prior value"
         )

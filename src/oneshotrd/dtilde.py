@@ -130,24 +130,23 @@ def dtilde(problem: Problem, w):
 def dtilde_inverse(problem: Problem, z):
     """Smallest w with dtilde(w) >= z, for a scalar or elementwise for an array.
 
-    z must lie in the closed range [dtilde(0), dtilde(1)]. dtilde is flat
-    at dtilde(0) up to its first kink and strictly increasing after it, so
-    z <= dtilde(0) gives 0 and every larger z a positive w.
+    z must lie in the closed range [dtilde(0), dtilde(1)], checked exactly. dtilde
+    is flat at dtilde(0) up to its first kink and strictly increasing after it,
+    so z = dtilde(0) gives 0 and every larger z a positive w.
     """
     pw = build_dtilde1(problem)
     lo, hi = float(pw.slopes[0]), float(pw.values[-1])
     zs = np.array(z, dtype=float, ndmin=1)
-    bad = ~((lo - 1e-12 <= zs) & (zs <= hi + 1e-12))
+    bad = ~((lo <= zs) & (zs <= hi))
     if bad.any():
         raise ValueError(f"z={zs[bad][0]} outside the achievable range [{lo}, {hi}]")
-    zs = np.minimum(np.maximum(zs, lo), hi)
     i = np.minimum(np.searchsorted(pw.right_values, zs), pw.slopes.size - 1)
     b, s = pw.breakpoints[i], pw.slopes[i]
     # solve (v + s (w - b)) / w = z; z at least the right end's value or s gives the right end
     step = np.divide(zs * b - pw.values[i], s - zs, out=np.full(zs.shape, np.inf),
                      where=zs < np.minimum(s, pw.right_values[i]))
     w = np.minimum(b + np.maximum(step, 0.0), pw.breakpoints[i + 1])
-    return _like(np.where(zs <= lo, 0.0, w), z)
+    return _like(np.where(zs == lo, 0.0, w), z)
 
 
 def rtilde(problem: Problem, z):

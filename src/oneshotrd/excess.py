@@ -54,7 +54,7 @@ def excess_rate(problem: Problem, delta: float, d_th: float) -> float:
     """
     ep = excess_problem(problem, d_th)
     ceil = dtilde(ep, 1.0)
-    if delta < 0 or delta > ceil + 1e-12:
+    if not 0 <= delta <= ceil:
         raise ValueError(
             f"delta must be in [0, {ceil:.12g}], got {delta}"
         )

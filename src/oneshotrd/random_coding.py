@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtilde import build_dtilde1, dtilde, dtilde1, dtilde_inverse, rtilde
+from .dtilde import build_dtilde1, dtilde, dtilde1, rtilde
 from .model import Problem, _like
 
 _PARTS = np.arange(1, 64) / 64  # _sign_changes' 63 inner points, as fractions of a bracket
@@ -52,9 +52,7 @@ def _segment_integral(pwl, M: float) -> np.ndarray:
         surv = np.exp((M - 1) * np.log1p(-bp))
     g = -surv * ((M - 1) * bp + 1.0)
     # M * (a difference of survivals) stays finite where c * M would overflow
-    terms = c * (M * (surv[:-1] - surv[1:])) + pwl.slopes * np.diff(g)
-    terms[np.abs(terms) < 1e-300] = 0.0
-    return terms
+    return c * (M * (surv[:-1] - surv[1:])) + pwl.slopes * np.diff(g)
 
 
 def exact_expected_distortion(problem: Problem, M: int) -> float:
@@ -216,8 +214,9 @@ def rate_for_distortion(problem: Problem, d_req: float) -> RateForDistortion:
     # dtilde_inverse reads a segment up to its right_values entry and the next one past it
     kinks = pw.right_values[(lo < pw.right_values) & (pw.right_values < d_req)]
     ends = np.unique(np.concatenate([kinks, np.nextafter([lo, d_req], [math.inf, -math.inf])]))
-    # each interval's segment, looked up at its middle: its left end belongs to the last
-    s = pw.slopes[pw.pieces(dtilde_inverse(problem, ends[:-1] + np.diff(ends) / 2))]
+    # each interval's segment, looked up at its middle as dtilde_inverse looks it up
+    mid = np.searchsorted(pw.right_values, ends[:-1] + np.diff(ends) / 2)
+    s = pw.slopes[np.minimum(mid, pw.slopes.size - 1)]
 
     def split(z: np.ndarray):  # where z is strictly inside, and y and rtilde there
         y = (d_req - z) / (hi - z)

@@ -204,26 +204,25 @@ def info_spectrum_check(
 ) -> InfoSpectrumCheck:
     """Relate the quantile functional to an information-density tail event.
 
-    With q the output marginal of the channel, i = log(W/q), and
-    lam = -log P[i <= rate - delta], checks
+    channel is the matrix W(y|x), q its output marginal and rho = rate - delta.
+    A = {0 < W <= e^rho q} is the event i <= rho of the information density
+    i = log(W / q), read without logs. With m the least P(A | x) over the x with
+    p_x > 0, checks
 
-        dtilde(exp(-(rate - delta) - lam), q) <= E[d] * exp(lam).
+        dtilde(e^-rho m, q) <= E[d] / m,
 
-    channel is the matrix W(y|x). A probability-zero event makes the right
-    side infinite (vacuously true).
+    up to scaled_tol(problem, 1e-10); at m = 0 the right side is inf (vacuous).
+    Proof: V = W 1_A / P(A | x), on the rows with p_x > 0, sums to 1 by row. On A,
+    V <= e^rho q / m = q / w at w = e^-rho m, so V is under the cap q / w of
+    the inf form, whose least E[d] over such channels is dtilde(w, q); and
+    E_V[d] <= E[d] / m, as d >= 0 and P(A | x) >= m. A row of V sums to 1 under
+    a cap that sums to 1 / w, so w <= 1 up to rounding.
     """
     w_mat = np.asarray(channel, dtype=float)
     joint = problem.p_x[:, None] * w_mat
-    q_y = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where((w_mat > 0) & (q_y[None, :] > 0),
-                        np.log(np.where(w_mat > 0, w_mat, 1.0))
-                        - np.log(np.where(q_y > 0, q_y, 1.0))[None, :],
-                        -math.inf)
-    pr = float(np.sum(joint[dens <= rate - delta]))
-    expected = float(np.sum(joint * problem.d))
-    # a probability-zero event makes lam infinite: w = 0, dtilde's right limit
-    lam = -math.log(pr) if pr > 0.0 else math.inf
-    lhs = dtilde_for_prior(problem, min(math.exp(-(rate - delta) - lam), 1.0), q_y)
-    rhs = expected * math.exp(lam) if pr > 0.0 else math.inf
-    return InfoSpectrumCheck(lhs, rhs, lhs <= rhs + 1e-10)
+    q_y, shrink = joint.sum(axis=0), math.exp(delta - rate)  # shrink = e^-rho
+    in_a = (w_mat > 0) & (w_mat * shrink <= q_y)
+    m = float(np.min(np.where(in_a, w_mat, 0.0).sum(axis=1)[problem.p_x > 0]))
+    lhs = dtilde_for_prior(problem, min(shrink * m, 1.0), q_y)
+    rhs = float(np.sum(joint * problem.d)) / m if m > 0.0 else math.inf
+    return InfoSpectrumCheck(lhs, rhs, lhs <= rhs + scaled_tol(problem, 1e-10))

@@ -487,12 +487,14 @@ def _prior_by_linprog(problem: Problem, t: float, cost, a_ub, a_eq) -> PriorOptR
     a_ub (z, r) <= 0 and a_eq (z, r) = (1, ..., 1, t), r the last y_size
     columns, solved by scipy's linprog(method="highs"); q_star = r / t. The
     dual bound is recomputed in numpy from the equality duals alpha, without
-    trusting the solver's objective.
+    trusting the solver's objective. As in optimize_prior, the solver gets the
+    costs divided by the power of two at their top, and alpha is scaled back.
     """
     nx = problem.x_size
-    # HiGHS's default 1e-7 tolerances would let costs p_x d_xy below 1e-7
-    # go unoptimized; 1e-10 is the tightest it accepts
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+    top = np.frexp(cost.max())[1]
+    # HiGHS's default 1e-7 tolerances would let costs below 1e-7 of the
+    # largest go unoptimized; 1e-10 is the tightest it accepts
+    res = linprog(np.ldexp(cost, -top), A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
                   b_eq=np.concatenate([np.ones(nx), [t]]), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
@@ -501,7 +503,7 @@ def _prior_by_linprog(problem: Problem, t: float, cost, a_ub, a_eq) -> PriorOptR
     q = np.clip(res.x[-problem.y_size:], 0.0, None)
     q = q / q.sum()
     value = dtilde_for_prior(problem, 1.0 / t, q)
-    alpha = res.eqlin.marginals[:nx]
+    alpha = np.ldexp(res.eqlin.marginals[:nx], top)
     bound = _dual_bound(problem, t, alpha)
     return PriorOptResult(_readonly(q), value, bound, value - bound, _readonly(alpha))
 

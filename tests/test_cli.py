@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oneshotrd
@@ -205,15 +205,89 @@ def test_cli_rejects_subnormal_prior_mass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["converse", "optimize-prior"])
-def test_cli_reports_a_failed_lp(tmp_path, capsys, command):
-    # costs p_x d_xy of 5e20 leave HiGHS without a solution
+def test_cli_reports_a_failed_lp(tmp_path, capsys, monkeypatch, command):
+    # a HiGHS run that ends without an optimum, forced, on costs p_x d_xy of 5e20
+    monkeypatch.setattr(converse_mod, "linprog", lambda *lp: ("Unknown", None, None))
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"p_x": [0.5, 0.5], "q_y": [0.5, 0.5],
                                 "d": [[0, 1e21], [1e21, 0]]}))
     assert run([command, "--problem", str(path), "--rate", "0.3"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: k-median LP failed (largest cost p_x d_xy = 5e+20): ")
+    assert out == "" and err == ("error: k-median LP failed (largest cost p_x d_xy = "
+                                 "5e+20): HiGHS model status Unknown\n")
+
+
+# the records that hold a distortion, which scales with d; every other one (a
+# rate, a prior mass, w, channel_gap) keeps its bits
+SCALED_RECORDS = re.compile(r"(exact|bound|mc|mc_stderr)\[M=\d+\]|dhat_(lower|upper)|lhs|rhs|gap"
+                            r"|value|dual_bound|certificate_gap|z|bound(_dmax)?|dtilde1?"
+                            r"|(sup|inf)_form")
+
+
+@st.composite
+def scale_problems(draw):
+    """1 to 8 letters a side; masses on a grid of eighths with zeros, so the
+    prior ties too; d on quarters (ties) or 0 and [1/16, 4]: no product
+    p_x d_xy nears the subnormals at d * 2^-40, where scaling stops being exact."""
+    def simplex(n):
+        v = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=float)
+        assume(v.any())
+        return v / v.sum()
+
+    p, q = simplex(draw(st.integers(1, 8))), simplex(draw(st.integers(1, 8)))
+    entry = (st.integers(0, 8).map(lambda i: i / 4) if draw(st.booleans())
+             else st.just(0.0) | st.floats(1 / 16, 4.0))
+    d = draw(st.lists(entry, min_size=p.size * q.size, max_size=p.size * q.size))
+    return Problem(p, q, np.reshape(d, (p.size, q.size)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=scale_problems(), k=st.integers(-40, 40), rate=st.floats(0.0, 2.5),
+       slack=st.floats(1e-3, 3.0), w=st.floats(1e-200, 1.0),
+       split=st.just(0.0) | st.floats(1e-200, 1.0), data=st.data())
+def test_every_distortion_the_cli_prints_scales_bit_for_bit_with_d(
+        tmp_path_factory, problem, k, rate, slack, w, split, data):
+    # at d * 2^k every call prints what it prints at d, each distortion (and
+    # its tolerance) times 2^k; d_req and d_th are distortions and scale too.
+    # w and a nonzero split stay above 1e-200, so that dtilde1(w) = w dtilde(w)
+    # and d_req stay normal
+    code = ",".join(map(str, data.draw(st.lists(st.integers(0, problem.y_size - 1),
+                                                min_size=1, max_size=4))))
+    lo, hi = dtilde(problem, 0.0), dtilde(problem, 1.0)
+    d_th = data.draw(st.sampled_from(problem.d.ravel().tolist()) | st.floats(0.0, 4.0))
+    calls = [(["exact", "--M", "1,2,5", "--trials", "30", "--seed", "1"], None),
+             (["converse", "--rate", repr(rate)], None),
+             (["converse", "--code", code], None),
+             (["optimize-prior", "--rate", repr(rate)], None),
+             (["achieve", "--dreq"], lo + split * (hi - lo)),
+             (["achieve", "--rate", repr(rate), "--slack", repr(rate - slack)], None),
+             (["variational", "--w", repr(w)], None),
+             (["excess", "--delta-grid", "5", "--dth"], d_th)]
+    folder = tmp_path_factory.mktemp("scale")
+    paths = []
+    for name, d in (("unit", problem.d), ("scaled", np.ldexp(problem.d, k))):
+        paths.append(str(folder / f"{name}.json"))
+        save_problem(Problem(problem.p_x, problem.q_y, d), paths[-1])
+    # scaled_tol's floor, the smallest normal double, holds at every scale
+    floor = not problem.d[problem.p_x > 0].any()
+    for call, value in calls:
+        runs = [_run_captured([call[0], "--problem", path, *call[1:],
+                               *([] if value is None else [repr(math.ldexp(value, j))]),
+                               *([] if call[0] == "excess" else ["--json"])])
+                for path, j in zip(paths, (0, k))]
+        (status, unit, _), (scaled_status, scaled, _) = runs
+        assert scaled_status == status, call
+        if call[0] == "excess" or status != 0:
+            assert scaled == unit, call
+            continue
+        for a, b in zip(json.loads(unit)["records"], json.loads(scaled)["records"], strict=True):
+            j = k if SCALED_RECORDS.fullmatch(a["quantity"]) else 0
+            if a["quantity"] == "z" and a["value"] == 5e-324:
+                j = 0  # the split one double above dtilde(0) = 0, at every scale
+            assert (b["quantity"], b["method"]) == (a["quantity"], a["method"])
+            assert b["value"].hex() == math.ldexp(a["value"], j).hex(), (call, a, b)
+            if a["tolerance"] is not None:
+                assert b["tolerance"] == math.ldexp(a["tolerance"], 0 if floor else j), (call, a, b)
 
 
 def test_cli_rejects_out_of_range_code(binary_path, capsys):

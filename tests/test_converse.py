@@ -30,6 +30,7 @@ from oneshotrd import (
 from oneshotrd.converse import (
     EQUALITY_TOL, _dual_bound, _lp_size, product_prior_experiment,
 )
+from oneshotrd.model import scaled_tol
 from oracles import (
     best_code_distortion, kmedian_lp_by_levels_linprog, kmedian_lp_per_letter,
     product_prior_three_stage,
@@ -402,11 +403,12 @@ def test_level_lp_has_one_column_per_distinct_level(monkeypatch):
     assert res.certificate_gap <= 1e-9
 
 
-def _same_bits(res, ref):
+def _same_bits(res, ref, k=0):
+    """res is ref with every distortion times 2^k, and q_star as it is, bit for bit."""
     return (res.q_star.tobytes() == ref.q_star.tobytes()
-            and res.alpha.tobytes() == ref.alpha.tobytes()
-            and res.value.hex() == ref.value.hex()
-            and res.dual_bound.hex() == ref.dual_bound.hex())
+            and res.alpha.tobytes() == np.ldexp(ref.alpha, k).tobytes()
+            and res.value.hex() == math.ldexp(ref.value, k).hex()
+            and res.dual_bound.hex() == math.ldexp(ref.dual_bound, k).hex())
 
 
 # the examples pin a tie with zero masses on both sides, both one-letter
@@ -438,21 +440,48 @@ def test_optimize_prior_is_the_linprog_route_bit_for_bit_at_scale():
                           kmedian_lp_by_levels_linprog(problem, 1.0))
 
 
-def test_optimize_prior_names_the_largest_cost_where_highs_fails():
-    # with the 45x50 instance's d scaled up to 1e18, HiGHS's run ends in
-    # error; with costs p_x d_xy of 5e20, HiGHS ends without a status; on
-    # the same LP linprog fails too
+def test_optimize_prior_names_the_largest_cost_where_highs_fails(monkeypatch):
+    # a HiGHS run that ends without an optimum, forced: the error names the
+    # largest cost p_x d_xy, as given, and HiGHS's model status
     big = instance_45x50()
-    for problem, rate, tail in (
-            (Problem(big.p_x, big.q_y, big.d * 2.5e17), 1.0,
+    for problem, rate, status, tail in (
+            (Problem(big.p_x, big.q_y, big.d * 2.5e17), 1.0, "Solve error",
              "1.2e+17): HiGHS model status Solve error"),
-            (Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e21], [1e21, 0.0]]), 0.3,
+            (Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e21], [1e21, 0.0]]), 0.3, "Unknown",
              "5e+20): HiGHS model status Unknown")):
+        monkeypatch.setattr(converse_mod, "linprog", lambda *lp, s=status: (s, None, None))
         with pytest.raises(ValueError) as info:
             optimize_prior(problem, rate)
         assert str(info.value) == "k-median LP failed (largest cost p_x d_xy = " + tail
-        with pytest.raises(RuntimeError, match="k-median LP failed"):
-            kmedian_lp_by_levels_linprog(problem, rate)
+
+
+def test_optimize_prior_solves_the_lps_that_failed_at_costs_past_1e17():
+    # HiGHS gets the costs in the unit of the power of two at their top, so
+    # the 45x50 instance at d * 2.5e17 (costs up to 1.2e17, "Solve error"
+    # before) and the two-letter LP at costs of 5e20 ("Unknown" before)
+    # solve. At those scales q_star and value keep the unit-scale bits, and
+    # dual_bound, recomputed from the rounded costs, is within rounding; at
+    # 2^57 and 2^70, where the LPs failed as well, every bit scales
+    big, two = instance_45x50(), Problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    for problem, rate, scale, k in ((big, 1.0, 2.5e17, 57), (two, 0.3, 1e21, 70)):
+        unit = optimize_prior(problem, rate)
+        res = optimize_prior(Problem(problem.p_x, problem.q_y, problem.d * scale), rate)
+        assert res.q_star.tobytes() == unit.q_star.tobytes()
+        assert res.value == unit.value * scale
+        assert res.dual_bound == pytest.approx(unit.dual_bound * scale, rel=1e-13)
+        assert _same_bits(optimize_prior(
+            Problem(problem.p_x, problem.q_y, np.ldexp(problem.d, k)), rate), unit, k)
+
+
+def test_optimize_prior_at_d_times_2_to_the_minus_40_is_the_unit_answer_scaled():
+    # HiGHS's 1e-10 tolerances acted on the raw costs, which here are below
+    # 3e-12: the LP stopped at value 2.202 * 2^-40 against 0.734 * 2^-40,
+    # with a dual_bound of -6.7e-13
+    problem = Problem([0.734, 0.266], [0.493, 0.507], [[3.0, 1.0], [0.0, 1.0]])
+    unit = optimize_prior(problem, 1.0)
+    res = optimize_prior(Problem(problem.p_x, problem.q_y, np.ldexp(problem.d, -40)), 1.0)
+    assert _same_bits(res, unit, -40)
+    assert res.dual_bound >= 0.0
 
 
 def test_converse_dominance_exhaustive(rng):
@@ -560,6 +589,16 @@ def test_product_prior_search_never_loses_to_three_stages():
         want = product_prior_three_stage(base, 2, rate)
         assert got.product_value <= want.product_value + 1e-12
         assert got.full_value == want.full_value
+
+
+def test_product_prior_full_value_stays_in_scale_at_d_times_1e_12(binary_hamming):
+    # with HiGHS's tolerances on the raw costs the full LP read 2.5e-13,
+    # above the product prior's 2.22e-13, and an absolute 1e-9 let it pass
+    unit = product_prior_experiment(binary_hamming, 2, 0.4, seed=1)
+    small = Problem(binary_hamming.p_x, binary_hamming.q_y, binary_hamming.d * 1e-12)
+    rep = product_prior_experiment(small, 2, 0.4, seed=1)
+    assert rep.full_value == pytest.approx(unit.full_value * 1e-12, rel=1e-12, abs=0.0)
+    assert rep.gap <= scaled_tol(small, 1e-9)
 
 
 def test_product_prior_search_reaches_a_face():

@@ -175,6 +175,14 @@ def test_inverse_rejects_out_of_range(binary_hamming):
         dtilde_inverse(binary_hamming, 0.6)
     with pytest.raises(ValueError):
         dtilde_inverse(binary_hamming, -0.1)
+    # the range is checked exactly: an absolute slack of 1e-12 took z = 5e-13,
+    # 10^8 times dtilde(1), on d * 1e-20
+    tiny = Problem(binary_hamming.p_x, binary_hamming.q_y, binary_hamming.d * 1e-20)
+    hi = dtilde(tiny, 1.0)
+    assert dtilde_inverse(tiny, hi) == 1.0
+    for z in (5e-13, math.nextafter(hi, math.inf), -5e-324):
+        with pytest.raises(ValueError, match="outside the achievable range"):
+            dtilde_inverse(tiny, z)
 
 
 def test_inverse_is_right_inverse(rng):

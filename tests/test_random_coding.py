@@ -79,6 +79,13 @@ def test_exact_binary_hamming(binary_hamming):
     assert exact_expected_distortion(binary_hamming, 3) == pytest.approx(0.125, abs=1e-15)
 
 
+def test_exact_keeps_mass_below_1e_300():
+    # an absolute cut at 1e-300 on the segment terms read 0.0 here
+    for top in (1e-300, 1e-305, 1e-290):
+        exact = exact_expected_distortion(Problem([1.0], [0.5, 0.5], [[0.0, top]]), 2)
+        assert exact == pytest.approx(top / 4, rel=1e-15, abs=0.0)
+
+
 def test_exact_constant_distortion():
     p = Problem([0.3, 0.7], [0.5, 0.5], [[0.42, 0.42], [0.42, 0.42]])
     for M in (1, 2, 5, 40):

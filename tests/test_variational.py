@@ -257,6 +257,41 @@ def test_info_spectrum_random_stress(rng):
         assert res.holds
 
 
+def test_info_spectrum_holds_on_the_average_form_counterexample():
+    # with lam = -log P(i <= R - delta) the average form read lhs 0.35188 > rhs
+    # 0.34444; row 0 never meets the event, so the row-minimum form is vacuous
+    problem = Problem([0.1, 0.9], [0.5, 0.5], [[1.0, 0.4], [0.3, 0.7]])
+    res = info_spectrum_check(problem, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 0.0)
+    assert res.holds and res.rhs == math.inf
+    assert res.lhs == dtilde_for_prior(problem, 0.0, [0.9, 0.1])
+
+
+@st.composite
+def spectrum_channels(draw, problem):
+    """A Dirichlet channel with zeros, a deterministic one or a packing channel."""
+    nx, ny = problem.x_size, problem.y_size
+    kind = draw(st.sampled_from(["dirichlet", "deterministic", "packing"]))
+    if kind == "packing":
+        return packing_channel(problem, draw(st.floats(sys.float_info.min, 1.0)))
+    if kind == "deterministic":
+        rows = np.zeros((nx, ny))
+        rows[np.arange(nx), draw(st.lists(st.integers(0, ny - 1), min_size=nx, max_size=nx))] = 1.0
+        return rows
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = g.dirichlet(np.ones(ny), nx) * (g.random((nx, ny)) < 0.7)
+    rows[np.arange(nx), g.integers(0, ny, nx)] += 0.1  # no row left empty
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), problem=problems() | quarter_problems(), k=st.integers(-40, 40),
+       rate=st.floats(0.0, 3.0), delta=st.floats(0.0, 0.5))
+def test_info_spectrum_holds_on_every_channel_at_any_scale(data, problem, k, rate, delta):
+    problem = Problem(problem.p_x, problem.q_y, np.ldexp(problem.d, k))
+    channel = data.draw(spectrum_channels(problem))
+    assert info_spectrum_check(problem, channel, rate, delta).holds
+
+
 def _assert_level_routes_match_rows(problem, w):
     new, old = inf_form_value(problem, -math.log(w)), inf_form_by_rows(problem, -math.log(w))
     np.testing.assert_allclose(new.channel, old.channel, rtol=0.0, atol=1e-14)
